@@ -16,7 +16,8 @@ from . import descriptors as ds
 from .coalg import (
     HComp,
     Id,
-    behavioral_distance,
+    _distances,
+    behavior_map,
     check_coalgebra,
     equalizer,
     final_chain,
@@ -259,10 +260,11 @@ def behave(coalgebra_path, depth, symmetric, cap, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
     c = _load_checked_coalgebra(coalgebra_path)
     q = c.carrier.quantale
+    behs = behavior_map(c, depth, cap=cap)
     rows = []
     for x in c.carrier.states:
         for y in c.carrier.states:
-            d = behavioral_distance(c, x, y, depth, symmetric=symmetric, cap=cap)
+            d = _distances(behs, x, y, symmetric)
             rows.append({"from": x, "to": y,
                          "distances": [q.format(v) for v in d]})
     body = {"depth": depth, "symmetric": symmetric, "table": rows}

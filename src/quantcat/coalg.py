@@ -5,8 +5,15 @@ Functor expressions are ASTs over Id, Const, Prod, Sum and HComp (compose
 with the Hausdorff lifting).  Elements of F(X) are plain structural terms:
 carrier states for Id, constant points for Const, tuples for Prod, tagged
 pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
+
+F on a map f is defined once, element by element, as
+``normalize_term(F, f.target, map_term(F, f, t))``.  Behaviour maps and
+homomorphism checks apply it to the structure terms only, so they never
+build F(X).  Values of F on objects are memoized process-wide in an LRU
+of OBJ_MEMO_SIZE entries.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -15,7 +22,6 @@ from .quantale import AssumptionReport, LawEntry
 from .vcat import (
     VCategory,
     VFunctor,
-    compose,
     initial_structure,
     is_vfunctor,
     restrict,
@@ -24,6 +30,7 @@ from .vcat import (
 from . import hausdorff as hd
 
 DEFAULT_SIZE_CAP = 4096
+OBJ_MEMO_SIZE = 256
 
 
 # -- functor expressions -------------------------------------------------
@@ -90,20 +97,13 @@ def functor_quantale(expr):
 
 # -- evaluation on objects and morphisms ---------------------------------
 
-_OBJ_CACHE = {}
-
 
 def eval_obj(expr, x, cap=DEFAULT_SIZE_CAP):
     """The value of a polynomial functor on a V-category."""
-    key = (expr, x, cap)
-    hit = _OBJ_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _eval_obj(expr, x, cap)
-    _OBJ_CACHE[key] = out
-    return out
+    return _eval_obj(expr, x, cap)
 
 
+@functools.lru_cache(maxsize=OBJ_MEMO_SIZE)
 def _eval_obj(expr, x, cap):
     q = x.quantale
     if isinstance(expr, Id):
@@ -148,29 +148,17 @@ def _eval_obj(expr, x, cap):
     raise ConsistencyError(f"unknown functor node {expr!r}")
 
 
+def _fmap(expr, f, term, cap):
+    """F(f) at one element of F(f.source): the image with its set payloads
+    up-closed.  This is the only definition of F on maps."""
+    return normalize_term(expr, f.target, map_term(expr, f, term), cap)
+
+
 def eval_mor(expr, f, cap=DEFAULT_SIZE_CAP):
     """The value of a polynomial functor on a V-functor."""
     src = eval_obj(expr, f.source, cap)
     tgt = eval_obj(expr, f.target, cap)
-    if isinstance(expr, Id):
-        return f
-    if isinstance(expr, Const):
-        return VFunctor(src, tgt, src.states)
-    if isinstance(expr, Prod):
-        part_maps = [eval_mor(p, f, cap) for p in expr.parts]
-        mapping = [tuple(m(s[i]) for i, m in enumerate(part_maps)) for s in src.states]
-        return VFunctor(src, tgt, mapping)
-    if isinstance(expr, Sum):
-        part_maps = [eval_mor(p, f, cap) for p in expr.parts]
-        mapping = [(b, part_maps[b](s)) for (b, s) in src.states]
-        return VFunctor(src, tgt, mapping)
-    if isinstance(expr, HComp):
-        inner = eval_mor(expr.inner, f, cap)
-        mapping = [
-            hd.up_closure(inner.target, {inner(s) for s in a}) for a in src.states
-        ]
-        return VFunctor(src, tgt, mapping)
-    raise ConsistencyError(f"unknown functor node {expr!r}")
+    return VFunctor(src, tgt, [_fmap(expr, f, t, cap) for t in src.states])
 
 
 # -- coalgebras -----------------------------------------------------------
@@ -238,8 +226,10 @@ def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
         raise ConsistencyError("homomorphism endpoints do not match")
     if not is_vfunctor(h):
         return False
-    fh = eval_mor(cx.functor, h, cap)
-    return all(fh(cx.structure[s]) == cy.structure[h(s)] for s in cx.carrier.states)
+    return all(
+        _fmap(cx.functor, h, cx.structure[s], cap) == cy.structure[h(s)]
+        for s in cx.carrier.states
+    )
 
 
 # -- the final chain ------------------------------------------------------
@@ -276,27 +266,36 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
 
     beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
     structure map.  Each approximant is a V-functor into its chain level.
+    F(beh_n) is applied to the structure terms only, so F(X) is never built.
     """
-    q = c.carrier.quantale
-    one = terminal(q)
-    sf = c.structure_functor(cap)
-    behs = [VFunctor(c.carrier, one, ["*"] * len(c.carrier.states))]
+    x, expr = c.carrier, c.functor
+    terms = [c.structure[s] for s in x.states]
+    for s, t in zip(x.states, terms):
+        if normalize_term(expr, x, t, cap) != t:
+            raise ConsistencyError(f"structure at {s!r} is not an element of F(X)")
+    behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
     for _ in range(depth):
-        behs.append(compose(eval_mor(c.functor, behs[-1], cap), sf))
+        beh = behs[-1]
+        level = eval_obj(expr, beh.target, cap)
+        behs.append(VFunctor(x, level, [_fmap(expr, beh, t, cap) for t in terms]))
     return behs
+
+
+def _distances(behs, x, y, symmetric):
+    """The distance from x to y read at every behaviour approximant."""
+    out = []
+    for beh in behs:
+        d = beh.target.a(beh(x), beh(y))
+        if symmetric:
+            d = beh.target.quantale.meet(d, beh.target.a(beh(y), beh(x)))
+        out.append(d)
+    return out
 
 
 def behavioral_distance(c, x, y, depth, symmetric=False, cap=DEFAULT_SIZE_CAP):
     """Chain-level distances between the behaviours of two states,
     one value per depth 0..depth; antitone along the chain."""
-    q = c.carrier.quantale
-    out = []
-    for beh in behavior_map(c, depth, cap):
-        d = beh.target.a(beh(x), beh(y))
-        if symmetric:
-            d = q.meet(d, beh.target.a(beh(y), beh(x)))
-        out.append(d)
-    return out
+    return _distances(behavior_map(c, depth, cap), x, y, symmetric)
 
 
 # -- equalizers ------------------------------------------------------------
@@ -304,27 +303,13 @@ def behavioral_distance(c, x, y, depth, symmetric=False, cap=DEFAULT_SIZE_CAP):
 
 def term_in_restriction(expr, term, allowed, ambient, cap=DEFAULT_SIZE_CAP):
     """Does a term of F(ambient) lie in F of the full subcategory on
-    ``allowed``?  Set payloads must sit inside and stay increasing there."""
-    if isinstance(expr, Id):
-        return term in allowed
-    if isinstance(expr, Const):
-        return True
-    if isinstance(expr, Prod):
-        return all(
-            term_in_restriction(p, term[i], allowed, ambient, cap)
-            for i, p in enumerate(expr.parts)
-        )
-    if isinstance(expr, Sum):
-        b, t = term
-        return term_in_restriction(expr.parts[b], t, allowed, ambient, cap)
-    if isinstance(expr, HComp):
-        if not all(
-            term_in_restriction(expr.inner, t, allowed, ambient, cap) for t in term
-        ):
-            return False
-        sub = eval_obj(expr.inner, restrict(ambient, allowed), cap)
-        return hd.up_closure(sub, term) == term
-    raise ConsistencyError(f"unknown functor node {expr!r}")
+    ``allowed``?  Every Id leaf must be allowed, and the term must be its
+    own normal form there."""
+    leaves = set()
+    map_term(expr, leaves.add, term)
+    return leaves.issubset(allowed) and (
+        normalize_term(expr, restrict(ambient, allowed), term, cap) == term
+    )
 
 
 def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
@@ -397,8 +382,12 @@ def map_term(expr, fn, term):
 
 def normalize_term(expr, cat, term, cap=DEFAULT_SIZE_CAP):
     """Canonical form of a set-level term as an element of eval_obj:
-    set payloads are up-closed in the inner object."""
+    set payloads are up-closed in the inner object.  A leaf that is not a
+    state of its category raises ConsistencyError."""
     if isinstance(expr, (Id, Const)):
+        home = cat if isinstance(expr, Id) else expr.category
+        if term not in home:
+            raise ConsistencyError(f"term leaf {term!r} is not a state of its category")
         return term
     if isinstance(expr, Prod):
         return tuple(

@@ -51,6 +51,9 @@ class VCategory:
     def __len__(self):
         return len(self.states)
 
+    def __contains__(self, x):
+        return x in self._index
+
     def index(self, x):
         return self._index[x]
 

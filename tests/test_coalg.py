@@ -1,3 +1,6 @@
+import gc
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -33,7 +36,9 @@ from quantcat import (
     metric_line,
     restrict,
     terminal,
+    up_closure,
 )
+from quantcat.coalg import OBJ_MEMO_SIZE, term_in_restriction
 
 
 @pytest.fixture()
@@ -379,3 +384,151 @@ def test_labeled_lawvere_functor_chain(lawvere):
     assert [len(l.obj.states) for l in chain] == [1, 4, 18]
     for level in chain:
         assert is_vfunctor(level.connecting)
+
+
+# -- F on maps against a node-by-node oracle --------------------------------
+
+
+def _eval_mor_by_node(expr, f):
+    """Independent oracle: F(f) assembled node by node, each part map
+    applied to whole elements and set payloads up-closed in the target."""
+    src, tgt = eval_obj(expr, f.source), eval_obj(expr, f.target)
+    if isinstance(expr, Id):
+        return f
+    if isinstance(expr, Const):
+        return VFunctor(src, tgt, src.states)
+    if isinstance(expr, Prod):
+        parts = [_eval_mor_by_node(p, f) for p in expr.parts]
+        return VFunctor(src, tgt, [tuple(m(s[i]) for i, m in enumerate(parts))
+                                   for s in src.states])
+    if isinstance(expr, Sum):
+        parts = [_eval_mor_by_node(p, f) for p in expr.parts]
+        return VFunctor(src, tgt, [(b, parts[b](s)) for (b, s) in src.states])
+    inner = _eval_mor_by_node(expr.inner, f)
+    return VFunctor(src, tgt, [up_closure(inner.target, {inner(s) for s in a})
+                               for a in src.states])
+
+
+def _monotone_maps(x, y):
+    return [f for f in (VFunctor(x, y, m) for m in iproduct(y.states, repeat=len(x.states)))
+            if is_vfunctor(f)]
+
+
+def test_eval_mor_matches_node_by_node_oracle(q2, c2):
+    x = from_order(q2, ["a", "b", "c"], [("a", "b")])
+    labels = from_order(q2, ["l0", "l1"], [("l0", "l1")])
+    exprs = [
+        Id(), Const(labels), Prod([Const(labels), Id()]), Sum([Id(), Const(labels)]),
+        HComp(Id()), HComp(HComp(Id())),
+        Sum([Const(labels), HComp(Prod([Id(), Id()]))]),
+    ]
+    # every map from three states to two identifies some of them
+    maps = _monotone_maps(x, c2) + [VFunctor(x, x, ["b", "b", "c"])]
+    assert len(maps) > 4
+    for expr in exprs:
+        for f in maps:
+            assert eval_mor(expr, f) == _eval_mor_by_node(expr, f), (expr, f.mapping)
+
+
+def _three_state_carriers(q2, godel3):
+    half = "1/2"
+    return [
+        from_order(q2, ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+        from_order(q2, ["a", "b", "c"], [("a", "b")]),
+        VCategory(godel3, ["a", "b", "c"],
+                  [["1", half, half], ["0", "1", half], ["0", "0", "1"]]),
+    ]
+
+
+def test_term_in_restriction_is_membership_in_the_restricted_functor(q2, godel3):
+    for x in _three_state_carriers(q2, godel3):
+        assert is_vcategory(x)
+        labels = from_order(x.quantale, ["l0", "l1"], [("l0", "l1")])
+        exprs = [Id(), HComp(Id()), Prod([Const(labels), Id()]),
+                 Sum([Const(labels), HComp(Id())]), HComp(Prod([Id(), Id()]))]
+        subsets = [[s for i, s in enumerate(x.states) if mask >> i & 1]
+                   for mask in range(1 << len(x.states))]
+        for expr in exprs:
+            for allowed in subsets:
+                members = set(eval_obj(expr, restrict(x, allowed)).states)
+                for t in eval_obj(expr, x).states:
+                    assert term_in_restriction(expr, t, set(allowed), x) == (t in members), \
+                        (expr, allowed, t)
+
+
+def _random_coalgebras(q2, godel3):
+    rng = random.Random(11)
+    out = []
+    for x in _three_state_carriers(q2, godel3) + [discrete(godel3, ["a", "b", "c"])]:
+        labels = from_order(x.quantale, ["l0", "l1"], [("l0", "l1")])
+        for expr in (HComp(Id()), Prod([Const(labels), HComp(Id())])):
+            fx = eval_obj(expr, x)
+            for _ in range(6):
+                c = Coalgebra(expr, x, {s: rng.choice(fx.states) for s in x.states})
+                if check_coalgebra(c).ok:
+                    out.append(c)
+    return out
+
+
+def test_behavior_map_is_f_of_the_previous_approximant(q2, godel3):
+    coalgebras = _random_coalgebras(q2, godel3)
+    assert len(coalgebras) >= 8
+    for c in coalgebras:
+        behs = behavior_map(c, 3)
+        for n in range(3):
+            assert behs[n + 1] == compose(eval_mor(c.functor, behs[n]),
+                                          c.structure_functor())
+
+
+def _bad_structures(q2, c2):
+    x = discrete(q2, ["x", "y"])
+    labels = from_order(q2, ["l0", "l1"], [("l0", "l1")])
+    return {
+        "unknown state": Coalgebra(HComp(Id()), x,
+                                   {"x": frozenset({"zz"}), "y": frozenset()}),
+        "not up-closed": Coalgebra(HComp(Id()), c2,
+                                   {"u": frozenset({"u"}), "v": frozenset({"v"})}),
+        "constant outside": Coalgebra(Prod([Const(labels), Id()]), x,
+                                      {"x": ("l2", "y"), "y": ("l0", "x")}),
+    }
+
+
+@pytest.mark.parametrize("case", ["unknown state", "not up-closed", "constant outside"])
+@pytest.mark.parametrize("depth", [0, 2])
+def test_behavior_map_rejects_structure_outside_the_functor(q2, c2, case, depth):
+    with pytest.raises(ConsistencyError):
+        behavior_map(_bad_structures(q2, c2)[case], depth)
+
+
+@pytest.mark.parametrize("size", [12, 15])
+def test_behavior_map_never_builds_the_functor_value(q2, hid, size):
+    states = [f"s{i}" for i in range(size)]
+    rng = random.Random(3)
+    c = Coalgebra(hid, discrete(q2, states),
+                  {s: frozenset(t for t in states if rng.random() < 0.35) for s in states})
+    # F(X) has 2^size elements, far above the cap; the chain levels stay below it
+    behs = behavior_map(c, 6, cap=64)
+    chain = final_chain(hid, 6, quantale=q2, cap=64)
+    assert [b.target for b in behs] == [level.obj for level in chain]
+    for k in range(6):
+        assert compose(chain[k].connecting, behs[k + 1]) == behs[k]
+
+
+def test_object_memo_stays_bounded(q2):
+    def chains(lo, hi):
+        for i in range(lo, hi):
+            final_chain(Prod([Const(discrete(q2, [f"c{i}"])), Id()]), 2)
+
+    n = OBJ_MEMO_SIZE
+    tracemalloc.start()
+    try:
+        chains(0, n)  # each chain fills several memo entries, so this evicts the rest
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        chains(n, 3 * n)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # an unbounded memo keeps every one of the 2n chains' objects alive
+    assert grown < 64 * 1024, grown

@@ -1,0 +1,121 @@
+"""Byte-for-byte golden reports of the commands that read behaviour maps,
+chain levels, equalizers and initial lifts.
+
+The inputs are defined here; each report is compared with its file under
+``tests/golden/``.  Rewrite those files only when a report is meant to
+change:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from quantcat.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _discrete(quantale, unit, bottom, states):
+    return {"schema": "vcategory/1", "quantale": quantale, "states": states,
+            "matrix": [[unit if i == j else bottom for j in range(len(states))]
+                       for i in range(len(states))]}
+
+
+INPUTS = {
+    "hcoalg": {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": _discrete("bool", "1", "0", ["a", "b", "c"]),
+        "structure": {"a": ["b"], "b": [], "c": ["c"]},
+    },
+    "lawvere": {
+        "schema": "coalgebra/1",
+        "functor": {"prod": [{"const": {"schema": "vcategory/1", "quantale": "lawvere",
+                                        "states": ["0", "1"],
+                                        "matrix": [["0", "1"], ["1", "0"]]}},
+                             {"H": {"id": {}}}]},
+        "category": _discrete("lawvere", "0", "inf", ["x0", "x1", "x2", "x3"]),
+        "structure": {"x0": ["0", ["x1"]], "x1": ["1", ["x2", "x3"]],
+                      "x2": ["0", []], "x3": ["1", ["x3"]]},
+    },
+    "eqsrc": {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": _discrete("bool", "1", "0", ["x", "y", "z"]),
+        "structure": {"x": ["x"], "y": ["z"], "z": ["z"]},
+    },
+    "eqtgt": {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": {"schema": "vcategory/1", "quantale": "bool", "states": ["p", "q"],
+                     "matrix": [["1", "1"], ["1", "1"]]},
+        "structure": {"p": ["p", "q"], "q": ["p", "q"]},
+    },
+    "swap": {
+        "schema": "setcoalgebra/1",
+        "functor": {"id": {}},
+        "quantale": "bool",
+        "states": ["a", "b"],
+        "structure": {"a": "b", "b": "a"},
+    },
+    "labels": {
+        "schema": "setcoalgebra/1",
+        "functor": {"prod": [{"const": {"schema": "vcategory/1", "quantale": "bool",
+                                        "states": ["l0", "l1"],
+                                        "matrix": [["1", "1"], ["0", "1"]]}},
+                             {"id": {}}]},
+        "quantale": "bool",
+        "states": ["s0", "s1"],
+        "structure": {"s0": ["l0", "s1"], "s1": ["l1", "s1"]},
+    },
+}
+
+# golden file name -> CLI arguments; "@name" is the path of INPUTS[name]
+CASES = {
+    "behave_h.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3"],
+    "behave_h.csv": ["behave", "--coalgebra", "@hcoalg", "--depth", "3", "--format", "csv"],
+    "behave_h_symmetric.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3",
+                                "--symmetric"],
+    "behave_lawvere.json": ["behave", "--coalgebra", "@lawvere", "--depth", "2"],
+    "behave_lawvere.csv": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
+                           "--format", "csv"],
+    "behave_lawvere_symmetric.json": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
+                                      "--symmetric"],
+    "chain_h_depth4.json": ["chain", "--functor", "H", "--quantale", "bool", "--depth", "4"],
+    "equalize.json": ["equalize", "--coalgebra", "@eqsrc", "--target", "@eqtgt",
+                      "--left", "x=p,y=p,z=p", "--right", "x=p,y=p,z=q"],
+    "lift_swap.json": ["lift", "--file", "@swap"],
+    "lift_labels.json": ["lift", "--file", "@labels"],
+}
+
+
+def _render(name, workdir):
+    args = []
+    for arg in CASES[name]:
+        if arg.startswith("@"):
+            path = Path(workdir) / f"{arg[1:]}.json"
+            path.write_text(json.dumps(INPUTS[arg[1:]]))
+            arg = str(path)
+        args.append(arg)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result.output.encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path):
+    assert _render(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as work:
+        for name in sorted(CASES):
+            (GOLDEN / name).write_bytes(_render(name, work))
+            print(name, file=sys.stderr)
