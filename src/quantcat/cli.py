@@ -16,9 +16,8 @@ from . import descriptors as ds
 from .coalg import (
     HComp,
     Id,
-    _distances,
-    behavior_map,
     check_coalgebra,
+    distance_table,
     equalizer,
     final_chain,
     initial_lift_coalgebra,
@@ -29,7 +28,7 @@ from .hausdorff import cantor_check, hausdorff_distance, hausdorff_object, up_cl
 from .omega import anamorphism, is_omega_hom, verify_chain_commutation
 from .quantale import check_assumptions, check_quantale_laws
 from .suites import run_law_suites
-from .vcat import VFunctor, check_vcategory
+from .vcat import VFunctor, check_vcategory, symmetrize
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -253,20 +252,23 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
 @click.option("--coalgebra", "coalgebra_path", required=True)
 @click.option("--depth", type=int, required=True)
 @click.option("--symmetric", is_flag=True)
-@click.option("--cap", type=int, default=4096, show_default=True)
+@click.option("--cap", type=int, default=4096, show_default=True,
+              help="Size bound on the inner objects built to up-close the "
+                   "structure terms; no chain level or F(X) is built.")
 @_FMT
 @_run
 def behave(coalgebra_path, depth, symmetric, cap, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
     c = _load_checked_coalgebra(coalgebra_path)
     q = c.carrier.quantale
-    behs = behavior_map(c, depth, cap=cap)
+    tables = distance_table(c, depth, cap=cap)
+    if symmetric:
+        tables = [symmetrize(d) for d in tables]
     rows = []
     for x in c.carrier.states:
         for y in c.carrier.states:
-            d = _distances(behs, x, y, symmetric)
             rows.append({"from": x, "to": y,
-                         "distances": [q.format(v) for v in d]})
+                         "distances": [q.format(d.a(x, y)) for d in tables]})
     body = {"depth": depth, "symmetric": symmetric, "table": rows}
     if fmt == "csv":
         click.echo("from,to," + ",".join(f"d{k}" for k in range(depth + 1)))

@@ -9,8 +9,10 @@ pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
 F on a map f is defined once, element by element, as
 ``normalize_term(F, f.target, map_term(F, f, t))``.  Behaviour maps and
 homomorphism checks apply it to the structure terms only, so they never
-build F(X).  Values of F on objects are memoized process-wide in an LRU
-of OBJ_MEMO_SIZE entries.
+build F(X).  Coalgebra checks and distance tables go further: they read
+F-distances straight off the structure terms with ``_setlevel_distance``
+and build neither F(X) nor any chain level.  Values of F on objects are
+memoized process-wide in an LRU of OBJ_MEMO_SIZE entries.
 """
 
 import functools
@@ -22,6 +24,7 @@ from .quantale import AssumptionReport, LawEntry
 from .vcat import (
     VCategory,
     VFunctor,
+    indiscrete,
     initial_structure,
     is_vfunctor,
     restrict,
@@ -80,19 +83,20 @@ class HComp:
         return f"H({self.inner!r})"
 
 
+def _leaf_quantales(expr):
+    """The quantales of the constant leaves, left to right."""
+    if isinstance(expr, Const):
+        yield expr.category.quantale
+    elif isinstance(expr, (Prod, Sum)):
+        for p in expr.parts:
+            yield from _leaf_quantales(p)
+    elif isinstance(expr, HComp):
+        yield from _leaf_quantales(expr.inner)
+
+
 def functor_quantale(expr):
     """The quantale fixed by the constant leaves, or None when free."""
-    if isinstance(expr, Const):
-        return expr.category.quantale
-    if isinstance(expr, (Prod, Sum)):
-        for p in expr.parts:
-            q = functor_quantale(p)
-            if q is not None:
-                return q
-        return None
-    if isinstance(expr, HComp):
-        return functor_quantale(expr.inner)
-    return None
+    return next(_leaf_quantales(expr), None)
 
 
 # -- evaluation on objects and morphisms ---------------------------------
@@ -201,21 +205,45 @@ class Coalgebra:
         )
 
 
+def _structure_fault(c, cap):
+    """Why the structure map does not land in F(X), or None.
+
+    A term is an element of F(X) exactly when it is its own normal form, so
+    the walk builds only the inner objects that up-closure reads."""
+    x = c.carrier
+    if any(q != x.quantale for q in _leaf_quantales(c.functor)):
+        return "constant category over a different quantale"
+    for s in x.states:
+        t = c.structure[s]
+        try:
+            ok = normalize_term(c.functor, x, t, cap) == t
+        except ConsistencyError:
+            ok = False
+        if not ok:
+            return f"mapping hits unknown target state {t!r}"
+    return None
+
+
 def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
-    """Report whether the structure map lands in F(X) and preserves structure."""
-    try:
-        sf = c.structure_functor(cap)
-    except ConsistencyError as e:
-        return AssumptionReport((LawEntry("structure-in-functor", False, (str(e),)),))
-    entries = [LawEntry("structure-in-functor", True)]
-    q = c.carrier.quantale
+    """Report whether the structure map lands in F(X) and preserves structure.
+
+    The distance between two elements of F(X) is their set-level
+    F-distance, which up-closure does not change, so F(X) is never built."""
+    fault = _structure_fault(c, cap)
+    if fault is not None:
+        return AssumptionReport((LawEntry("structure-in-functor", False, (fault,)),))
+    x, expr = c.carrier, c.functor
+    q = x.quantale
     w = next(
-        ((x, y) for x in c.carrier.states for y in c.carrier.states
-         if not q.leq(c.carrier.a(x, y), sf.target.a(sf(x), sf(y)))),
+        ((s, t) for s in x.states for t in x.states
+         if not q.leq(x.a(s, t),
+                      _setlevel_distance(expr, x, c.structure[s], c.structure[t]))),
         None,
     )
-    entries.append(LawEntry("structure-morphism", w is None, w))
-    return AssumptionReport(tuple(entries))
+    return AssumptionReport((
+        LawEntry("structure-in-functor", True),
+        LawEntry("structure-morphism", w is None, w),
+    ))
 
 
 def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
@@ -268,11 +296,11 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
     """
+    fault = _structure_fault(c, cap)
+    if fault is not None:
+        raise ConsistencyError(fault)
     x, expr = c.carrier, c.functor
     terms = [c.structure[s] for s in x.states]
-    for s, t in zip(x.states, terms):
-        if normalize_term(expr, x, t, cap) != t:
-            raise ConsistencyError(f"structure at {s!r} is not an element of F(X)")
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
     for _ in range(depth):
         beh = behs[-1]
@@ -281,21 +309,44 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
     return behs
 
 
-def _distances(behs, x, y, symmetric):
-    """The distance from x to y read at every behaviour approximant."""
+def behavioral_distance(c, x, y, depth, symmetric=False, cap=DEFAULT_SIZE_CAP):
+    """Chain-level distances between the behaviours of two states,
+    one value per depth 0..depth; antitone along the chain."""
     out = []
-    for beh in behs:
-        d = beh.target.a(beh(x), beh(y))
+    for beh in behavior_map(c, depth, cap):
+        level = beh.target
+        d = level.a(beh(x), beh(y))
         if symmetric:
-            d = beh.target.quantale.meet(d, beh.target.a(beh(y), beh(x)))
+            d = level.quantale.meet(d, level.a(beh(y), beh(x)))
         out.append(d)
     return out
 
 
-def behavioral_distance(c, x, y, depth, symmetric=False, cap=DEFAULT_SIZE_CAP):
-    """Chain-level distances between the behaviours of two states,
-    one value per depth 0..depth; antitone along the chain."""
-    return _distances(behavior_map(c, depth, cap), x, y, symmetric)
+def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
+    """The chain-level distances of behavior_map pulled back to the carrier:
+    d_0 .. d_depth with d_k(s, t) = level_k(beh_k(s), beh_k(t)).
+
+    d_0 is top everywhere and d_{k+1}(s, t) is the F-distance of the
+    structure terms of s and t under d_k, so neither the chain levels nor
+    F(X) are built; ``cap`` bounds only the inner objects that checking
+    the structure terms builds.  Each step reads d_k alone, so once a step
+    returns its input the remaining tables repeat it.
+    """
+    fault = _structure_fault(c, cap)
+    if fault is not None:
+        raise ConsistencyError(fault)
+    x, expr = c.carrier, c.functor
+    terms = [c.structure[s] for s in x.states]
+    tables = [indiscrete(x.quantale, x.states)]
+    while len(tables) <= depth:
+        d = tables[-1]
+        nxt = VCategory(x.quantale, x.states,
+                        [[_setlevel_distance(expr, d, s, t) for t in terms] for s in terms])
+        if nxt == d:
+            tables += [d] * (depth + 1 - len(tables))
+        else:
+            tables.append(nxt)
+    return tables
 
 
 # -- equalizers ------------------------------------------------------------
@@ -342,7 +393,9 @@ def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
 def _setlevel_distance(expr, cat, s, t):
     """F-structure distance between two set-level terms, with the full
     powerset reading of HComp so the carrier never depends on the
-    structure being refined."""
+    structure being refined.  On elements of F(cat) it is the structure
+    of eval_obj(F, cat): the Hausdorff value does not change under
+    up-closure."""
     q = cat.quantale
     if isinstance(expr, Id):
         return cat.a(s, t)
@@ -380,22 +433,34 @@ def map_term(expr, fn, term):
     raise ConsistencyError(f"unknown functor node {expr!r}")
 
 
+def _misshapen(expr, term):
+    return ConsistencyError(f"term {term!r} does not have the shape of {expr!r}")
+
+
 def normalize_term(expr, cat, term, cap=DEFAULT_SIZE_CAP):
     """Canonical form of a set-level term as an element of eval_obj:
     set payloads are up-closed in the inner object.  A leaf that is not a
-    state of its category raises ConsistencyError."""
+    state of its category, or a term not shaped like the functor, raises
+    ConsistencyError."""
     if isinstance(expr, (Id, Const)):
         home = cat if isinstance(expr, Id) else expr.category
         if term not in home:
             raise ConsistencyError(f"term leaf {term!r} is not a state of its category")
         return term
     if isinstance(expr, Prod):
+        if not (isinstance(term, tuple) and len(term) == len(expr.parts)):
+            raise _misshapen(expr, term)
         return tuple(
             normalize_term(p, cat, term[i], cap) for i, p in enumerate(expr.parts)
         )
     if isinstance(expr, Sum):
+        if not (isinstance(term, tuple) and len(term) == 2
+                and term[0] in range(len(expr.parts))):
+            raise _misshapen(expr, term)
         return (term[0], normalize_term(expr.parts[term[0]], cat, term[1], cap))
     if isinstance(expr, HComp):
+        if not isinstance(term, frozenset):
+            raise _misshapen(expr, term)
         inner = eval_obj(expr.inner, cat, cap)
         members = {normalize_term(expr.inner, cat, t, cap) for t in term}
         return hd.up_closure(inner, members)

@@ -58,15 +58,21 @@ def enumerate_increasing(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP
 
     Small carriers are swept exhaustively.  Larger ones (up to ``cap``)
     are enumerated through the up-sets of the underlying order, which
-    contain every fixed point; the result count is bounded by
-    ``count_cap``.
+    contain every fixed point.  On both paths a count above ``count_cap``
+    raises CapExceeded.
     """
     _guard_carrier(x, cap)
     n = len(x.states)
-    if n <= _SWEEP_LIMIT:
-        return [_ids(x, m) for m in range(1 << n) if _up_mask(x, m) == m]
-    masks = sorted(_order_upset_masks(x, count_cap))
-    return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
+    if n > _SWEEP_LIMIT:
+        masks = sorted(_order_upset_masks(x, count_cap))
+        return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
+    out = []
+    for m in range(1 << n):
+        if _up_mask(x, m) == m:
+            out.append(_ids(x, m))
+            if len(out) > count_cap:
+                raise CapExceeded("increasing-subset count", len(out), count_cap)
+    return out
 
 
 def _order_upset_masks(x, count_cap):

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -154,6 +156,51 @@ def test_behave_table(runner, hcoalg_file):
     lines = csv.output.strip().splitlines()
     assert lines[0] == "from,to,d0,d1"
     assert len(lines) == 10
+
+
+def _discrete_h_coalgebra(tmp_path, size, seed):
+    rng = random.Random(seed)
+    states = [f"s{i}" for i in range(size)]
+    return _write(tmp_path, f"h{size}.json", {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": {
+            "schema": "vcategory/1",
+            "quantale": "bool",
+            "states": states,
+            "matrix": [["1" if i == j else "0" for j in range(size)] for i in range(size)],
+        },
+        "structure": {s: [t for t in states if rng.random() < 0.35] for s in states},
+    })
+
+
+def test_behave_and_check_never_build_the_lifted_carrier(runner, tmp_path, monkeypatch):
+    from quantcat import hausdorff
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lifted carrier was built")
+
+    monkeypatch.setattr(hausdorff, "hausdorff_object", refuse)
+    path = _discrete_h_coalgebra(tmp_path, 12, 3)
+    for args in (["behave", "--coalgebra", path, "--depth", "6"], ["check", path]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.exception
+        assert json.loads(result.output)["ok"] is True
+
+
+def test_behave_deep_depth_repeats_the_stable_table(runner, tmp_path):
+    path = _discrete_h_coalgebra(tmp_path, 9, 21)
+    t0 = time.monotonic()
+    deep = runner.invoke(main, ["behave", "--coalgebra", path, "--depth", "400"])
+    elapsed = time.monotonic() - t0
+    shallow = runner.invoke(main, ["behave", "--coalgebra", path, "--depth", "6"])
+    assert deep.exit_code == shallow.exit_code == 0
+    deep_rows = json.loads(deep.output)["table"]
+    shallow_rows = json.loads(shallow.output)["table"]
+    assert all(len(r["distances"]) == 401 for r in deep_rows)
+    assert [r["distances"][:7] for r in deep_rows] == [r["distances"] for r in shallow_rows]
+    # the chain route builds 400 chain levels and takes minutes
+    assert elapsed < 30, elapsed
 
 
 def test_equalize_command(runner, tmp_path):

@@ -8,13 +8,16 @@ import pytest
 
 from quantcat import (
     INF,
+    AssumptionReport,
     CapExceeded,
     Coalgebra,
     ConsistencyError,
     Const,
     HComp,
     Id,
+    LawEntry,
     Prod,
+    Quantale,
     Sum,
     VCategory,
     VFunctor,
@@ -23,6 +26,7 @@ from quantcat import (
     check_coalgebra,
     compose,
     discrete,
+    distance_table,
     equalizer,
     eval_mor,
     eval_obj,
@@ -35,10 +39,11 @@ from quantcat import (
     is_vfunctor,
     metric_line,
     restrict,
+    symmetrize,
     terminal,
     up_closure,
 )
-from quantcat.coalg import OBJ_MEMO_SIZE, term_in_restriction
+from quantcat.coalg import OBJ_MEMO_SIZE, _setlevel_distance, term_in_restriction
 
 
 @pytest.fixture()
@@ -414,14 +419,17 @@ def _monotone_maps(x, y):
             if is_vfunctor(f)]
 
 
-def test_eval_mor_matches_node_by_node_oracle(q2, c2):
-    x = from_order(q2, ["a", "b", "c"], [("a", "b")])
-    labels = from_order(q2, ["l0", "l1"], [("l0", "l1")])
-    exprs = [
+def _seven_functors(labels):
+    return [
         Id(), Const(labels), Prod([Const(labels), Id()]), Sum([Id(), Const(labels)]),
         HComp(Id()), HComp(HComp(Id())),
         Sum([Const(labels), HComp(Prod([Id(), Id()]))]),
     ]
+
+
+def test_eval_mor_matches_node_by_node_oracle(q2, c2):
+    x = from_order(q2, ["a", "b", "c"], [("a", "b")])
+    exprs = _seven_functors(from_order(q2, ["l0", "l1"], [("l0", "l1")]))
     # every map from three states to two identifies some of them
     maps = _monotone_maps(x, c2) + [VFunctor(x, x, ["b", "b", "c"])]
     assert len(maps) > 4
@@ -532,3 +540,160 @@ def test_object_memo_stays_bounded(q2):
         tracemalloc.stop()
     # an unbounded memo keeps every one of the 2n chains' objects alive
     assert grown < 64 * 1024, grown
+
+
+# -- distances read off the structure terms ----------------------------------
+
+
+def _labels(q):
+    """l0 < l1 as a chain, or the line {0, 1} over Lawvere."""
+    if q == Quantale.lawvere():
+        return metric_line([0, 1])
+    return from_order(q, ["l0", "l1"], [("l0", "l1")])
+
+
+def _ordered_carrier(q):
+    """Three states with a below b; over Lawvere, a and b also reach c at
+    distance 1."""
+    if q == Quantale.lawvere():
+        one, zero = Fraction(1), Fraction(0)
+        return VCategory(q, ["a", "b", "c"],
+                         [[zero, zero, one], [INF, zero, one], [INF, INF, zero]])
+    return from_order(q, ["a", "b", "c"], [("a", "b")])
+
+
+def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
+    for q in (q2, godel3, lawvere):
+        x = _ordered_carrier(q)
+        assert is_vcategory(x)
+        for expr in _seven_functors(_labels(q)):
+            fx = eval_obj(expr, x)
+            for s in fx.states:
+                for t in fx.states:
+                    assert _setlevel_distance(expr, x, s, t) == fx.a(s, t), (expr, s, t)
+
+
+def _seeded_coalgebras(count, seed):
+    """Coalgebras over bool, godel:3 and lawvere on one to four states,
+    discrete or with a chain on a prefix; structures drawn from F(X)."""
+    rng = random.Random(seed)
+    quantales = [Quantale.boolean(), Quantale.godel(3), Quantale.lawvere()]
+    out = []
+    for _ in range(count):
+        q = rng.choice(quantales)
+        states = [f"s{i}" for i in range(rng.randint(1, 4))]
+        k = rng.randint(0, len(states))
+        x = from_order(q, states, [(a, b) for i, a in enumerate(states[:k])
+                                   for b in states[i + 1:k]])
+        labels = _labels(q)
+        expr = rng.choice([HComp(Id()), Prod([Const(labels), HComp(Id())]),
+                           Sum([Const(labels), HComp(Id())])])
+        fx = eval_obj(expr, x).states
+        out.append(Coalgebra(expr, x, {s: rng.choice(fx) for s in states}))
+    return out
+
+
+def _pulled_back(beh, symmetric):
+    level, states = beh.target, beh.source.states
+    q = level.quantale
+
+    def a(s, t):
+        d = level.a(beh(s), beh(t))
+        return q.meet(d, level.a(beh(t), beh(s))) if symmetric else d
+
+    return VCategory(q, states, [[a(s, t) for t in states] for s in states])
+
+
+def test_distance_table_is_the_chain_level_distance():
+    coalgebras = _seeded_coalgebras(200, 21)
+    assert len({c.carrier.quantale for c in coalgebras}) == 3
+    for c in coalgebras:
+        # the Lawvere level above F^2(1) of the labelled functor has 800 states
+        depth = 2 if c.carrier.quantale == Quantale.lawvere() else 3
+        tables = distance_table(c, depth)
+        behs = behavior_map(c, depth)
+        assert len(tables) == len(behs) == depth + 1
+        for d, beh in zip(tables, behs):
+            assert d == _pulled_back(beh, False), c
+            assert symmetrize(d) == _pulled_back(beh, True), c
+
+
+def test_distance_table_worked_lawvere_example(lawvere):
+    labels = metric_line([0, Fraction(1, 4), 1])
+    expr = Prod([Const(labels), HComp(Id())])
+    carrier = VCategory(lawvere, ["x", "u", "y", "v"],
+                        [[Fraction(0) if i == j else INF for j in range(4)] for i in range(4)])
+    c = Coalgebra(expr, carrier, {
+        "x": ("0", frozenset({"y"})),
+        "u": ("1/4", frozenset({"v"})),
+        "y": ("1", frozenset({"y"})),
+        "v": ("0", frozenset({"v"})),
+    })
+    tables = [symmetrize(d) for d in distance_table(c, 2)]
+    assert [d.a("x", "u") for d in tables] == [Fraction(0), Fraction(1, 4), Fraction(1)]
+    assert [d.a("y", "v") for d in tables] == [Fraction(0), Fraction(1), Fraction(1)]
+    for s in carrier.states:
+        for t in carrier.states:
+            assert [d.a(s, t) for d in tables] == behavioral_distance(c, s, t, 2, symmetric=True)
+
+
+def test_distance_table_repeats_the_first_stable_table(q2, hid):
+    x = discrete(q2, ["a", "b", "c"])
+    c = Coalgebra(hid, x, {"a": frozenset({"b"}), "b": frozenset({"c"}), "c": frozenset()})
+    tables = distance_table(c, 400)
+    assert len(tables) == 401
+    stable = next(k for k in range(400) if tables[k] == tables[k + 1])
+    assert stable == 2
+    assert all(d is tables[stable] for d in tables[stable:])
+    assert tables[:6] == distance_table(c, 5)
+
+
+def test_distance_table_rejects_structure_outside_the_functor(q2, c2):
+    for c in _bad_structures(q2, c2).values():
+        with pytest.raises(ConsistencyError):
+            distance_table(c, 2)
+
+
+def _check_coalgebra_via_fx(c, cap=4096):
+    """Independent oracle: the structure map as a V-functor into the built
+    F(X), and the structure law read off its matrix."""
+    try:
+        sf = c.structure_functor(cap)
+    except ConsistencyError as e:
+        return AssumptionReport((LawEntry("structure-in-functor", False, (str(e),)),))
+    q = c.carrier.quantale
+    w = next(
+        ((x, y) for x in c.carrier.states for y in c.carrier.states
+         if not q.leq(c.carrier.a(x, y), sf.target.a(sf(x), sf(y)))),
+        None,
+    )
+    return AssumptionReport((LawEntry("structure-in-functor", True),
+                             LawEntry("structure-morphism", w is None, w)))
+
+
+def test_check_coalgebra_matches_the_functor_value_route(q2, c2, godel3):
+    hid = HComp(Id())
+    x = discrete(q2, ["x", "y", "z"])
+    cases = _seeded_coalgebras(60, 5) + list(_bad_structures(q2, c2).values()) + [
+        # the first failing state in carrier order is the witness
+        Coalgebra(hid, c2, {"u": frozenset({"v"}), "v": frozenset({"u"})}),
+        Coalgebra(hid, x, {"x": frozenset(), "y": frozenset({"w"}), "z": frozenset({"q"})}),
+        # a leaf of the wrong shape: a state where a product sits
+        Coalgebra(HComp(Prod([Id(), Id()])), x,
+                  {"x": frozenset({("x", "y")}), "y": frozenset({"y"}), "z": frozenset()}),
+        Coalgebra(Sum([Id(), Id()]), x, {"x": (0, "y"), "y": (2, "x"), "z": (1, "z")}),
+        # a constant over another quantale
+        Coalgebra(Prod([Const(_labels(godel3)), Id()]), x,
+                  {s: ("l0", s) for s in x.states}),
+        # good structures that break the structure law
+        Coalgebra(hid, c2, {"u": frozenset(), "v": frozenset({"v"})}),
+        Coalgebra(Id(), c2, {"u": "v", "v": "u"}),
+    ]
+    reports = [check_coalgebra(c) for c in cases]
+    assert reports == [_check_coalgebra_via_fx(c) for c in cases]
+    witnesses = {e.witness for r in reports for e in r.failures()}
+    assert ("constant category over a different quantale",) in witnesses
+    assert ("mapping hits unknown target state frozenset({'u'})",) in witnesses
+    assert ("mapping hits unknown target state frozenset({'w'})",) in witnesses
+    assert ("u", "v") in witnesses
+    assert sum(r.ok for r in reports) >= 20

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantcat import (
+    CapExceeded,
     DescriptorError,
+    HComp,
+    Id,
     Quantale,
     VCategory,
     VFunctor,
@@ -15,6 +18,7 @@ from quantcat import (
     discrete,
     down_closure,
     enumerate_increasing,
+    eval_obj,
     from_order,
     generic_powerset_lift,
     hausdorff_distance,
@@ -75,6 +79,19 @@ def test_order_upset_enumeration_matches_sweep(q2, godel3):
                 filtered.add(sub)
         assert filtered == swept
         assert len(x.states) <= _SWEEP_LIMIT
+
+
+def test_sweep_respects_the_count_cap(q2):
+    """Carriers within the sweep limit stop at the count cap as well."""
+    x = discrete(q2, [f"s{i}" for i in range(12)])
+    assert len(x.states) <= _SWEEP_LIMIT
+    with pytest.raises(CapExceeded) as err:
+        eval_obj(HComp(Id()), x, cap=64)
+    # all 4096 subsets are increasing; the sweep stops at the first one too many
+    assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 65, 64)
+    with pytest.raises(CapExceeded):
+        enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=7)
+    assert len(enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=8)) == 8
 
 
 def test_hausdorff_object_boundary_values(q2, c2, line013):
