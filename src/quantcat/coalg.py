@@ -6,16 +6,17 @@ with the Hausdorff lifting).  Elements of F(X) are plain structural terms:
 carrier states for Id, constant points for Const, tuples for Prod, tagged
 pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
 
-F on a map f is defined once, element by element, as
-``normalize_term(F, f.target, map_term(F, f, t))``.  Behaviour maps and
-homomorphism checks apply it to the structure terms only, so they never
-build F(X).  Coalgebra checks and distance tables go further: they read
-F-distances straight off the structure terms with ``_setlevel_distance``
-and build neither F(X) nor any chain level.  Values of F on objects are
-memoized process-wide in an LRU of OBJ_MEMO_SIZE entries.
+Each node class says what F does there: ``obj`` on V-categories, ``dist``
+on set-level terms, ``map`` on state maps and ``normalize`` into ``obj``.
+F(f) is ``normalize_term(F, f.target, F.map(f, t))`` at each term t.
+Behaviour maps and homomorphism checks apply it to the structure terms,
+and coalgebra checks and distance tables read ``dist`` off them, so none
+builds F(X).  Values of F on objects are memoized process-wide in an LRU
+of OBJ_MEMO_SIZE entries.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -39,18 +40,57 @@ OBJ_MEMO_SIZE = 256
 # -- functor expressions -------------------------------------------------
 
 
+def _leaf(home, term):
+    if term not in home:
+        raise ConsistencyError(f"term leaf {term!r} is not a state of its category")
+    return term
+
+
+def _misshapen(expr, term):
+    return ConsistencyError(f"term {term!r} does not have the shape of {expr!r}")
+
+
 @dataclass(frozen=True)
 class Id:
+    parts = ()
+
     def __repr__(self):
         return "Id"
+
+    def obj(self, x, cap):
+        return x
+
+    def dist(self, cat, s, t):
+        return cat.a(s, t)
+
+    def map(self, fn, term):
+        return fn(term)
+
+    def normalize(self, cat, term, cap):
+        return _leaf(cat, term)
 
 
 @dataclass(frozen=True)
 class Const:
     category: VCategory
+    parts = ()
 
     def __repr__(self):
         return f"Const({len(self.category.states)})"
+
+    def obj(self, x, cap):
+        if self.category.quantale != x.quantale:
+            raise ConsistencyError("constant category over a different quantale")
+        return self.category
+
+    def dist(self, cat, s, t):
+        return self.category.a(s, t)
+
+    def map(self, fn, term):
+        return term
+
+    def normalize(self, cat, term, cap):
+        return _leaf(self.category, term)
 
 
 @dataclass(frozen=True)
@@ -63,6 +103,32 @@ class Prod:
     def __repr__(self):
         return f"Prod{self.parts}"
 
+    def obj(self, x, cap):
+        q = x.quantale
+        parts = [eval_obj(p, x, cap) for p in self.parts]
+        size = math.prod(len(p.states) for p in parts)
+        if size > cap:
+            raise CapExceeded("product carrier", size, cap)
+        states = list(iproduct(*(p.states for p in parts)))
+        mat = [
+            [q.meet_all(p.a(a, b) for p, a, b in zip(parts, s, t)) for t in states]
+            for s in states
+        ]
+        return VCategory(q, states, mat)
+
+    def dist(self, cat, s, t):
+        return cat.quantale.meet_all(
+            p.dist(cat, a, b) for p, a, b in zip(self.parts, s, t)
+        )
+
+    def map(self, fn, term):
+        return tuple(p.map(fn, u) for p, u in zip(self.parts, term))
+
+    def normalize(self, cat, term, cap):
+        if not (isinstance(term, tuple) and len(term) == len(self.parts)):
+            raise _misshapen(self, term)
+        return tuple(p.normalize(cat, u, cap) for p, u in zip(self.parts, term))
+
 
 @dataclass(frozen=True)
 class Sum:
@@ -74,6 +140,33 @@ class Sum:
     def __repr__(self):
         return f"Sum{self.parts}"
 
+    def obj(self, x, cap):
+        parts = [eval_obj(p, x, cap) for p in self.parts]
+        size = sum(len(p.states) for p in parts)
+        if size > cap:
+            raise CapExceeded("sum carrier", size, cap)
+        states = [(b, s) for b, p in enumerate(parts) for s in p.states]
+        bot = x.quantale.bottom
+        mat = [
+            [parts[b].a(s, t) if b == c else bot for (c, t) in states]
+            for (b, s) in states
+        ]
+        return VCategory(x.quantale, states, mat)
+
+    def dist(self, cat, s, t):
+        if s[0] != t[0]:
+            return cat.quantale.bottom
+        return self.parts[s[0]].dist(cat, s[1], t[1])
+
+    def map(self, fn, term):
+        return (term[0], self.parts[term[0]].map(fn, term[1]))
+
+    def normalize(self, cat, term, cap):
+        if not (isinstance(term, tuple) and len(term) == 2
+                and term[0] in range(len(self.parts))):
+            raise _misshapen(self, term)
+        return (term[0], self.parts[term[0]].normalize(cat, term[1], cap))
+
 
 @dataclass(frozen=True)
 class HComp:
@@ -82,21 +175,59 @@ class HComp:
     def __repr__(self):
         return f"H({self.inner!r})"
 
+    @property
+    def parts(self):
+        return (self.inner,)
+
+    def obj(self, x, cap):
+        inner = eval_obj(self.inner, x, cap)
+        if len(inner.states) > cap:
+            raise CapExceeded("lifted carrier", len(inner.states), cap)
+        return hd.hausdorff_object(inner, cap=cap, count_cap=cap).category
+
+    def dist(self, cat, s, t):
+        """The full powerset reading, so the carrier never depends on the
+        structure being refined; up-closure does not change it."""
+        q = cat.quantale
+        return q.meet_all(q.join_all(self.inner.dist(cat, a, b) for a in s) for b in t)
+
+    def map(self, fn, term):
+        return frozenset(self.inner.map(fn, t) for t in term)
+
+    def normalize(self, cat, term, cap):
+        if not isinstance(term, frozenset):
+            raise _misshapen(self, term)
+        inner = eval_obj(self.inner, cat, cap)
+        return hd.up_closure(inner, {self.inner.normalize(cat, t, cap) for t in term})
+
 
 def _leaf_quantales(expr):
     """The quantales of the constant leaves, left to right."""
     if isinstance(expr, Const):
         yield expr.category.quantale
-    elif isinstance(expr, (Prod, Sum)):
-        for p in expr.parts:
-            yield from _leaf_quantales(p)
-    elif isinstance(expr, HComp):
-        yield from _leaf_quantales(expr.inner)
+    for p in expr.parts:
+        yield from _leaf_quantales(p)
 
 
 def functor_quantale(expr):
     """The quantale fixed by the constant leaves, or None when free."""
     return next(_leaf_quantales(expr), None)
+
+
+def normalize_term(expr, cat, term, cap=DEFAULT_SIZE_CAP):
+    """Canonical form of a set-level term as an element of eval_obj:
+    set payloads are up-closed in the inner object.  A leaf that is not a
+    state of its category, or a term not shaped like the functor, raises
+    ConsistencyError."""
+    return expr.normalize(cat, term, cap)
+
+
+def _in_functor(expr, cat, term, cap):
+    """Is the term its own normal form, that is, an element of F(cat)?"""
+    try:
+        return normalize_term(expr, cat, term, cap) == term
+    except ConsistencyError:
+        return False
 
 
 # -- evaluation on objects and morphisms ---------------------------------
@@ -109,53 +240,13 @@ def eval_obj(expr, x, cap=DEFAULT_SIZE_CAP):
 
 @functools.lru_cache(maxsize=OBJ_MEMO_SIZE)
 def _eval_obj(expr, x, cap):
-    q = x.quantale
-    if isinstance(expr, Id):
-        return x
-    if isinstance(expr, Const):
-        if expr.category.quantale != q:
-            raise ConsistencyError("constant category over a different quantale")
-        return expr.category
-    if isinstance(expr, Prod):
-        parts = [eval_obj(p, x, cap) for p in expr.parts]
-        size = 1
-        for p in parts:
-            size *= len(p.states)
-        if size > cap:
-            raise CapExceeded("product carrier", size, cap)
-        states = list(iproduct(*(p.states for p in parts)))
-        mat = [
-            [
-                q.meet_all(p.a(s[i], t[i]) for i, p in enumerate(parts))
-                for t in states
-            ]
-            for s in states
-        ]
-        return VCategory(q, states, mat)
-    if isinstance(expr, Sum):
-        parts = [eval_obj(p, x, cap) for p in expr.parts]
-        size = sum(len(p.states) for p in parts)
-        if size > cap:
-            raise CapExceeded("sum carrier", size, cap)
-        states = [(b, s) for b, p in enumerate(parts) for s in p.states]
-        bot = q.bottom
-        mat = [
-            [parts[b].a(s, t) if b == c else bot for (c, t) in states]
-            for (b, s) in states
-        ]
-        return VCategory(q, states, mat)
-    if isinstance(expr, HComp):
-        inner = eval_obj(expr.inner, x, cap)
-        if len(inner.states) > cap:
-            raise CapExceeded("lifted carrier", len(inner.states), cap)
-        return hd.hausdorff_object(inner, cap=cap, count_cap=cap).category
-    raise ConsistencyError(f"unknown functor node {expr!r}")
+    return expr.obj(x, cap)
 
 
 def _fmap(expr, f, term, cap):
     """F(f) at one element of F(f.source): the image with its set payloads
     up-closed.  This is the only definition of F on maps."""
-    return normalize_term(expr, f.target, map_term(expr, f, term), cap)
+    return normalize_term(expr, f.target, expr.map(f, term), cap)
 
 
 def eval_mor(expr, f, cap=DEFAULT_SIZE_CAP):
@@ -197,31 +288,31 @@ class Coalgebra:
     def __repr__(self):
         return f"Coalgebra({self.functor!r}, {len(self.carrier.states)} states)"
 
-    def structure_functor(self, cap=DEFAULT_SIZE_CAP):
-        """The structure map as a V-functor into eval_obj(F, carrier)."""
-        fx = eval_obj(self.functor, self.carrier, cap)
-        return VFunctor(
-            self.carrier, fx, [self.structure[s] for s in self.carrier.states]
-        )
-
 
 def _structure_fault(c, cap):
     """Why the structure map does not land in F(X), or None.
 
-    A term is an element of F(X) exactly when it is its own normal form, so
-    the walk builds only the inner objects that up-closure reads."""
+    The membership walk builds only the inner objects that up-closure
+    reads."""
     x = c.carrier
     if any(q != x.quantale for q in _leaf_quantales(c.functor)):
         return "constant category over a different quantale"
     for s in x.states:
         t = c.structure[s]
-        try:
-            ok = normalize_term(c.functor, x, t, cap) == t
-        except ConsistencyError:
-            ok = False
-        if not ok:
+        if not _in_functor(c.functor, x, t, cap):
             return f"mapping hits unknown target state {t!r}"
     return None
+
+
+def _structure_terms(c, depth, cap):
+    """The structure terms in carrier order, for a walk to ``depth``; a
+    negative depth or a structure outside F(X) raises ConsistencyError."""
+    if depth < 0:
+        raise ConsistencyError(f"depth {depth} is negative")
+    fault = _structure_fault(c, cap)
+    if fault is not None:
+        raise ConsistencyError(fault)
+    return [c.structure[s] for s in c.carrier.states]
 
 
 def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
@@ -236,8 +327,7 @@ def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
     q = x.quantale
     w = next(
         ((s, t) for s in x.states for t in x.states
-         if not q.leq(x.a(s, t),
-                      _setlevel_distance(expr, x, c.structure[s], c.structure[t]))),
+         if not q.leq(x.a(s, t), expr.dist(x, c.structure[s], c.structure[t]))),
         None,
     )
     return AssumptionReport((
@@ -282,8 +372,7 @@ def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
     objs = [one]
     for _ in range(depth + 1):
         objs.append(eval_obj(expr, objs[-1], cap))
-    bang = VFunctor(objs[1], one, ["*"] * len(objs[1].states))
-    maps = [bang]
+    maps = [VFunctor(objs[1], one, ["*"] * len(objs[1].states))]
     for n in range(1, depth + 1):
         maps.append(eval_mor(expr, maps[-1], cap))
     return [ChainLevel(n, objs[n], maps[n]) for n in range(depth + 1)]
@@ -296,11 +385,8 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
     """
-    fault = _structure_fault(c, cap)
-    if fault is not None:
-        raise ConsistencyError(fault)
+    terms = _structure_terms(c, depth, cap)
     x, expr = c.carrier, c.functor
-    terms = [c.structure[s] for s in x.states]
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
     for _ in range(depth):
         beh = behs[-1]
@@ -332,16 +418,13 @@ def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
     the structure terms builds.  Each step reads d_k alone, so once a step
     returns its input the remaining tables repeat it.
     """
-    fault = _structure_fault(c, cap)
-    if fault is not None:
-        raise ConsistencyError(fault)
+    terms = _structure_terms(c, depth, cap)
     x, expr = c.carrier, c.functor
-    terms = [c.structure[s] for s in x.states]
     tables = [indiscrete(x.quantale, x.states)]
     while len(tables) <= depth:
         d = tables[-1]
         nxt = VCategory(x.quantale, x.states,
-                        [[_setlevel_distance(expr, d, s, t) for t in terms] for s in terms])
+                        [[expr.dist(d, s, t) for t in terms] for s in terms])
         if nxt == d:
             tables += [d] * (depth + 1 - len(tables))
         else:
@@ -354,13 +437,8 @@ def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
 
 def term_in_restriction(expr, term, allowed, ambient, cap=DEFAULT_SIZE_CAP):
     """Does a term of F(ambient) lie in F of the full subcategory on
-    ``allowed``?  Every Id leaf must be allowed, and the term must be its
-    own normal form there."""
-    leaves = set()
-    map_term(expr, leaves.add, term)
-    return leaves.issubset(allowed) and (
-        normalize_term(expr, restrict(ambient, allowed), term, cap) == term
-    )
+    ``allowed``?  Normalizing there rejects every Id leaf outside it."""
+    return _in_functor(expr, restrict(ambient, allowed), term, cap)
 
 
 def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
@@ -383,88 +461,10 @@ def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
         current = nxt
     sub = restrict(x, current)
     ec = Coalgebra(cx.functor, sub, {s: cx.structure[s] for s in current})
-    incl = VFunctor(sub, x, current)
-    return ec, incl
+    return ec, VFunctor(sub, x, current)
 
 
 # -- initial lifts of coalgebra cones ---------------------------------------
-
-
-def _setlevel_distance(expr, cat, s, t):
-    """F-structure distance between two set-level terms, with the full
-    powerset reading of HComp so the carrier never depends on the
-    structure being refined.  On elements of F(cat) it is the structure
-    of eval_obj(F, cat): the Hausdorff value does not change under
-    up-closure."""
-    q = cat.quantale
-    if isinstance(expr, Id):
-        return cat.a(s, t)
-    if isinstance(expr, Const):
-        return expr.category.a(s, t)
-    if isinstance(expr, Prod):
-        return q.meet_all(
-            _setlevel_distance(p, cat, s[i], t[i]) for i, p in enumerate(expr.parts)
-        )
-    if isinstance(expr, Sum):
-        if s[0] != t[0]:
-            return q.bottom
-        return _setlevel_distance(expr.parts[s[0]], cat, s[1], t[1])
-    if isinstance(expr, HComp):
-        return q.meet_all(
-            q.join_all(_setlevel_distance(expr.inner, cat, a, b) for a in s)
-            for b in t
-        )
-    raise ConsistencyError(f"unknown functor node {expr!r}")
-
-
-def map_term(expr, fn, term):
-    """Apply a state map to the Id positions of a set-level term; set
-    payloads take plain direct images."""
-    if isinstance(expr, Id):
-        return fn(term)
-    if isinstance(expr, Const):
-        return term
-    if isinstance(expr, Prod):
-        return tuple(map_term(p, fn, term[i]) for i, p in enumerate(expr.parts))
-    if isinstance(expr, Sum):
-        return (term[0], map_term(expr.parts[term[0]], fn, term[1]))
-    if isinstance(expr, HComp):
-        return frozenset(map_term(expr.inner, fn, t) for t in term)
-    raise ConsistencyError(f"unknown functor node {expr!r}")
-
-
-def _misshapen(expr, term):
-    return ConsistencyError(f"term {term!r} does not have the shape of {expr!r}")
-
-
-def normalize_term(expr, cat, term, cap=DEFAULT_SIZE_CAP):
-    """Canonical form of a set-level term as an element of eval_obj:
-    set payloads are up-closed in the inner object.  A leaf that is not a
-    state of its category, or a term not shaped like the functor, raises
-    ConsistencyError."""
-    if isinstance(expr, (Id, Const)):
-        home = cat if isinstance(expr, Id) else expr.category
-        if term not in home:
-            raise ConsistencyError(f"term leaf {term!r} is not a state of its category")
-        return term
-    if isinstance(expr, Prod):
-        if not (isinstance(term, tuple) and len(term) == len(expr.parts)):
-            raise _misshapen(expr, term)
-        return tuple(
-            normalize_term(p, cat, term[i], cap) for i, p in enumerate(expr.parts)
-        )
-    if isinstance(expr, Sum):
-        if not (isinstance(term, tuple) and len(term) == 2
-                and term[0] in range(len(expr.parts))):
-            raise _misshapen(expr, term)
-        return (term[0], normalize_term(expr.parts[term[0]], cat, term[1], cap))
-    if isinstance(expr, HComp):
-        if not isinstance(term, frozenset):
-            raise _misshapen(expr, term)
-        inner = eval_obj(expr.inner, cat, cap)
-        members = {normalize_term(expr.inner, cat, t, cap) for t in term}
-        return hd.up_closure(inner, members)
-    raise ConsistencyError(f"unknown functor node {expr!r}")
 
 
 def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
@@ -482,7 +482,7 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
     for mapping, leg in cone:
         mapping = dict(zip(states, mapping))
         for s in states:
-            expect = map_term(expr, lambda t: mapping[t], structure[s])
+            expect = expr.map(lambda t: mapping[t], structure[s])
             actual = leg.structure[mapping[s]]
             if normalize_term(expr, leg.carrier, expect, cap) != actual:
                 raise ConsistencyError(
@@ -508,19 +508,11 @@ def lift_descent(expr, quantale, states, structure, cone=()):
     )
     yield current
     while True:
-        nxt = VCategory(
-            quantale, states,
-            [
-                [
-                    quantale.meet(
-                        current.a(s, t),
-                        _setlevel_distance(expr, current, structure[s], structure[t]),
-                    )
-                    for t in states
-                ]
-                for s in states
-            ],
-        )
+        nxt = VCategory(quantale, states, [
+            [quantale.meet(current.a(s, t), expr.dist(current, structure[s], structure[t]))
+             for t in states]
+            for s in states
+        ])
         if nxt == current:
             return
         yield nxt

@@ -60,9 +60,6 @@ class VCategory:
     def a(self, x, y):
         return self.matrix[self._index[x]][self._index[y]]
 
-    def a_i(self, i, j):
-        return self.matrix[i][j]
-
 
 class VFunctor:
     """A carrier map between V-categories over one quantale.

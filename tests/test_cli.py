@@ -158,6 +158,16 @@ def test_behave_table(runner, hcoalg_file):
     assert len(lines) == 10
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_behave_rejects_a_negative_depth(runner, hcoalg_file, fmt):
+    result = runner.invoke(main, ["behave", "--coalgebra", hcoalg_file,
+                                  "--depth", "-1", "--format", fmt])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    err = json.loads(result.stderr)
+    assert err["schema"] == "report/1" and "negative" in err["error"]
+
+
 def _discrete_h_coalgebra(tmp_path, size, seed):
     rng = random.Random(seed)
     states = [f"s{i}" for i in range(size)]

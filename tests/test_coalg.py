@@ -43,7 +43,7 @@ from quantcat import (
     terminal,
     up_closure,
 )
-from quantcat.coalg import OBJ_MEMO_SIZE, _setlevel_distance, term_in_restriction
+from quantcat.coalg import OBJ_MEMO_SIZE, term_in_restriction
 
 
 @pytest.fixture()
@@ -464,6 +464,22 @@ def test_term_in_restriction_is_membership_in_the_restricted_functor(q2, godel3)
                         (expr, allowed, t)
 
 
+def test_term_in_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
+    x = from_order(q2, ["a", "b"], [("a", "b")])
+    expr = Prod([Id(), HComp(Id())])
+    assert term_in_restriction(expr, ("a", frozenset({"b"})), {"a", "b"}, x)
+    assert not term_in_restriction(expr, ("a", frozenset({"b"})), {"a"}, x)
+    for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
+                 ("a", ["b"]), ("a", frozenset({"a"}))]:
+        assert not term_in_restriction(expr, term, {"a", "b"}, x), term
+
+
+def _structure_functor(c, cap=4096):
+    """The structure map as a V-functor into the built F(X)."""
+    fx = eval_obj(c.functor, c.carrier, cap)
+    return VFunctor(c.carrier, fx, [c.structure[s] for s in c.carrier.states])
+
+
 def _random_coalgebras(q2, godel3):
     rng = random.Random(11)
     out = []
@@ -485,7 +501,7 @@ def test_behavior_map_is_f_of_the_previous_approximant(q2, godel3):
         behs = behavior_map(c, 3)
         for n in range(3):
             assert behs[n + 1] == compose(eval_mor(c.functor, behs[n]),
-                                          c.structure_functor())
+                                          _structure_functor(c))
 
 
 def _bad_structures(q2, c2):
@@ -506,6 +522,13 @@ def _bad_structures(q2, c2):
 def test_behavior_map_rejects_structure_outside_the_functor(q2, c2, case, depth):
     with pytest.raises(ConsistencyError):
         behavior_map(_bad_structures(q2, c2)[case], depth)
+
+
+def test_negative_depth_is_rejected(q2, hid):
+    c = Coalgebra(hid, discrete(q2, ["a"]), {"a": frozenset({"a"})})
+    for walk in (behavior_map, distance_table):
+        with pytest.raises(ConsistencyError, match="negative"):
+            walk(c, -1)
 
 
 @pytest.mark.parametrize("size", [12, 15])
@@ -570,7 +593,7 @@ def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
             fx = eval_obj(expr, x)
             for s in fx.states:
                 for t in fx.states:
-                    assert _setlevel_distance(expr, x, s, t) == fx.a(s, t), (expr, s, t)
+                    assert expr.dist(x, s, t) == fx.a(s, t), (expr, s, t)
 
 
 def _seeded_coalgebras(count, seed):
@@ -658,7 +681,7 @@ def _check_coalgebra_via_fx(c, cap=4096):
     """Independent oracle: the structure map as a V-functor into the built
     F(X), and the structure law read off its matrix."""
     try:
-        sf = c.structure_functor(cap)
+        sf = _structure_functor(c, cap)
     except ConsistencyError as e:
         return AssumptionReport((LawEntry("structure-in-functor", False, (str(e),)),))
     q = c.carrier.quantale

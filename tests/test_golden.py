@@ -1,5 +1,5 @@
-"""Byte-for-byte golden reports of the commands that read behaviour maps,
-chain levels, equalizers and initial lifts.
+"""Byte-for-byte golden reports of the commands that check coalgebras and
+read behaviour maps, chain levels, equalizers and initial lifts.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
@@ -74,10 +74,40 @@ INPUTS = {
         "states": ["s0", "s1"],
         "structure": {"s0": ["l0", "s1"], "s1": ["l1", "s1"]},
     },
+    # the constant category 0 -> 1 -> 2 is not transitive, so the term loaded
+    # as the up-closure of {0} is {0, 1}, which is not up-closed
+    "notclosed": {
+        "schema": "coalgebra/1",
+        "functor": {"prod": [{"H": {"const": {"schema": "vcategory/1", "quantale": "bool",
+                                              "states": [0, 1, 2],
+                                              "matrix": [["1", "1", "0"], ["0", "1", "1"],
+                                                         ["0", "0", "1"]]}}},
+                             {"id": {}}]},
+        "category": _discrete("bool", "1", "0", ["a", "b"]),
+        "structure": {"a": [[], "b"], "b": [[0], "a"]},
+    },
+    # a(x, y) is top, but x has no successor while y has one
+    "notmorphism": {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": {"schema": "vcategory/1", "quantale": "bool", "states": ["x", "y"],
+                     "matrix": [["1", "1"], ["0", "1"]]},
+        "structure": {"x": [], "y": ["y"]},
+    },
 }
 
-# golden file name -> CLI arguments; "@name" is the path of INPUTS[name]
+# with a two-point constant the fourth level passes the default cap
+_POINT = {"const": _discrete("bool", "1", "0", ["l0"])}
+_PROD_H = json.dumps({"prod": [_POINT, {"H": {"id": {}}}]})
+_SUM_H = json.dumps({"sum": [_POINT, {"H": {"id": {}}}]})
+
+# golden file name -> CLI arguments; "@name" is the file holding INPUTS[name]
 CASES = {
+    "check_ok.json": ["check", "@hcoalg", "@lawvere"],
+    "check_not_in_functor.json": ["check", "@notclosed"],
+    "check_not_morphism.json": ["check", "@notmorphism"],
+    "chain_prod_h_depth3.json": ["chain", "--functor", _PROD_H, "--depth", "3"],
+    "chain_sum_h_depth3.json": ["chain", "--functor", _SUM_H, "--depth", "3"],
     "behave_h.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3"],
     "behave_h.csv": ["behave", "--coalgebra", "@hcoalg", "--depth", "3", "--format", "csv"],
     "behave_h_symmetric.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3",
@@ -94,17 +124,23 @@ CASES = {
     "lift_labels.json": ["lift", "--file", "@labels"],
 }
 
+# the cases whose report says a law failed
+FAILING = {"check_not_in_functor.json", "check_not_morphism.json"}
+
 
 def _render(name, workdir):
-    args = []
-    for arg in CASES[name]:
-        if arg.startswith("@"):
-            path = Path(workdir) / f"{arg[1:]}.json"
-            path.write_text(json.dumps(INPUTS[arg[1:]]))
-            arg = str(path)
-        args.append(arg)
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    """The report of one case, run where its input files are written under
+    relative names, so that a report naming its paths stays stable."""
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=workdir):
+        args = []
+        for arg in CASES[name]:
+            if arg.startswith("@"):
+                key, arg = arg[1:], f"{arg[1:]}.json"
+                Path(arg).write_text(json.dumps(INPUTS[key]))
+            args.append(arg)
+        result = runner.invoke(main, args)
+    assert result.exit_code == (1 if name in FAILING else 0), result.output
     return result.output.encode()
 
 
