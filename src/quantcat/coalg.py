@@ -40,14 +40,28 @@ OBJ_MEMO_SIZE = 256
 # -- functor expressions -------------------------------------------------
 
 
+def _term_text(term):
+    """The repr of a term with the elements of each set payload sorted, so
+    that the text does not depend on the hash seed."""
+    if isinstance(term, frozenset):
+        if not term:
+            return "frozenset()"
+        return "frozenset({" + ", ".join(sorted(map(_term_text, term))) + "})"
+    if isinstance(term, tuple):
+        inner = ", ".join(map(_term_text, term))
+        return f"({inner},)" if len(term) == 1 else f"({inner})"
+    return repr(term)
+
+
 def _leaf(home, term):
     if term not in home:
-        raise ConsistencyError(f"term leaf {term!r} is not a state of its category")
+        raise ConsistencyError(
+            f"term leaf {_term_text(term)} is not a state of its category")
     return term
 
 
 def _misshapen(expr, term):
-    return ConsistencyError(f"term {term!r} does not have the shape of {expr!r}")
+    return ConsistencyError(f"term {_term_text(term)} does not have the shape of {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -300,7 +314,7 @@ def _structure_fault(c, cap):
     for s in x.states:
         t = c.structure[s]
         if not _in_functor(c.functor, x, t, cap):
-            return f"mapping hits unknown target state {t!r}"
+            return f"mapping hits unknown target state {_term_text(t)}"
     return None
 
 

@@ -14,7 +14,6 @@ from .vcat import VCategory, VFunctor, VRelation, as_vcategory, dual, vfunctors_
 
 DEFAULT_CARRIER_CAP = 12
 DEFAULT_COUNT_CAP = 4096
-_SWEEP_LIMIT = 14
 
 
 def _mask(x, subset):
@@ -56,23 +55,16 @@ def _guard_carrier(x, cap):
 def enumerate_increasing(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP):
     """All fixed points of the up-closure, in ascending bitmask order.
 
-    Small carriers are swept exhaustively.  Larger ones (up to ``cap``)
-    are enumerated through the up-sets of the underlying order, which
-    contain every fixed point.  On both paths a count above ``count_cap``
-    raises CapExceeded.
+    Every fixed point is an up-set of the underlying order, so the order
+    up-sets are enumerated and the fixed points among them kept.  The
+    count cap bounds the order up-sets examined: more than ``count_cap``
+    of them raises CapExceeded.  Over a totally ordered quantale with
+    more than one element every order up-set is a fixed point, so this is
+    also the number of fixed points; over other quantales it can be larger.
     """
     _guard_carrier(x, cap)
-    n = len(x.states)
-    if n > _SWEEP_LIMIT:
-        masks = sorted(_order_upset_masks(x, count_cap))
-        return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
-    out = []
-    for m in range(1 << n):
-        if _up_mask(x, m) == m:
-            out.append(_ids(x, m))
-            if len(out) > count_cap:
-                raise CapExceeded("increasing-subset count", len(out), count_cap)
-    return out
+    masks = sorted(_order_upset_masks(x, count_cap))
+    return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
 
 
 def _order_upset_masks(x, count_cap):

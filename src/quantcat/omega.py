@@ -216,11 +216,16 @@ def verify_chain_commutation(depth, cap=8192):
 
 # -- finality over the Boolean quantale ------------------------------------
 
+# built once, so that the checks below construct no quantale; two
+# quantales are equal exactly when their keys are
+_BOOLEAN_KEY = Quantale.boolean()._key
+_PLAIN_LIFTING = HComp(Id())
+
 
 def _require_boolean_h_coalgebra(c):
-    if c.functor != HComp(Id()):
+    if c.functor != _PLAIN_LIFTING:
         raise ConsistencyError("anamorphism needs a coalgebra of the plain lifting")
-    if c.carrier.quantale != Quantale.boolean():
+    if c.carrier.quantale._key != _BOOLEAN_KEY:
         raise ConsistencyError("anamorphism is defined over the Boolean quantale")
 
 
@@ -271,7 +276,7 @@ def embed_I(x, quantale):
     0 to bottom and 1 to top; carrier and states are kept."""
     from .vcat import VCategory
 
-    if x.quantale != Quantale.boolean():
+    if x.quantale._key != _BOOLEAN_KEY:
         raise ConsistencyError("embed_I expects a category over the Boolean quantale")
     bot, top = quantale.bottom, quantale.top
     i = {"0": bot, "1": top}

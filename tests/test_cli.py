@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quantcat
 from quantcat.cli import main
 
 
@@ -75,6 +80,34 @@ def test_check_reports_law_failure(runner, tmp_path):
     laws = {e["law"]: e for e in rep["files"][0]["laws"]}
     assert laws["reflexive"]["passed"] is False
     assert laws["reflexive"]["witness"] == ["a"]
+
+
+def test_check_witness_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The constant category p -> q -> r is not transitive, so the term
+    loaded as the up-closure of {p} is {p, q}, a set of strings that is
+    not up-closed; its witness prints the same under every hash seed."""
+    path = _write(tmp_path, "hconst.json", {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"const": {"schema": "vcategory/1", "quantale": "bool",
+                                    "states": ["p", "q", "r"],
+                                    "matrix": [["1", "1", "0"], ["0", "1", "1"],
+                                               ["0", "0", "1"]]}}},
+        "category": {"schema": "vcategory/1", "quantale": "bool", "states": ["s"],
+                     "matrix": [["1"]]},
+        "structure": {"s": ["p"]},
+    })
+    outputs = set()
+    for seed in range(1, 5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=str(Path(quantcat.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "quantcat", "check", path],
+                              capture_output=True, env=env, check=False)
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    rep = json.loads(outputs.pop())
+    assert rep["files"][0]["laws"][0]["witness"] == [
+        "mapping hits unknown target state frozenset({'p', 'q'})"]
 
 
 def test_check_pentagon_quantale_distributivity(runner, tmp_path):

@@ -43,7 +43,7 @@ from quantcat import (
     terminal,
     up_closure,
 )
-from quantcat.coalg import OBJ_MEMO_SIZE, term_in_restriction
+from quantcat.coalg import OBJ_MEMO_SIZE, _term_text, term_in_restriction
 
 
 @pytest.fixture()
@@ -132,6 +132,13 @@ def test_final_chain_sizes_over_boolean(q2, hid):
     assert [len(l.obj.states) for l in chain] == [1, 2, 3, 4, 5, 6, 7]
     for level in chain:
         assert is_vfunctor(level.connecting)
+
+
+def test_deep_final_chain_over_boolean(q2):
+    """Level k is a (k+1)-chain with k+2 increasing subsets, so depth 24
+    stays far below the count cap."""
+    chain = final_chain(HComp(Id()), 24, quantale=q2, cap=8192)
+    assert [len(l.obj.states) for l in chain] == list(range(1, 26))
 
 
 def test_final_chain_lawvere_level_two(lawvere, hid):
@@ -472,6 +479,14 @@ def test_term_in_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
     for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
                  ("a", ["b"]), ("a", frozenset({"a"}))]:
         assert not term_in_restriction(expr, term, {"a", "b"}, x), term
+
+
+def test_term_text_is_the_repr_with_sorted_set_payloads():
+    for term in ["a", 3, ("a",), (), frozenset(), frozenset({"a"}),
+                 ((0, "b"), frozenset({("c",)}))]:
+        assert _term_text(term) == repr(term)
+    assert _term_text(frozenset({"q", ("r",), "p"})) == "frozenset({'p', 'q', ('r',)})"
+    assert _term_text((1, frozenset({"y", "x"}))) == "(1, frozenset({'x', 'y'}))"
 
 
 def _structure_functor(c, cap=4096):

@@ -1,5 +1,6 @@
 """Byte-for-byte golden reports of the commands that check coalgebras and
-read behaviour maps, chain levels, equalizers and initial lifts.
+read behaviour maps, chain levels, equalizers, initial lifts and Cantor
+sweeps.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
@@ -86,6 +87,16 @@ INPUTS = {
         "category": _discrete("bool", "1", "0", ["a", "b"]),
         "structure": {"a": [[], "b"], "b": [[0], "a"]},
     },
+    # the chain c0 <= c1 <= c2: four increasing subsets, 81 candidate maps
+    "boolchain": {
+        "schema": "vcategory/1", "quantale": "bool", "states": ["c0", "c1", "c2"],
+        "matrix": [["1", "1", "1"], ["0", "1", "1"], ["0", "0", "1"]],
+    },
+    # m below both l and r, over godel:3: five increasing subsets, 243 maps
+    "vshape": {
+        "schema": "vcategory/1", "quantale": "godel:3", "states": ["l", "m", "r"],
+        "matrix": [["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]],
+    },
     # a(x, y) is top, but x has no successor while y has one
     "notmorphism": {
         "schema": "coalgebra/1",
@@ -118,6 +129,10 @@ CASES = {
     "behave_lawvere_symmetric.json": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
                                       "--symmetric"],
     "chain_h_depth4.json": ["chain", "--functor", "H", "--quantale", "bool", "--depth", "4"],
+    "chain_h_depth12.json": ["chain", "--functor", "H", "--quantale", "bool", "--depth", "12"],
+    # the first witness of each kind depends on the order of the lifted elements
+    "cantor_bool_chain.json": ["cantor", "--category", "@boolchain"],
+    "cantor_godel_vshape.json": ["cantor", "--category", "@vshape"],
     "equalize.json": ["equalize", "--coalgebra", "@eqsrc", "--target", "@eqtgt",
                       "--left", "x=p,y=p,z=p", "--right", "x=p,y=p,z=q"],
     "lift_swap.json": ["lift", "--file", "@swap"],

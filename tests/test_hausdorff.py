@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,11 +41,9 @@ from quantcat import (
     underlying_order,
     up_closure,
 )
-from quantcat.hausdorff import (
-    _SWEEP_LIMIT,
-    _order_upset_masks,
-    check_lax_extension_laws,
-)
+from quantcat import hausdorff
+from quantcat.hausdorff import _ids, _up_mask, check_lax_extension_laws
+from quantcat.suites import quantale_pool, rand_category
 
 
 def test_up_closure_examples(q2, c2, line013):
@@ -62,36 +61,100 @@ def test_enumerate_increasing(q2, c2):
     assert [set(s) for s in enumerate_increasing(ind)] == [set(), {"a", "b"}]
 
 
-def test_order_upset_enumeration_matches_sweep(q2, godel3):
-    """The large-carrier path agrees with the exhaustive sweep."""
+def _swept_fixed_points(x):
+    """The oracle: every subset, in ascending mask order, that is its own
+    up-closure."""
+    return [_ids(x, m) for m in range(1 << len(x.states)) if _up_mask(x, m) == m]
+
+
+def _diamond_quantale():
+    """The four-element lattice 0 < a, b < 1 with tensor meet and unit top."""
+    els = ["0", "a", "b", "1"]
+    leq = [("0", e) for e in els] + [(e, e) for e in els[1:]] + [("a", "1"), ("b", "1")]
+    meet = {}
+    for u in els:
+        for v in els:
+            meet[u, v] = u if (u, v) in leq else v if (v, u) in leq else "0"
+    return Quantale.finite(els, leq, meet, "1")
+
+
+def _diamond_fork():
+    """x and y sit below z at the incomparable values a and b, so the
+    underlying order is discrete while {x, y} closes up to everything."""
+    q = _diamond_quantale()
+    x = VCategory(q, ["x", "y", "z"], [
+        ["1", "0", "a"],
+        ["0", "1", "b"],
+        ["0", "0", "1"],
+    ])
+    assert check_vcategory(x).ok
+    return x
+
+
+def test_order_upset_enumeration_matches_sweep(q2, godel3, c2, line013):
+    """The order up-sets, filtered by the closure, are the swept fixed
+    points in the swept order."""
     fixtures = [
+        c2,
+        line013,
         from_order(q2, list("abcd"), [("a", "b"), ("b", "c"), ("a", "d")]),
         discrete(godel3, list("abc")),
         from_order(godel3, list("abc"), [("a", "b")]),
+        indiscrete(q2, list("abc")),
+        discrete(Quantale.godel(1), list("ab")),
+        _diamond_fork(),
     ]
+    rng = random.Random(5)
+    for _ in range(40):
+        for _name, q in quantale_pool():
+            fixtures.append(rand_category(rng, q, max_size=5))
     for x in fixtures:
-        swept = {frozenset(s) for s in enumerate_increasing(x)}
-        masks = _order_upset_masks(x, 4096)
-        filtered = set()
-        for m in masks:
-            sub = frozenset(s for i, s in enumerate(x.states) if m >> i & 1)
-            if up_closure(x, sub) == sub:
-                filtered.add(sub)
-        assert filtered == swept
-        assert len(x.states) <= _SWEEP_LIMIT
+        assert enumerate_increasing(x) == _swept_fixed_points(x)
 
 
-def test_sweep_respects_the_count_cap(q2):
-    """Carriers within the sweep limit stop at the count cap as well."""
+def test_closure_filter_rejects_an_order_upset():
+    """Over a non-chain quantale an order up-set need not be closed."""
+    x = _diamond_fork()
+    upsets = [_ids(x, m) for m in sorted(hausdorff._order_upset_masks(x, 4096))]
+    assert len(upsets) == 8
+    assert frozenset({"x", "y"}) in upsets
+    assert up_closure(x, {"x", "y"}) == frozenset({"x", "y", "z"})
+    found = enumerate_increasing(x)
+    assert frozenset({"x", "y"}) not in found
+    assert len(found) == 7
+    # the count cap bounds the order up-sets examined, not the fixed points
+    with pytest.raises(CapExceeded) as err:
+        enumerate_increasing(x, count_cap=7)
+    assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 8, 7)
+
+
+def test_enumeration_respects_the_count_cap(q2):
+    """A carrier with more increasing subsets than the count cap stops at
+    the first one too many."""
     x = discrete(q2, [f"s{i}" for i in range(12)])
-    assert len(x.states) <= _SWEEP_LIMIT
     with pytest.raises(CapExceeded) as err:
         eval_obj(HComp(Id()), x, cap=64)
-    # all 4096 subsets are increasing; the sweep stops at the first one too many
+    # all 4096 subsets are increasing
     assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 65, 64)
     with pytest.raises(CapExceeded):
         enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=7)
     assert len(enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=8)) == 8
+
+
+def test_chain_enumeration_closes_one_subset_per_upset(q2, monkeypatch):
+    """A 14-state chain has 15 up-sets, and each is closed once."""
+    calls = []
+    real = hausdorff._up_mask
+
+    def counting(x, mask):
+        calls.append(mask)
+        return real(x, mask)
+
+    monkeypatch.setattr(hausdorff, "_up_mask", counting)
+    states = [f"c{i:02d}" for i in range(14)]
+    x = from_order(q2, states, [(s, t) for i, s in enumerate(states) for t in states[i + 1:]])
+    assert len(enumerate_increasing(x, cap=14)) == 15
+    assert len(calls) <= 15
 
 
 def test_hausdorff_object_boundary_values(q2, c2, line013):
