@@ -49,10 +49,11 @@ def load_quantale(spec):
         for j, flag in enumerate(row)
         if flag
     ]
+    # a short row leaves its last entries out, for Quantale to report missing
     table = {
-        (els[i], els[j]): tensor_rows[i][j]
-        for i in range(len(els))
-        for j in range(len(els))
+        (u, w): cell
+        for u, row in zip(els, tensor_rows)
+        for w, cell in zip(els, row)
     }
     return Quantale.finite(els, pairs, table, spec["unit"])
 

@@ -5,6 +5,12 @@ tables over symbolic element ids and every law can be checked exhaustively.
 The ``lawvere-extended-rational`` flavor is the quantale of extended
 non-negative rationals ordered by >=, with truncated addition as tensor; its
 laws hold analytically and only finitary joins/meets are ever requested.
+
+Every built-in quantale is a chain.  A finite table whose order is linear
+is recognised at construction and ranks its elements, so that its joins,
+meets and folds compare ranks; the Lawvere folds are min and max.  Other
+finite tables derive their lattice by search.  Neither path assumes the
+quantale laws: ``check_quantale_laws`` still checks them on the tables.
 """
 
 from dataclasses import dataclass, field
@@ -71,12 +77,13 @@ class Quantale:
             self._key = (LAWVERE,)
             return
         self.elements = tuple(elements)
-        if len(set(self.elements)) != len(self.elements):
+        self._ids = frozenset(self.elements)
+        if len(self._ids) != len(self.elements):
             raise DescriptorError("duplicate element ids")
         self._leq = frozenset(leq_pairs)
         self._tensor = dict(tensor_table)
         self._unit = unit
-        if unit not in self.elements:
+        if not self._known(unit):
             raise DescriptorError(f"unit {unit!r} not among elements")
         self._derive_lattice()
         self._derive_hom()
@@ -101,20 +108,14 @@ class Quantale:
 
     @classmethod
     def chain(cls, n, tensor):
-        """A quantale on the chain 0 < 1/(n-1) < ... < 1 with the given tensor."""
+        """A quantale on the chain 0 < 1/(n-1) < ... < 1 whose ids are those
+        fractions.  ``tensor`` acts on indices: ``tensor(i, j)`` is the
+        index of the product of the i-th and the j-th element."""
         if n < 1:
             raise DescriptorError("chain needs at least one element")
-        if n == 1:
-            vals = [Fraction(0)]
-        else:
-            vals = [Fraction(i, n - 1) for i in range(n)]
-        ids = [_frac_id(v) for v in vals]
-        leq = [(ids[i], ids[j]) for i in range(n) for j in range(n) if vals[i] <= vals[j]]
-        table = {
-            (ids[i], ids[j]): _frac_id(tensor(vals[i], vals[j]))
-            for i in range(n)
-            for j in range(n)
-        }
+        ids = ["0"] if n == 1 else [str(Fraction(i, n - 1)) for i in range(n)]
+        leq = [(ids[i], ids[j]) for i in range(n) for j in range(i, n)]
+        table = {(ids[i], ids[j]): ids[tensor(i, j)] for i in range(n) for j in range(n)}
         return cls.finite(ids, leq, table, ids[-1])
 
     @classmethod
@@ -124,8 +125,9 @@ class Quantale:
 
     @classmethod
     def lukasiewicz(cls, n):
-        """Łukasiewicz chain: tensor is max(0, u + v - 1), unit is the top."""
-        return cls.chain(n, lambda u, v: max(Fraction(0), u + v - 1))
+        """Łukasiewicz chain: tensor is max(0, u + v - 1), unit is the top;
+        on indices that is max(0, i + j - (n - 1))."""
+        return cls.chain(n, lambda i, j: max(0, i + j - (n - 1)))
 
     @classmethod
     def lawvere(cls):
@@ -156,6 +158,47 @@ class Quantale:
         for u in els:
             if (u, u) not in leq:
                 raise DescriptorError(f"leq not reflexive at {u!r}")
+        self._rank = self._linear_rank()
+        if self._rank is not None:
+            self._derive_chain_lattice()
+        else:
+            self._search_lattice()
+        missing = [p for p in ((u, v) for u in els for v in els) if p not in self._tensor]
+        if missing:
+            raise DescriptorError(f"tensor table missing entries: {missing[:3]}")
+
+    def _linear_rank(self):
+        """Each element's number of elements below it, when the order is
+        linear; otherwise None.  The order is linear when every pair is
+        comparable, the ranks are distinct and every pair respects them."""
+        els = self.elements
+        leq = self._leq
+        rank = {v: sum((u, v) in leq for u in els) for v in els}
+        if len(set(rank.values())) != len(els):
+            return None
+        for u in els:
+            for v in els:
+                if (u, v) in leq:
+                    if rank[u] > rank[v]:
+                        return None
+                elif (v, u) not in leq:
+                    return None
+        return rank
+
+    def _derive_chain_lattice(self):
+        rank = self._rank
+        chain = sorted(self.elements, key=rank.get)
+        self._bot, self._top = chain[0], chain[-1]
+        self._join = {}
+        self._meet = {}
+        for i, u in enumerate(chain):
+            for v in chain[i:]:
+                self._join[u, v] = self._join[v, u] = v
+                self._meet[u, v] = self._meet[v, u] = u
+
+    def _search_lattice(self):
+        els = self.elements
+        leq = self._leq
         self._join = {}
         self._meet = {}
         for u in els:
@@ -173,9 +216,6 @@ class Quantale:
         if len(bots) != 1 or len(tops) != 1:
             raise DescriptorError("lattice lacks a unique bottom or top")
         self._bot, self._top = bots[0], tops[0]
-        missing = [p for p in ((u, v) for u in els for v in els) if p not in self._tensor]
-        if missing:
-            raise DescriptorError(f"tensor table missing entries: {missing[:3]}")
 
     def _derive_hom(self):
         # hom(u, v) = join of { w | u (x) w <= v }; the adjunction itself is
@@ -201,10 +241,15 @@ class Quantale:
 
     # -- element parsing / formatting ----------------------------------
 
+    def _known(self, el):
+        try:
+            return el in self._ids
+        except TypeError:  # an unhashable value is no element id
+            return False
+
     def parse(self, text):
         if self.flavor == FINITE_TABLE:
-            if text not in self.elements:
-                raise DescriptorError(f"unknown element id {text!r}")
+            self._check(text)
             return text
         if text == "inf":
             return INF
@@ -224,7 +269,7 @@ class Quantale:
 
     def _check(self, el):
         if self.flavor == FINITE_TABLE:
-            if el not in self.elements:
+            if not self._known(el):
                 raise DescriptorError(f"unknown element id {el!r}")
         elif el is not INF and not isinstance(el, Fraction):
             raise DescriptorError(f"bad Lawvere element {el!r}")
@@ -269,21 +314,64 @@ class Quantale:
             return INF
         return max(u, v)
 
+    # The folds stop as soon as they reach top (join) or bottom (meet):
+    # callers pass generators whose remaining items need not be computed.
+
     def join_all(self, items):
-        out = self.bottom
-        top = self.top
+        if self.flavor == LAWVERE:
+            out = INF
+            for x in items:
+                if x is not INF and (out is INF or x < out):
+                    out = x
+                    if out == 0:
+                        break
+            return out
+        rank = self._rank
+        if rank is None:
+            out = self._bot
+            top = self._top
+            for x in items:
+                out = self._join[out, x]
+                if out == top:
+                    break
+            return out
+        out = self._bot
+        best = rank[out]
+        top = rank[self._top]
         for x in items:
-            out = self.join(out, x)
-            if out == top:
+            r = rank[x]
+            if r > best:
+                out, best = x, r
+            if best == top:
                 break
         return out
 
     def meet_all(self, items):
-        out = self.top
-        bot = self.bottom
+        if self.flavor == LAWVERE:
+            out = Fraction(0)
+            for x in items:
+                if x is INF:
+                    return INF
+                if x > out:
+                    out = x
+            return out
+        rank = self._rank
+        if rank is None:
+            out = self._top
+            bot = self._bot
+            for x in items:
+                out = self._meet[out, x]
+                if out == bot:
+                    break
+            return out
+        out = self._top
+        best = rank[out]
+        bot = rank[self._bot]
         for x in items:
-            out = self.meet(out, x)
-            if out == bot:
+            r = rank[x]
+            if r < best:
+                out, best = x, r
+            if best == bot:
                 break
         return out
 
@@ -310,10 +398,6 @@ class Quantale:
     def trivial(self):
         """True when unit = bottom, i.e. the one-element quantale."""
         return self.unit == self.bottom if self.flavor == FINITE_TABLE else False
-
-
-def _frac_id(v):
-    return str(v)
 
 
 # -- the totally-below relation ---------------------------------------

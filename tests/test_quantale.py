@@ -1,6 +1,11 @@
+import json
+import random
+import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from quantcat import (
@@ -12,6 +17,7 @@ from quantcat import (
     check_quantale_laws,
     totally_below,
 )
+from quantcat.cli import main
 
 FINITE_FIXTURES = [
     Quantale.boolean(),
@@ -205,3 +211,202 @@ def test_lawvere_lattice_reversed(lawvere):
     assert lawvere.join_all([]) is INF
     assert lawvere.meet_all([]) == Fraction(0)
     assert lawvere.tensor(INF, Fraction(0)) is INF
+
+
+# -- brute-force oracles read off the leq pairs and the tensor ------------------
+
+
+def _lub(els, leq, items):
+    """The least upper bound of ``items``, found by search over ``els``."""
+    ub = [w for w in els if all((x, w) in leq for x in items)]
+    least = [w for w in ub if all((w, z) in leq for z in ub)]
+    assert len(least) == 1
+    return least[0]
+
+
+def _glb(els, leq, items):
+    lb = [w for w in els if all((w, x) in leq for x in items)]
+    greatest = [w for w in lb if all((z, w) in leq for z in lb)]
+    assert len(greatest) == 1
+    return greatest[0]
+
+
+def _assert_matches_brute_force(q, els, leq, tensor):
+    assert q.bottom == _lub(els, leq, [])
+    assert q.top == _glb(els, leq, [])
+    for u in els:
+        for v in els:
+            assert q.leq(u, v) == ((u, v) in leq)
+            assert q.join(u, v) == _lub(els, leq, [u, v])
+            assert q.meet(u, v) == _glb(els, leq, [u, v])
+            assert q.tensor(u, v) == tensor[u, v]
+            # the largest w with u (x) w <= v, or bottom when there is none
+            assert q.hom(u, v) == _lub(els, leq, [w for w in els if (tensor[u, w], v) in leq])
+
+
+def _chain_values(n):
+    return [Fraction(0)] if n == 1 else [Fraction(i, n - 1) for i in range(n)]
+
+
+# the tensors of the built-in chains, on the fractions themselves
+CHAIN_TENSORS = {
+    "godel": min,
+    "lukasiewicz": lambda a, b: max(Fraction(0), a + b - 1),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("kind", sorted(CHAIN_TENSORS))
+def test_builtin_chain_matches_the_fraction_formulas(kind, n):
+    vals = _chain_values(n)
+    els = [str(a) for a in vals]
+    leq = {(str(a), str(b)) for a in vals for b in vals if a <= b}
+    tensor = {(str(a), str(b)): str(CHAIN_TENSORS[kind](a, b)) for a in vals for b in vals}
+    q = Quantale.by_name(f"{kind}:{n}")
+    assert q.elements == tuple(els)
+    assert q.unit == els[-1]
+    _assert_matches_brute_force(q, els, leq, tensor)
+
+
+def test_boolean_matches_brute_force(q2):
+    els = ["0", "1"]
+    leq = {("0", "0"), ("0", "1"), ("1", "1")}
+    tensor = {(u, v): "1" if u == v == "1" else "0" for u in els for v in els}
+    _assert_matches_brute_force(q2, els, leq, tensor)
+
+
+@st.composite
+def shuffled_chains(draw):
+    """A linear order on ids listed in a random order, with any tensor table."""
+    n = draw(st.integers(1, 6))
+    chain = [f"e{i}" for i in range(n)]
+    els = draw(st.permutations(chain))
+    leq = {(chain[i], chain[j]) for i in range(n) for j in range(i, n)}
+    tensor = {(u, v): draw(st.sampled_from(chain)) for u in els for v in els}
+    unit = draw(st.sampled_from(chain))
+    return els, leq, tensor, unit
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(shuffled_chains())
+def test_shuffled_linear_order_matches_brute_force(spec):
+    els, leq, tensor, unit = spec
+    q = Quantale.finite(els, leq, tensor, unit)
+    _assert_matches_brute_force(q, els, leq, tensor)
+
+
+# -- the folds ------------------------------------------------------------------
+
+# {0, a, b, 1} with a and b incomparable: a lattice that is not a chain
+DIAMOND_ELS = ["0", "a", "b", "1"]
+DIAMOND_LEQ = ({(e, e) for e in DIAMOND_ELS} | {("0", e) for e in DIAMOND_ELS}
+               | {(e, "1") for e in DIAMOND_ELS})
+
+
+def _diamond():
+    meet = {(u, v): _glb(DIAMOND_ELS, DIAMOND_LEQ, [u, v]) for u in DIAMOND_ELS
+            for v in DIAMOND_ELS}
+    return Quantale.finite(DIAMOND_ELS, DIAMOND_LEQ, meet, "1")
+
+
+FOLD_QUANTALES = [Quantale.by_name(name) for name in (
+    "bool", "godel:1", "godel:2", "godel:3", "godel:4", "godel:6",
+    "lukasiewicz:2", "lukasiewicz:3", "lukasiewicz:5", "lawvere")] + [_diamond()]
+LAWVERE_VALUES = [INF, INF, Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3), Fraction(7, 3)]
+
+
+def _values(q):
+    return LAWVERE_VALUES if q.flavor == "lawvere-extended-rational" else list(q.elements)
+
+
+@pytest.mark.parametrize("q", FOLD_QUANTALES, ids=repr)
+def test_folds_equal_the_pairwise_fold(q):
+    rng = random.Random(f"folds:{q!r}")
+    values = _values(q)
+    for size in list(range(6)) * 40:
+        items = [rng.choice(values) for _ in range(size)]
+        assert q.join_all(items) == reduce(q.join, items, q.bottom), items
+        assert q.meet_all(items) == reduce(q.meet, items, q.top), items
+
+
+def _guarded(items, done):
+    """Yield ``items``; raise if advanced again once ``done(prefix)`` holds."""
+    seen = []
+    for x in items:
+        yield x
+        seen.append(x)
+        if done(seen):
+            raise AssertionError(f"advanced past {seen}")
+
+
+@pytest.mark.parametrize("q", [Quantale.godel(4), Quantale.lawvere(), _diamond()], ids=repr)
+def test_folds_stop_at_top_and_at_bottom(q):
+    rng = random.Random(f"short-circuit:{q!r}")
+    values = _values(q)
+    reached_top = reached_bottom = 0
+    for _ in range(300):
+        items = [rng.choice(values) for _ in range(rng.randint(0, 8))]
+        join = reduce(q.join, items, q.bottom)
+        meet = reduce(q.meet, items, q.top)
+        reached_top += join == q.top
+        reached_bottom += meet == q.bottom
+        assert q.join_all(_guarded(items, lambda s: reduce(q.join, s, q.bottom) == q.top)) == join
+        assert q.meet_all(_guarded(items, lambda s: reduce(q.meet, s, q.top) == q.bottom)) == meet
+    assert reached_top and reached_bottom
+
+
+def test_diamond_join_reaches_top_without_top_itself():
+    q = _diamond()
+    assert q.join_all(_guarded(["a", "b", "0"], lambda s: s == ["a", "b"])) == "1"
+    assert q.meet_all(_guarded(["b", "a", "1"], lambda s: s == ["b", "a"])) == "0"
+
+
+# -- malformed tables -------------------------------------------------------------
+
+
+def _ordered(pairs, els):
+    return {(e, e) for e in els} | set(pairs)
+
+
+BAD_TABLES = {
+    # u <= v and v <= u: a preorder, not a partial order
+    "preorder": (["u", "v"], _ordered([("u", "v"), ("v", "u")], "uv"),
+                 {(x, y): "u" for x in "uv" for y in "uv"}, "v",
+                 "leq is not a lattice order at ('u', 'u')"),
+    # a < b < c < a: every pair is comparable, but the relation is not transitive
+    "tournament": (["a", "b", "c"], _ordered([("a", "b"), ("b", "c"), ("c", "a")], "abc"),
+                   {(x, y): "a" for x in "abc" for y in "abc"}, "a",
+                   "lattice lacks a unique bottom or top"),
+    "missing-tensor-entry": (["0", "h", "1"],
+                             _ordered([("0", "h"), ("0", "1"), ("h", "1")], ["0", "h", "1"]),
+                             {(x, y): "0" for x in ["0", "h", "1"] for y in ["0", "h", "1"]
+                              if (x, y) != ("h", "1")}, "1",
+                             "tensor table missing entries: [('h', '1')]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_malformed_tables_raise_the_same_errors(name, tmp_path):
+    els, leq, tensor, unit, message = BAD_TABLES[name]
+    with pytest.raises(DescriptorError, match=re.escape(message) + "$"):
+        Quantale.finite(els, leq, tensor, unit)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "schema": "quantale/1",
+        "elements": els,
+        "leq": [[int((u, v) in leq) for v in els] for u in els],
+        # the missing entry ends its row, so that row is short
+        "tensor": [[tensor[u, v] for v in els if (u, v) in tensor] for u in els],
+        "unit": unit,
+    }))
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+def test_unhashable_element_is_an_unknown_id(godel3):
+    with pytest.raises(DescriptorError, match="unknown element id"):
+        godel3.parse(["1"])
+    with pytest.raises(DescriptorError, match="unknown element id"):
+        godel3.hom(["1"], "1")
