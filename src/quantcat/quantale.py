@@ -7,10 +7,11 @@ non-negative rationals ordered by >=, with truncated addition as tensor; its
 laws hold analytically and only finitary joins/meets are ever requested.
 
 Every built-in quantale is a chain.  A finite table whose order is linear
-is recognised at construction and ranks its elements, so that its joins,
-meets and folds compare ranks; the Lawvere folds are min and max.  Other
-finite tables derive their lattice by search.  Neither path assumes the
-quantale laws: ``check_quantale_laws`` still checks them on the tables.
+is recognised at construction and ranks its elements, and its join and
+meet tables, bottom and top are read off the ranks.  Other finite tables
+derive their lattice by search.  Every finite table folds through its join
+and meet tables; the Lawvere folds are min and max.  Neither path assumes
+the quantale laws: ``check_quantale_laws`` still checks them on the tables.
 """
 
 from dataclasses import dataclass, field
@@ -158,9 +159,9 @@ class Quantale:
         for u in els:
             if (u, u) not in leq:
                 raise DescriptorError(f"leq not reflexive at {u!r}")
-        self._rank = self._linear_rank()
-        if self._rank is not None:
-            self._derive_chain_lattice()
+        rank = self._linear_rank()
+        if rank is not None:
+            self._derive_chain_lattice(rank)
         else:
             self._search_lattice()
         missing = [p for p in ((u, v) for u in els for v in els) if p not in self._tensor]
@@ -185,8 +186,7 @@ class Quantale:
                     return None
         return rank
 
-    def _derive_chain_lattice(self):
-        rank = self._rank
+    def _derive_chain_lattice(self, rank):
         chain = sorted(self.elements, key=rank.get)
         self._bot, self._top = chain[0], chain[-1]
         self._join = {}
@@ -326,23 +326,11 @@ class Quantale:
                     if out == 0:
                         break
             return out
-        rank = self._rank
-        if rank is None:
-            out = self._bot
-            top = self._top
-            for x in items:
-                out = self._join[out, x]
-                if out == top:
-                    break
-            return out
         out = self._bot
-        best = rank[out]
-        top = rank[self._top]
+        top = self._top
         for x in items:
-            r = rank[x]
-            if r > best:
-                out, best = x, r
-            if best == top:
+            out = self._join[out, x]
+            if out == top:
                 break
         return out
 
@@ -355,23 +343,11 @@ class Quantale:
                 if x > out:
                     out = x
             return out
-        rank = self._rank
-        if rank is None:
-            out = self._top
-            bot = self._bot
-            for x in items:
-                out = self._meet[out, x]
-                if out == bot:
-                    break
-            return out
         out = self._top
-        best = rank[out]
-        bot = rank[self._bot]
+        bot = self._bot
         for x in items:
-            r = rank[x]
-            if r < best:
-                out, best = x, r
-            if best == bot:
+            out = self._meet[out, x]
+            if out == bot:
                 break
         return out
 
