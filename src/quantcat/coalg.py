@@ -12,7 +12,9 @@ F(f) is ``normalize_term(F, f.target, F.map(f, t))`` at each term t.
 Behaviour maps and homomorphism checks apply it to the structure terms,
 and coalgebra checks and distance tables read ``dist`` off them, so none
 builds F(X).  Values of F on objects are memoized process-wide in an LRU
-of OBJ_MEMO_SIZE entries.
+of OBJ_MEMO_SIZE entries.  Each coalgebra keeps the behaviour approximants
+of its last ``behavior_map`` call, so per-pair ``behavioral_distance`` calls
+walk the cone once.
 """
 
 import functools
@@ -274,9 +276,12 @@ def eval_mor(expr, f, cap=DEFAULT_SIZE_CAP):
 
 
 class Coalgebra:
-    """A carrier V-category with a structure map into the functor value."""
+    """A carrier V-category with a structure map into the functor value.
 
-    __slots__ = ("functor", "carrier", "structure", "_hash")
+    The hash is computed at construction and ``behavior_map`` keeps its
+    last result on the coalgebra, so ``structure`` must not be mutated."""
+
+    __slots__ = ("functor", "carrier", "structure", "_hash", "_behaviour")
 
     def __init__(self, functor, carrier, structure):
         self.functor = functor
@@ -287,6 +292,8 @@ class Coalgebra:
         self._hash = hash(
             (functor, carrier, tuple(self.structure[s] for s in carrier.states))
         )
+        # (depth, cap, approximants) of the last behavior_map; not compared
+        self._behaviour = None
 
     def __eq__(self, other):
         return (
@@ -398,7 +405,15 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
     beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
+
+    The coalgebra keeps the approximants of its last call, keyed by
+    ``(depth, cap)``, and a call with the same key returns a new list of
+    them without walking the cone again; a call that raises leaves the memo
+    as it was.  The memo is one entry on the coalgebra and is freed with it.
     """
+    memo = c._behaviour
+    if memo is not None and memo[0] == depth and memo[1] == cap:
+        return list(memo[2])
     terms = _structure_terms(c, depth, cap)
     x, expr = c.carrier, c.functor
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
@@ -406,6 +421,7 @@ def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
         beh = behs[-1]
         level = eval_obj(expr, beh.target, cap)
         behs.append(VFunctor(x, level, [_fmap(expr, beh, t, cap) for t in terms]))
+    c._behaviour = (depth, cap, tuple(behs))
     return behs
 
 

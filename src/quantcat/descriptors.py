@@ -41,8 +41,22 @@ def load_quantale(spec):
     els = spec["elements"]
     leq_rows = spec["leq"]
     tensor_rows = spec["tensor"]
+    if not all(isinstance(v, list) for v in (els, leq_rows, tensor_rows)):
+        raise DescriptorError("elements, leq and tensor must be JSON arrays")
     if len(leq_rows) != len(els) or len(tensor_rows) != len(els):
         raise DescriptorError("leq/tensor tables do not match the element list")
+    if any(not isinstance(row, list) or len(row) > len(els)
+           for row in leq_rows + tensor_rows):
+        raise DescriptorError("leq/tensor rows must be arrays no longer than the element list")
+    # ids are dictionary keys, so arrays and objects cannot be ids
+    bad = next((e for e in els if isinstance(e, (list, dict))), None)
+    if bad is not None:
+        raise DescriptorError(f"element id {json.dumps(bad)} is not a string, number or null")
+    ids = set(els)
+    stray = next((cell for row in tensor_rows for cell in row
+                  if isinstance(cell, (list, dict)) or cell not in ids), None)
+    if stray is not None:
+        raise DescriptorError(f"tensor value {json.dumps(stray)} is not an element id")
     pairs = [
         (els[i], els[j])
         for i, row in enumerate(leq_rows)

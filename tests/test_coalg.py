@@ -43,6 +43,7 @@ from quantcat import (
     terminal,
     up_closure,
 )
+from quantcat import coalg
 from quantcat.coalg import OBJ_MEMO_SIZE, _term_text, term_in_restriction
 
 
@@ -578,6 +579,127 @@ def test_object_memo_stays_bounded(q2):
         tracemalloc.stop()
     # an unbounded memo keeps every one of the 2n chains' objects alive
     assert grown < 64 * 1024, grown
+
+
+# -- the behaviour memo ---------------------------------------------------------
+
+
+def _three_state_hid(q2):
+    x = discrete(q2, ["a", "b", "c"])
+    return Coalgebra(HComp(Id()), x,
+                     {"a": frozenset({"b"}), "b": frozenset({"a", "c"}), "c": frozenset()})
+
+
+def _count_eval_obj(monkeypatch):
+    calls = []
+    real = coalg.eval_obj
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coalg, "eval_obj", counted)
+    return calls
+
+
+def test_per_pair_distances_walk_the_cone_once(q2, monkeypatch):
+    c = _three_state_hid(q2)
+    calls = _count_eval_obj(monkeypatch)
+    pairs = list(iproduct(c.carrier.states, repeat=2))
+    first = behavioral_distance(c, *pairs[0], 3)
+    once = len(calls)
+    assert once > 0
+    table = [behavioral_distance(c, s, t, 3) for s, t in pairs]
+    assert len(calls) == once
+    assert table[0] == first
+    fresh = Coalgebra(c.functor, c.carrier, c.structure)
+    assert table == [behavioral_distance(fresh, s, t, 3) for s, t in pairs]
+
+
+def test_behaviour_memo_hands_out_copies(q2):
+    c = _three_state_hid(q2)
+    behs = behavior_map(c, 3)
+    want = list(behs)
+    behs.clear()
+    assert behavior_map(c, 3) == want
+    behavior_map(c, 3).append(None)
+    assert behavior_map(c, 3) == want
+    assert want == behavior_map(Coalgebra(c.functor, c.carrier, c.structure), 3)
+
+
+def test_behaviour_memo_keeps_the_cap(q2):
+    c = _three_state_hid(q2)
+    behs = behavior_map(c, 4)
+    # level 3 of the chain has four states
+    with pytest.raises(CapExceeded):
+        behavior_map(c, 4, cap=3)
+    with pytest.raises(CapExceeded):
+        behavioral_distance(c, "a", "b", 4, cap=3)
+    assert behavior_map(c, 4) == behs
+
+
+def test_behaviour_memo_keeps_the_depth(q2):
+    c = _three_state_hid(q2)
+    four = behavior_map(c, 4)
+    two = behavior_map(c, 2)
+    assert len(two) == 3
+    assert two == four[:3]
+    assert behavior_map(c, 4) == four
+    with pytest.raises(ConsistencyError, match="negative"):
+        behavior_map(c, -1)
+    assert behavior_map(c, 4) == four
+
+
+@pytest.mark.parametrize("case", ["unknown state", "not up-closed", "constant outside"])
+def test_behaviour_memo_never_keeps_a_failure(q2, c2, case):
+    c = _bad_structures(q2, c2)[case]
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            behavior_map(c, 2)
+        with pytest.raises(ConsistencyError):
+            behavioral_distance(c, *c.carrier.states[:2], 2)
+
+
+def test_behaviour_memo_is_freed_with_its_coalgebra(q2, hid):
+    states = [f"s{i}" for i in range(40)]
+    x = discrete(q2, states)
+    rng = random.Random(7)
+
+    def coalgebra():
+        return Coalgebra(hid, x, {s: frozenset(t for t in states if rng.random() < 0.2)
+                                  for s in states})
+
+    behavior_map(coalgebra(), 6)  # the chain levels go into the object memo
+    tracemalloc.start()
+    try:
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        c = coalgebra()
+        built = tracemalloc.get_traced_memory()[0]
+        behavior_map(c, 6)
+        memo = tracemalloc.get_traced_memory()[0] - built
+        del c
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # the memo holds six levels of 40 up-closed terms each
+    assert memo > 32 * 1024, memo
+    assert left < 4 * 1024, left
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_per_pair_distance_is_the_distance_table_entry(symmetric):
+    for c in _seeded_coalgebras(200, 21):
+        depth = 2 if c.carrier.quantale == Quantale.lawvere() else 3
+        tables = distance_table(c, depth)
+        if symmetric:
+            tables = [symmetrize(d) for d in tables]
+        for s, t in iproduct(c.carrier.states, repeat=2):
+            want = [d.a(s, t) for d in tables]
+            assert behavioral_distance(c, s, t, depth, symmetric=symmetric) == want, c
+            fresh = Coalgebra(c.functor, c.carrier, c.structure)
+            assert behavioral_distance(fresh, s, t, depth, symmetric=symmetric) == want, c
 
 
 # -- distances read off the structure terms ----------------------------------

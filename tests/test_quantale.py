@@ -18,6 +18,7 @@ from quantcat import (
     totally_below,
 )
 from quantcat.cli import main
+from quantcat.descriptors import load_quantale
 
 FINITE_FIXTURES = [
     Quantale.boolean(),
@@ -399,6 +400,51 @@ def test_malformed_tables_raise_the_same_errors(name, tmp_path):
         "tensor": [[tensor[u, v] for v in els if (u, v) in tensor] for u in els],
         "unit": unit,
     }))
+    result = CliRunner().invoke(main, ["check", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+def _bool_descriptor(**changes):
+    spec = {"schema": "quantale/1", "elements": ["0", "1"], "leq": [[1, 1], [0, 1]],
+            "tensor": [["0", "0"], ["0", "1"]], "unit": "1"}
+    spec.update(changes)
+    return spec
+
+
+BAD_DESCRIPTORS = {
+    "array-id": (_bool_descriptor(elements=["0", ["1"]], unit=["1"]),
+                 'element id ["1"] is not a string, number or null'),
+    "object-id": (_bool_descriptor(elements=[{"a": 0}, "1"]),
+                  'element id {"a": 0} is not a string, number or null'),
+    "array-tensor-value": (_bool_descriptor(tensor=[["0", ["0"]], ["0", "1"]]),
+                           'tensor value ["0"] is not an element id'),
+    "stray-tensor-value": (_bool_descriptor(tensor=[["0", "zz"], ["0", "1"]]),
+                           'tensor value "zz" is not an element id'),
+    "long-leq-row": (_bool_descriptor(leq=[[1, 1, 1], [0, 1]]),
+                     "leq/tensor rows must be arrays no longer than the element list"),
+    "long-tensor-row": (_bool_descriptor(tensor=[["0", "0", "1"], ["0", "1"]]),
+                        "leq/tensor rows must be arrays no longer than the element list"),
+    "scalar-row": (_bool_descriptor(leq=[1, [0, 1]]),
+                   "leq/tensor rows must be arrays no longer than the element list"),
+    "scalar-elements": (_bool_descriptor(elements="01"),
+                        "elements, leq and tensor must be JSON arrays"),
+    # short rows leave pairs out, and the table checks report them as before
+    "short-leq-row": (_bool_descriptor(leq=[[1], [0, 1]]),
+                      "leq is not a lattice order at ('0', '1')"),
+    "short-tensor-row": (_bool_descriptor(tensor=[["0", "0"], ["0"]]),
+                         "tensor table missing entries: [('1', '1')]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DESCRIPTORS))
+def test_malformed_descriptors_are_bad_input(name, tmp_path):
+    spec, message = BAD_DESCRIPTORS[name]
+    with pytest.raises(DescriptorError, match=re.escape(message) + "$"):
+        load_quantale(spec)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(spec))
     result = CliRunner().invoke(main, ["check", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
