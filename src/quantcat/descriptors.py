@@ -6,6 +6,8 @@ rejected, so golden files stay stable.
 """
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term
 from .errors import DescriptorError
@@ -200,5 +202,87 @@ def subset_to_json(subset):
 
 
 def canonical_json(obj):
-    """Deterministic rendering: insertion order preserved, newline-terminated."""
-    return json.dumps(obj, indent=2, ensure_ascii=True, default=str) + "\n"
+    """Deterministic rendering: insertion order preserved, newline-terminated.
+
+    The bytes are those of ``json.dumps(obj, indent=2, ensure_ascii=True,
+    default=str) + "\\n"``, which the tests keep as the oracle.  json only
+    uses its C encoder without ``indent``, so the indented layout is
+    rendered here, with json's own string escaping.
+    """
+    out = []
+    _render(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _render(o, nl, emit):
+    """Append the indent-2 JSON of ``o`` at the line prefix ``nl``.  String
+    items, the most common leaves, are emitted together with their
+    separator."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            if type(v) is str:
+                emit(sep + _quote(v))
+            else:
+                emit(sep)
+                _render(v, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            head = sep + _quote(k if type(k) is str else _key(k)) + ": "
+            if type(v) is str:
+                emit(head + _quote(v))
+            else:
+                emit(head)
+                _render(v, inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    else:
+        emit(_scalar(o))
+
+
+def _scalar(o):
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    return _quote(str(o))  # default=str
+
+
+def _float(f):
+    if f != f:
+        return "NaN"
+    if f == math.inf:
+        return "Infinity"
+    if f == -math.inf:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+def _key(k):
+    """json's spelling of a key: a string as it is, any other scalar as its
+    JSON text; json rejects every other key."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")

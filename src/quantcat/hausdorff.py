@@ -30,6 +30,15 @@ def _ids(x, mask):
 def _up_mask(x, mask):
     q = x.quantale
     out = 0
+    if q.unit_join_prime:
+        # k <= join of a(i, j) over A exactly when k <= a(i, j) for some i
+        # in A, so the up-closure is the union of A's unit rows.
+        rows = x.unit_rows()
+        while mask:
+            low = mask & -mask
+            out |= rows[low.bit_length() - 1]
+            mask ^= low
+        return out
     for j in range(len(x.states)):
         v = q.join_all(x.matrix[i][j] for i in range(len(x.states)) if mask >> i & 1)
         if q.leq(q.unit, v):
@@ -69,14 +78,12 @@ def enumerate_increasing(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP
 
 def _order_upset_masks(x, count_cap):
     """Bitmasks of all up-sets of the underlying order, capped in number."""
-    q = x.quantale
     n = len(x.states)
-    up = [0] * n
+    up = x.unit_rows()
     down = [0] * n
     for i in range(n):
         for j in range(n):
-            if q.leq(q.unit, x.matrix[i][j]):
-                up[i] |= 1 << j
+            if up[i] >> j & 1:
                 down[j] |= 1 << i
     out = []
     full = (1 << n) - 1

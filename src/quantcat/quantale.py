@@ -12,10 +12,13 @@ meet tables, bottom and top are read off the ranks.  Other finite tables
 derive their lattice by search.  Every finite table folds through its join
 and meet tables; the Lawvere folds are min and max.  Neither path assumes
 the quantale laws: ``check_quantale_laws`` still checks them on the tables.
+The internal hom table is derived on the first ``hom`` call, since most
+quantales built are never asked for it.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceeded, DescriptorError
 
@@ -33,6 +36,7 @@ class _Infinity:
 
 
 INF = _Infinity()
+_ZERO = Fraction(0)  # the Lawvere unit and top, shared since Fraction is immutable
 
 
 @dataclass(frozen=True)
@@ -87,9 +91,9 @@ class Quantale:
         if not self._known(unit):
             raise DescriptorError(f"unit {unit!r} not among elements")
         self._derive_lattice()
-        self._derive_hom()
+        # ids need not be mutually comparable, so the key is unordered
         self._key = (FINITE_TABLE, self.elements, self._leq,
-                     tuple(sorted(self._tensor.items())), unit)
+                     frozenset(self._tensor.items()), unit)
 
     # -- construction -------------------------------------------------
 
@@ -217,14 +221,13 @@ class Quantale:
             raise DescriptorError("lattice lacks a unique bottom or top")
         self._bot, self._top = bots[0], tops[0]
 
-    def _derive_hom(self):
+    @cached_property
+    def _hom(self):
         # hom(u, v) = join of { w | u (x) w <= v }; the adjunction itself is
         # exercised by check_quantale_laws and the test suite.
-        self._hom = {}
-        for u in self.elements:
-            for v in self.elements:
-                ws = [w for w in self.elements if (self._tensor[u, w], v) in self._leq]
-                self._hom[u, v] = self.join_all(ws)
+        els, tensor, leq = self.elements, self._tensor, self._leq
+        return {(u, v): self.join_all(w for w in els if (tensor[u, w], v) in leq)
+                for u in els for v in els}
 
     # -- equality / hashing -------------------------------------------
 
@@ -278,7 +281,7 @@ class Quantale:
 
     @property
     def unit(self):
-        return self._unit if self.flavor == FINITE_TABLE else Fraction(0)
+        return self._unit if self.flavor == FINITE_TABLE else _ZERO
 
     @property
     def bottom(self):
@@ -286,7 +289,7 @@ class Quantale:
 
     @property
     def top(self):
-        return self._top if self.flavor == FINITE_TABLE else Fraction(0)
+        return self._top if self.flavor == FINITE_TABLE else _ZERO
 
     def leq(self, u, v):
         if self.flavor == FINITE_TABLE:
@@ -336,7 +339,7 @@ class Quantale:
 
     def meet_all(self, items):
         if self.flavor == LAWVERE:
-            out = Fraction(0)
+            out = _ZERO
             for x in items:
                 if x is INF:
                     return INF
@@ -365,15 +368,29 @@ class Quantale:
             self._check(v)
             return self._hom[u, v]
         if u is INF:
-            return Fraction(0)
+            return _ZERO
         if v is INF:
             return INF
-        return max(v - u, Fraction(0))
+        return max(v - u, _ZERO)
 
     @property
     def trivial(self):
         """True when unit = bottom, i.e. the one-element quantale."""
         return self.unit == self.bottom if self.flavor == FINITE_TABLE else False
+
+    @cached_property
+    def unit_join_prime(self):
+        """True when k <= join(S) holds exactly when k <= s for some s in S,
+        for every finite S: k is not below bottom, and k <= u v v implies
+        k <= u or k <= v.  It holds on every chain of two or more elements.
+        On ``lawvere`` k = 0 <= min(u, v) means u = 0 or v = 0."""
+        if self.flavor == LAWVERE:
+            return True
+        k, els = self._unit, self.elements
+        return not self.leq(k, self._bot) and all(
+            self.leq(k, u) or self.leq(k, v)
+            for u in els for v in els if self.leq(k, self._join[u, v])
+        )
 
 
 # -- the totally-below relation ---------------------------------------

@@ -19,7 +19,7 @@ class VCategory:
     structurally, which makes memoization by object identity sound.
     """
 
-    __slots__ = ("quantale", "states", "matrix", "_index", "_hash")
+    __slots__ = ("quantale", "states", "matrix", "_index", "_hash", "_unit_rows")
 
     def __init__(self, quantale, states, matrix):
         self.quantale = quantale
@@ -33,6 +33,7 @@ class VCategory:
         if len(self._index) != len(self.states):
             raise ConsistencyError("duplicate state ids")
         self._hash = hash((self.quantale, self.states, self.matrix))
+        self._unit_rows = None
 
     def __eq__(self, other):
         return (
@@ -59,6 +60,19 @@ class VCategory:
 
     def a(self, x, y):
         return self.matrix[self._index[x]][self._index[y]]
+
+    def unit_rows(self):
+        """Row i is the bitmask of the j with unit <= a(i, j): the states
+        above ``states[i]`` in the underlying order.  Computed on the first
+        call and kept, which is sound since the matrix never changes."""
+        if self._unit_rows is None:
+            q = self.quantale
+            k = q.unit
+            self._unit_rows = tuple(
+                sum(1 << j for j, v in enumerate(row) if q.leq(k, v))
+                for row in self.matrix
+            )
+        return self._unit_rows
 
 
 class VFunctor:
@@ -254,12 +268,12 @@ def symmetrize(x):
 
 def underlying_order(x):
     """Pairs (s, t) with unit below a(s, t); a preorder for valid inputs."""
-    q = x.quantale
+    rows = x.unit_rows()
     return {
         (s, t)
         for i, s in enumerate(x.states)
         for j, t in enumerate(x.states)
-        if q.leq(q.unit, x.matrix[i][j])
+        if rows[i] >> j & 1
     }
 
 
