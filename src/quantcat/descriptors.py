@@ -264,18 +264,14 @@ def _scalar(o):
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        return _float(o)
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
     return _quote(str(o))  # default=str
-
-
-def _float(f):
-    if f != f:
-        return "NaN"
-    if f == math.inf:
-        return "Infinity"
-    if f == -math.inf:
-        return "-Infinity"
-    return float.__repr__(f)
 
 
 def _key(k):

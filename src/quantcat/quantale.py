@@ -381,7 +381,7 @@ class Quantale:
     @cached_property
     def unit_join_prime(self):
         """True when k <= join(S) holds exactly when k <= s for some s in S,
-        for every finite S: k is not below bottom, and k <= u v v implies
+        for every finite S: k is not below bottom, and k <= join(u, v) implies
         k <= u or k <= v.  It holds on every chain of two or more elements.
         On ``lawvere`` k = 0 <= min(u, v) means u = 0 or v = 0."""
         if self.flavor == LAWVERE:

@@ -110,6 +110,22 @@ def test_check_witness_bytes_do_not_depend_on_the_hash_seed(tmp_path):
         "mapping hits unknown target state frozenset({'p', 'q'})"]
 
 
+def test_check_quantale_with_mixed_id_types(tmp_path):
+    """Element ids need not be mutually comparable: the Boolean quantale on
+    the ids 0 and "1" checks like any other."""
+    path = _write(tmp_path, "mixed.json", {
+        "schema": "quantale/1", "elements": [0, "1"], "leq": [[1, 1], [0, 1]],
+        "tensor": [[0, 0], [0, "1"]], "unit": "1"})
+    env = dict(os.environ, PYTHONPATH=str(Path(quantcat.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "quantcat", "check", path],
+                          capture_output=True, env=env, check=False, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["schema"] == "report/1" and rep["ok"] is True
+    assert rep["files"][0]["kind"] == "quantale"
+
+
 def test_check_pentagon_quantale_distributivity(runner, tmp_path):
     els = ["bot", "a", "b", "c", "top"]
     order = {(u, u) for u in els} | {("bot", e) for e in els}

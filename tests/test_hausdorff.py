@@ -412,3 +412,55 @@ def test_closure_laws_property(a, b):
     # intersections of increasing subsets stay increasing
     ub = up_closure(x, b)
     assert up_closure(x, ua & ub) == ua & ub
+
+
+# -- up-closure read off unit rows -----------------------------------------
+
+
+def _folded_up_mask(x, mask):
+    """The oracle: state j is in the up-closure when the unit lies below
+    the join of the column j over the subset."""
+    q = x.quantale
+    n = len(x.states)
+    return sum(1 << j for j in range(n)
+               if q.leq(q.unit, q.join_all(x.matrix[i][j] for i in range(n) if mask >> i & 1)))
+
+
+def test_unit_rows_equal_the_fold_on_random_carriers():
+    rng = random.Random(300)
+    quantales = [Quantale.by_name(name) for name in ("bool", "godel:3", "lukasiewicz:3", "lawvere")]
+    for case in range(300):
+        q = quantales[case % len(quantales)]
+        assert q.unit_join_prime
+        x = rand_category(rng, q, max_size=5)
+        for m in range(1 << len(x.states)):
+            assert _up_mask(x, m) == _folded_up_mask(x, m), (x.matrix, m)
+
+
+def test_up_closure_folds_when_the_unit_is_not_join_prime():
+    """Rows would be wrong in both cases, so the fold must be taken."""
+    # godel:1: the unit is the bottom, the empty join, so every state is
+    # above the empty set
+    one = Quantale.godel(1)
+    assert not one.unit_join_prime
+    x = discrete(one, ["a", "b"])
+    assert up_closure(x, set()) == frozenset({"a", "b"})
+    assert _up_mask(x, 0) == _folded_up_mask(x, 0) == 0b11
+    # the diamond: 1 <= a v b, but 1 is neither below a nor below b
+    fork = _diamond_fork()
+    assert not fork.quantale.unit_join_prime
+    assert fork.unit_rows() == (0b001, 0b010, 0b100)
+    assert up_closure(fork, {"x", "y"}) == frozenset({"x", "y", "z"})
+    for m in range(8):
+        assert _up_mask(fork, m) == _folded_up_mask(fork, m)
+
+
+def test_unit_rows_are_the_underlying_order(q2, c2, line013):
+    for x in (c2, line013, _diamond_fork(), discrete(Quantale.godel(1), ["a", "b"])):
+        rows = x.unit_rows()
+        assert rows is x.unit_rows()
+        q = x.quantale
+        order = {(s, t) for s in x.states for t in x.states if q.leq(q.unit, x.a(s, t))}
+        assert {(s, t) for i, s in enumerate(x.states) for j, t in enumerate(x.states)
+                if rows[i] >> j & 1} == order == underlying_order(x)
+    assert c2.unit_rows() == (0b11, 0b10)

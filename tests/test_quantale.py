@@ -2,7 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import pytest
 from click.testing import CliRunner
@@ -16,9 +16,12 @@ from quantcat import (
     check_assumptions,
     check_quantale_laws,
     totally_below,
+    up_closure,
 )
 from quantcat.cli import main
 from quantcat.descriptors import load_quantale
+from quantcat.suites import rand_category
+from quantcat.vcat import as_vcategory
 
 FINITE_FIXTURES = [
     Quantale.boolean(),
@@ -456,3 +459,120 @@ def test_unhashable_element_is_an_unknown_id(godel3):
         godel3.parse(["1"])
     with pytest.raises(DescriptorError, match="unknown element id"):
         godel3.hom(["1"], "1")
+
+
+# -- the hom table, derived on the first hom call -----------------------
+
+
+def _pentagon():
+    els = ["bot", "a", "b", "c", "top"]
+    order = {("bot", e) for e in els} | {(e, "top") for e in els}
+    order |= {(e, e) for e in els} | {("a", "c")}
+    return Quantale.finite(els, order, {(u, v): _n5_meet(u, v, order)
+                                        for u in els for v in els}, "top")
+
+
+def _broken_godel():
+    q = Quantale.godel(3)
+    table = dict(q._tensor)
+    table[("0", "1")] = table[("1", "0")] = "1"
+    return Quantale.finite(q.elements, q._leq, table, "1")
+
+
+def _mixed_ids():
+    """The Boolean quantale on the ids 0 (a number) and "1" (a string)."""
+    return load_quantale({"schema": "quantale/1", "elements": [0, "1"],
+                          "leq": [[1, 1], [0, 1]], "tensor": [[0, 0], [0, "1"]],
+                          "unit": "1"})
+
+
+HOM_QUANTALES = [Quantale.by_name(name) for name in (
+    "bool", "godel:1", "godel:2", "godel:3", "godel:4", "godel:6",
+    "lukasiewicz:2", "lukasiewicz:3", "lukasiewicz:5")] + [
+    _diamond(), _pentagon(), _broken_godel(), _mixed_ids()]
+
+
+@pytest.mark.parametrize("q", HOM_QUANTALES, ids=repr)
+def test_hom_is_the_join_of_the_adjoint_set(q):
+    for u in q.elements:
+        for v in q.elements:
+            assert q.hom(u, v) == brute_hom(q, u, v), (u, v)
+
+
+def _fresh(q):
+    return Quantale.finite(q.elements, q._leq, q._tensor, q.unit)
+
+
+@pytest.mark.parametrize("q", HOM_QUANTALES, ids=repr)
+def test_derived_homs_leave_the_reports_as_they_were(q):
+    """as_vcategory is the brute-force hom matrix, and the law report reads
+    the same before and after the hom table exists."""
+    fresh = _fresh(q)
+    before = check_quantale_laws(fresh)
+    cat = as_vcategory(fresh)
+    assert cat.matrix == tuple(tuple(brute_hom(q, u, v) for v in q.elements)
+                               for u in q.elements)
+    assert check_quantale_laws(fresh) == before == check_quantale_laws(q)
+    assert fresh == q and hash(fresh) == hash(q)
+
+
+def test_hom_table_is_derived_only_when_asked(monkeypatch):
+    derived = []
+    real = Quantale.__dict__["_hom"].func
+
+    def counting(self):
+        derived.append(self)
+        return real(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Quantale, "_hom")
+    monkeypatch.setattr(Quantale, "_hom", prop)
+    pool = [Quantale.by_name(name) for name in ("bool", "godel:3", "godel:4",
+                                                 "lukasiewicz:3", "lawvere")]
+    for q in pool:
+        check_quantale_laws(q)
+        check_assumptions(q)
+        values = _values(q)
+        q.join_all(values)
+        q.meet_all(values)
+        q.tensor(values[-1], values[-1])
+        assert q.unit_join_prime
+    for name in ("bool", "godel:3", "lukasiewicz:3"):
+        up_closure(rand_category(random.Random(name), Quantale.by_name(name), 4, 4), {"s0"})
+    assert derived == []
+    q = pool[1]
+    assert q.hom("1", "1/2") == "1/2"
+    assert q.hom("1/2", "0") == "0"
+    assert derived == [q]
+    pool[-1].hom(Fraction(1), Fraction(3))
+    assert derived == [q]
+
+
+def test_tensor_order_does_not_change_equality():
+    q = Quantale.godel(4)
+    items = list(q._tensor.items())
+    a = Quantale.finite(q.elements, q._leq, dict(items), q.unit)
+    b = Quantale.finite(q.elements, q._leq, dict(reversed(items)), q.unit)
+    assert list(a._tensor) != list(b._tensor)
+    assert a == b == q and hash(a) == hash(b) == hash(q)
+    assert len({a, b, q}) == 1
+    assert a != Quantale.lukasiewicz(4)
+
+
+def test_mixed_id_types_build_a_quantale():
+    q = _mixed_ids()
+    assert q == _mixed_ids() and hash(q) == hash(_mixed_ids())
+    assert (q.bottom, q.top, q.unit) == (0, "1", "1")
+    assert check_quantale_laws(q).ok and check_assumptions(q).ok
+
+
+@pytest.mark.parametrize("q", FOLD_QUANTALES + [_pentagon(), _mixed_ids()], ids=repr)
+def test_unit_join_prime_matches_its_definition(q):
+    values = _values(q)
+    k = q.unit
+    want = not q.leq(k, q.bottom) and all(
+        q.leq(k, u) or q.leq(k, v) for u in values for v in values if q.leq(k, q.join(u, v)))
+    assert q.unit_join_prime == want
+    # here the unit is the top, which is join-prime exactly on the chains
+    chain = all(q.leq(u, v) or q.leq(v, u) for u in values for v in values)
+    assert q.unit_join_prime == (chain and len(set(values)) > 1)
