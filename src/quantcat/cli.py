@@ -4,12 +4,11 @@ Exit codes: 0 all checks passed, 1 a law or property failed, 2 bad input,
 3 an enumeration cap was exceeded.
 """
 
+import argparse
 import functools
 import json
 import sys
 import time
-
-import click
 
 from . import __version__
 from . import descriptors as ds
@@ -27,7 +26,6 @@ from .errors import CapExceeded, DescriptorError, QuantcatError
 from .hausdorff import cantor_check, hausdorff_distance, hausdorff_object, up_closure
 from .omega import anamorphism, is_omega_hom, verify_chain_commutation
 from .quantale import check_assumptions, check_quantale_laws
-from .suites import run_law_suites
 from .vcat import VFunctor, check_vcategory, symmetrize
 
 EXIT_OK = 0
@@ -78,13 +76,10 @@ def _report(command, body, ok, fmt, timings=None):
     if timings is not None:
         rep["timings"] = timings
     if fmt == "json":
-        click.echo(ds.canonical_json(rep), nl=False)
-    elif fmt == "csv":
-        for row in _flatten(rep):
-            click.echo(",".join(str(v) for v in row))
+        sys.stdout.write(ds.canonical_json(rep))
     else:
-        for row in _flatten(rep):
-            click.echo(": ".join(str(v) for v in row))
+        sep = "," if fmt == "csv" else ": "
+        sys.stdout.write("".join(sep.join(str(v) for v in row) + "\n" for row in _flatten(rep)))
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -109,8 +104,7 @@ def _law_entries(rep):
 
 
 def _fail_input(message):
-    click.echo(ds.canonical_json({"schema": ds.REPORT_SCHEMA, "error": message}),
-               nl=False, err=True)
+    sys.stderr.write(ds.canonical_json({"schema": ds.REPORT_SCHEMA, "error": message}))
 
 
 def _run(fn):
@@ -131,23 +125,57 @@ def _run(fn):
     return wrapper
 
 
-_FMT = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-                    default="json", show_default=True)
-_TIMINGS = click.option("--timings", is_flag=True,
-                        help="Include wall-clock timings (breaks byte determinism).")
+# name -> (body wrapped by _run, argparse options); filled by @_command
+_COMMANDS = {}
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Quantale-enriched categories, Hausdorff liftings, and coalgebras."""
+def _option(*flags, **kwargs):
+    return flags, kwargs
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@_FMT
-@_TIMINGS
-@_run
+_FMT = _option("--format", dest="fmt", choices=("json", "csv", "text"), default="json",
+               help="Report format (default: %(default)s).")
+_TIMINGS = _option("--timings", action="store_true",
+                   help="Include wall-clock timings (breaks byte determinism).")
+
+
+def _command(*options, name=None):
+    """Register a command body, named after the function unless ``name``
+    is given, with the argparse options that fill its keyword arguments."""
+
+    def register(fn):
+        _COMMANDS[name or fn.__name__] = (_run(fn), options)
+        return fn
+
+    return register
+
+
+def _parser():
+    parser = argparse.ArgumentParser(
+        prog="quantcat", add_help=False, allow_abbrev=False,
+        description="Quantale-enriched categories, Hausdorff liftings, and coalgebras.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (body, options) in _COMMANDS.items():
+        doc = " ".join(body.__doc__.split())
+        sub = commands.add_parser(name, help=doc, description=doc,
+                                  add_help=False, allow_abbrev=False)
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(argv=None):
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.  Exits with
+    the command's code, or 2 on a usage error."""
+    args = vars(_parser().parse_args(argv))
+    body, _ = _COMMANDS[args.pop("command")]
+    body(**args)
+
+
+@_command(_option("paths", nargs="+"), _FMT, _TIMINGS)
 def check(paths, fmt, timings):
     """Run the law suites on every object in the given files."""
     t0 = time.monotonic()
@@ -191,12 +219,10 @@ def check(paths, fmt, timings):
     return _report("check", {"files": files}, ok, fmt, tm)
 
 
-@main.command()
-@click.option("--category", "category_path", required=True)
-@click.option("--left", "-a", "left", default="", help="Comma-separated state ids.")
-@click.option("--right", "-b", "right", default="", help="Comma-separated state ids.")
-@_FMT
-@_run
+@_command(_option("--category", dest="category_path", required=True),
+          _option("--left", "-a", default="", help="Comma-separated state ids."),
+          _option("--right", "-b", default="", help="Comma-separated state ids."),
+          _FMT)
 def hausdorff(category_path, left, right, fmt):
     """Lifted distances and up-closures for two subsets."""
     cat = _load_checked_category(category_path)
@@ -230,14 +256,13 @@ def _parse_functor(text, quantale):
     return ds.load_functor(json.loads(text), quantale)
 
 
-@main.command()
-@click.option("--functor", "functor_text", default="H", show_default=True,
-              help='"H" or an inline functor AST as JSON.')
-@click.option("--quantale", "quantale_name", default="bool", show_default=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--cap", type=int, default=4096, show_default=True)
-@_FMT
-@_run
+@_command(_option("--functor", dest="functor_text", default="H",
+                  help='"H" or an inline functor AST as JSON (default: %(default)s).'),
+          _option("--quantale", dest="quantale_name", default="bool",
+                  help="Built-in quantale name (default: %(default)s)."),
+          _option("--depth", type=int, required=True),
+          _option("--cap", type=int, default=4096, help="(default: %(default)s)"),
+          _FMT)
 def chain(functor_text, quantale_name, depth, cap, fmt):
     """Level sizes of the final chain of a polynomial functor."""
     q = ds.load_quantale(quantale_name)
@@ -248,15 +273,14 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
     return _report("chain", body, True, fmt)
 
 
-@main.command()
-@click.option("--coalgebra", "coalgebra_path", required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--symmetric", is_flag=True)
-@click.option("--cap", type=int, default=4096, show_default=True,
-              help="Size bound on the inner objects built to up-close the "
-                   "structure terms; no chain level or F(X) is built.")
-@_FMT
-@_run
+@_command(_option("--coalgebra", dest="coalgebra_path", required=True),
+          _option("--depth", type=int, required=True),
+          _option("--symmetric", action="store_true"),
+          _option("--cap", type=int, default=4096,
+                  help="Size bound on the inner objects built to up-close the "
+                       "structure terms; no chain level or F(X) is built "
+                       "(default: %(default)s)."),
+          _FMT)
 def behave(coalgebra_path, depth, symmetric, cap, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
     c = _load_checked_coalgebra(coalgebra_path)
@@ -271,9 +295,9 @@ def behave(coalgebra_path, depth, symmetric, cap, fmt):
                          "distances": [q.format(d.a(x, y)) for d in tables]})
     body = {"depth": depth, "symmetric": symmetric, "table": rows}
     if fmt == "csv":
-        click.echo("from,to," + ",".join(f"d{k}" for k in range(depth + 1)))
-        for r in rows:
-            click.echo(",".join([r["from"], r["to"]] + r["distances"]))
+        lines = ["from,to," + ",".join(f"d{k}" for k in range(depth + 1))]
+        lines += [",".join([r["from"], r["to"]] + r["distances"]) for r in rows]
+        sys.stdout.write("".join(line + "\n" for line in lines))
         return EXIT_OK
     return _report("behave", body, True, fmt)
 
@@ -290,13 +314,11 @@ def _parse_state_map(text, source, target):
     return VFunctor.from_dict(source, target, mapping)
 
 
-@main.command()
-@click.option("--coalgebra", "coalgebra_path", required=True)
-@click.option("--target", "target_path", required=True)
-@click.option("--left", required=True, help="Comma-separated src=tgt pairs.")
-@click.option("--right", required=True, help="Comma-separated src=tgt pairs.")
-@_FMT
-@_run
+@_command(_option("--coalgebra", dest="coalgebra_path", required=True),
+          _option("--target", dest="target_path", required=True),
+          _option("--left", required=True, help="Comma-separated src=tgt pairs."),
+          _option("--right", required=True, help="Comma-separated src=tgt pairs."),
+          _FMT)
 def equalize(coalgebra_path, target_path, left, right, fmt):
     """Largest sub-coalgebra on which two homomorphisms agree."""
     cx = _load_checked_coalgebra(coalgebra_path)
@@ -316,23 +338,12 @@ def equalize(coalgebra_path, target_path, left, right, fmt):
     return _report("equalize", body, True, fmt)
 
 
-@main.command()
-@click.option("--file", "path", required=True,
-              help="Set-level coalgebra descriptor, optionally with a cone.")
-@_FMT
-@_run
+@_command(_option("--file", dest="path", required=True,
+                  help="Set-level coalgebra descriptor, optionally with a cone."),
+          _FMT)
 def lift(path, fmt):
     """Greatest structure making a set-level coalgebra a real one."""
-    spec = _read_json(path)
-    cone_specs = spec.pop("cone", [])
-    expr, q, states, structure = ds.load_set_coalgebra(spec)
-    cone = []
-    for leg in cone_specs:
-        if set(leg) != {"mapping", "coalgebra"}:
-            raise DescriptorError("cone leg needs mapping and coalgebra fields")
-        target = ds.load_coalgebra(leg["coalgebra"])
-        mapping = [leg["mapping"][s] for s in states]
-        cone.append((mapping, target))
+    expr, q, states, structure, cone = ds.load_lift(_read_json(path))
     out = initial_lift_coalgebra(expr, q, states, structure, cone=cone)
     body = {
         "states": list(states),
@@ -341,13 +352,11 @@ def lift(path, fmt):
     return _report("lift", body, True, fmt)
 
 
-@main.command()
-@click.option("--category", "category_path", required=True)
-@click.option("--phi", "phi_text", default=None,
-              help="JSON map from comma-joined sorted subsets to states.")
-@click.option("--cap", type=int, default=20000, show_default=True)
-@_FMT
-@_run
+@_command(_option("--category", dest="category_path", required=True),
+          _option("--phi", dest="phi_text",
+                  help="JSON map from comma-joined sorted subsets to states."),
+          _option("--cap", type=int, default=20000, help="(default: %(default)s)"),
+          _FMT)
 def cantor(category_path, phi_text, cap, fmt):
     """Witness that maps from the lifted object back are never embeddings."""
     cat = _load_checked_category(category_path)
@@ -390,10 +399,8 @@ def cantor(category_path, phi_text, cap, fmt):
     return _report("cantor", body, "contradiction-witness" not in tallies, fmt)
 
 
-@main.command("omega-verify")
-@click.option("--depth", type=int, default=32, show_default=True)
-@_FMT
-@_run
+@_command(_option("--depth", type=int, default=32, help="(default: %(default)s)"), _FMT,
+          name="omega-verify")
 def omega_verify(depth, fmt):
     """Check the truncation cone against the final chain."""
     rep = verify_chain_commutation(depth)
@@ -401,10 +408,7 @@ def omega_verify(depth, fmt):
                    rep.ok, fmt)
 
 
-@main.command()
-@click.option("--coalgebra", "coalgebra_path", required=True)
-@_FMT
-@_run
+@_command(_option("--coalgebra", dest="coalgebra_path", required=True), _FMT)
 def ana(coalgebra_path, fmt):
     """Behaviour of a Boolean-quantale lifting coalgebra in the extended
     naturals; emits "inf" for infinity."""
@@ -415,14 +419,13 @@ def ana(coalgebra_path, fmt):
     return _report("ana", body, ok, fmt)
 
 
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cases", type=int, default=50, show_default=True)
-@_FMT
-@_TIMINGS
-@_run
+@_command(_option("--seed", type=int, default=0, help="(default: %(default)s)"),
+          _option("--cases", type=int, default=50, help="(default: %(default)s)"),
+          _FMT, _TIMINGS)
 def selfcheck(seed, cases, fmt, timings):
     """Run the seeded law sweeps and report per-suite results."""
+    from .suites import run_law_suites  # only this command needs the suites
+
     t0 = time.monotonic()
     rep = run_law_suites(seed, cases)
     tm = {"seconds": round(time.monotonic() - t0, 3)} if timings else None

@@ -19,11 +19,10 @@ walk the cone once.
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import CapExceeded, ConsistencyError, IterationGuard
-from .quantale import AssumptionReport, LawEntry
+from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
     VFunctor,
@@ -66,9 +65,22 @@ def _misshapen(expr, term):
     return ConsistencyError(f"term {_term_text(term)} does not have the shape of {expr!r}")
 
 
-@dataclass(frozen=True)
+# A functor AST node is a value: equal to a node of exactly its own type
+# with equal children, so Prod(p) != Sum(p).  Each node computes its hash
+# once, since nodes are keys of the eval_obj memo.
+
+
 class Id:
+    __slots__ = ()
     parts = ()
+
+    def __eq__(self, other):
+        if other.__class__ is Id:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
     def __repr__(self):
         return "Id"
@@ -86,10 +98,21 @@ class Id:
         return _leaf(cat, term)
 
 
-@dataclass(frozen=True)
 class Const:
-    category: VCategory
+    __slots__ = ("category", "_hash")
     parts = ()
+
+    def __init__(self, category):
+        self.category = category
+        self._hash = hash((category,))
+
+    def __eq__(self, other):
+        if other.__class__ is Const:
+            return self.category is other.category or self.category == other.category
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Const({len(self.category.states)})"
@@ -109,12 +132,20 @@ class Const:
         return _leaf(self.category, term)
 
 
-@dataclass(frozen=True)
 class Prod:
-    parts: tuple
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
+        self.parts = tuple(parts)
+        self._hash = hash((self.parts,))
+
+    def __eq__(self, other):
+        if other.__class__ is Prod:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Prod{self.parts}"
@@ -146,12 +177,20 @@ class Prod:
         return tuple(p.normalize(cat, u, cap) for p, u in zip(self.parts, term))
 
 
-@dataclass(frozen=True)
 class Sum:
-    parts: tuple
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
+        self.parts = tuple(parts)
+        self._hash = hash((self.parts,))
+
+    def __eq__(self, other):
+        if other.__class__ is Sum:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"Sum{self.parts}"
@@ -184,16 +223,24 @@ class Sum:
         return (term[0], self.parts[term[0]].normalize(cat, term[1], cap))
 
 
-@dataclass(frozen=True)
 class HComp:
-    inner: object
+    __slots__ = ("inner", "parts", "_hash")
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.parts = (inner,)
+        self._hash = hash(self.parts)
+
+    def __eq__(self, other):
+        if other.__class__ is HComp:
+            return self.inner is other.inner or self.inner == other.inner
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"H({self.inner!r})"
-
-    @property
-    def parts(self):
-        return (self.inner,)
 
     def obj(self, x, cap):
         inner = eval_obj(self.inner, x, cap)
@@ -374,14 +421,16 @@ def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
 # -- the final chain ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainLevel:
+class ChainLevel(Record):
     """Level n of the final chain: the object F^n(1) and the connecting
     map from level n+1 down to this one."""
 
-    index: int
-    obj: VCategory
-    connecting: VFunctor
+    __slots__ = ("index", "obj", "connecting")
+
+    def __init__(self, index, obj, connecting):
+        self.index = index
+        self.obj = obj
+        self.connecting = connecting
 
 
 def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):

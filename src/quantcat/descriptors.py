@@ -197,6 +197,36 @@ def load_set_coalgebra(spec):
     return expr, q, tuple(states), structure
 
 
+def load_lift(spec):
+    """A set-level coalgebra descriptor with an optional ``cone``: a list
+    of legs, each a coalgebra descriptor and a ``mapping`` object from
+    every state to a state of that coalgebra.  Returns the tuple of
+    load_set_coalgebra and the cone as (mapping list, Coalgebra) pairs."""
+    legs = []
+    if isinstance(spec, dict) and "cone" in spec:
+        spec = dict(spec)
+        legs = spec.pop("cone")
+    expr, q, states, structure = load_set_coalgebra(spec)
+    if not isinstance(legs, list):
+        raise DescriptorError("cone must be a JSON array")
+    cone = []
+    for leg in legs:
+        _require_fields(leg, ("mapping", "coalgebra"), what="cone leg")
+        target = load_coalgebra(leg["coalgebra"])
+        raw = leg["mapping"]
+        if not isinstance(raw, dict):
+            raise DescriptorError("cone leg mapping must be a JSON object")
+        missing = [s for s in states if s not in raw]
+        if missing:
+            raise DescriptorError(f"cone leg mapping misses states {missing}")
+        mapping = [raw[s] for s in states]
+        stray = [t for t in mapping if t not in target.carrier.states]
+        if stray:
+            raise DescriptorError(f"cone leg maps to states its coalgebra lacks: {stray}")
+        cone.append((mapping, target))
+    return expr, q, states, structure, cone
+
+
 def subset_to_json(subset):
     return sorted(str(s) for s in subset)
 

@@ -6,10 +6,8 @@ frozensets of state ids; the element order of every lifted object is the
 ascending bitmask order, which keeps structural equality deterministic.
 """
 
-from dataclasses import dataclass
-
 from .errors import CapExceeded, ConsistencyError, DescriptorError, IterationGuard
-from .quantale import AssumptionReport, LawEntry
+from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import VCategory, VFunctor, VRelation, as_vcategory, dual, vfunctors_between
 
 DEFAULT_CARRIER_CAP = 12
@@ -121,13 +119,15 @@ def symmetric_hausdorff(x, a_set, b_set):
     )
 
 
-@dataclass(frozen=True)
-class HObject:
+class HObject(Record):
     """The lifted category on increasing subsets, together with its base."""
 
-    base: VCategory
-    elements: tuple
-    category: VCategory
+    __slots__ = ("base", "elements", "category")
+
+    def __init__(self, base, elements, category):
+        self.base = base
+        self.elements = elements
+        self.category = category
 
     def __len__(self):
         return len(self.elements)
@@ -329,8 +329,7 @@ def strict_up(x, s):
     return frozenset(t for t in x.states if strict_less(x, s, t))
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(Record):
     """Why a candidate map from the lifted object back to the base fails
     to be an embedding.
 
@@ -339,10 +338,13 @@ class EmbeddingVerdict:
     seeing it means the input data was inconsistent.
     """
 
-    kind: str
-    subsets: tuple = None
-    point: object = None
-    values: tuple = None
+    __slots__ = ("kind", "subsets", "point", "values")
+
+    def __init__(self, kind, subsets=None, point=None, values=None):
+        self.kind = kind
+        self.subsets = subsets
+        self.point = point
+        self.values = values
 
 
 def cantor_check(x, phi, hx=None, cap=DEFAULT_CARRIER_CAP):

@@ -4,12 +4,11 @@ against finite truncations, the change of base from the Boolean quantale,
 and the finite Priestley decision procedure.
 """
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 from .coalg import HComp, Id, final_chain
 from .errors import ConsistencyError, DescriptorError
-from .quantale import FINITE_TABLE, AssumptionReport, LawEntry, Quantale
+from .quantale import FINITE_TABLE, AssumptionReport, LawEntry, Quantale, Record
 from .vcat import as_vcategory, dual, vfunctors_between
 
 
@@ -66,13 +65,15 @@ SEGMENT = "segment"
 ALL = "all"
 
 
-@dataclass(frozen=True)
-class SymbolicUpset:
+class SymbolicUpset(Record):
     """A member of the closed-increasing family over the extended naturals
     under >=: nothing, an initial segment {0..n-1}, or everything."""
 
-    kind: str
-    size: int = 0
+    __slots__ = ("kind", "size")
+
+    def __init__(self, kind, size=0):
+        self.kind = kind
+        self.size = size
 
     def __repr__(self):
         if self.kind == EMPTY:
@@ -151,7 +152,10 @@ def canonical_chain_coding(obj):
 
 def verify_chain_commutation(depth, cap=8192):
     """Check that the truncation legs form a commuting cone matching the
-    final chain of the Hausdorff lifting over the Boolean quantale."""
+    final chain of the Hausdorff lifting over the Boolean quantale.  A
+    negative depth raises ConsistencyError."""
+    if depth < 0:
+        raise ConsistencyError(f"depth {depth} is negative")
     entries = []
     sample = [ExtNat(i) for i in range(depth + 3)] + [INFINITY]
 

@@ -16,7 +16,6 @@ The internal hom table is derived on the first ``hom`` call, since most
 quantales built are never asked for it.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -39,19 +38,47 @@ INF = _Infinity()
 _ZERO = Fraction(0)  # the Lawvere unit and top, shared since Fraction is immutable
 
 
-@dataclass(frozen=True)
-class LawEntry:
+class Record:
+    """A plain value class: equal to an instance of exactly its own type
+    whose ``__slots__`` hold equal values, hashed and shown by those
+    values.  Subclasses list their fields in ``__slots__`` and set them
+    in ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LawEntry(Record):
     """One checked law: name, verdict, and a violating witness when false."""
 
-    law: str
-    passed: bool
-    witness: tuple = None
-    analytic: bool = False
+    __slots__ = ("law", "passed", "witness", "analytic")
+
+    def __init__(self, law, passed, witness=None, analytic=False):
+        self.law = law
+        self.passed = passed
+        self.witness = witness
+        self.analytic = analytic
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    entries: tuple = field(default_factory=tuple)
+class AssumptionReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=()):
+        self.entries = entries
 
     @property
     def ok(self):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from . import hausdorff as hd
 from .coalg import Const, Id, Prod, Sum, eval_mor, eval_obj
+from .errors import ConsistencyError
 from .quantale import INF, Quantale
 from .vcat import (
     VCategory,
@@ -308,7 +309,10 @@ def run_suite(name, fn, seed, cases):
 
 def run_law_suites(seed, cases=1000):
     """All suites in a fixed order; the returned structure is reproducible
-    byte for byte under a fixed seed."""
+    byte for byte under a fixed seed.  A negative case count raises
+    ConsistencyError."""
+    if cases < 0:
+        raise ConsistencyError(f"case count {cases} is negative")
     results = [run_suite(name, fn, seed, cases) for name, fn in SUITES]
     return {
         "seed": seed,

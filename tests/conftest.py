@@ -1,6 +1,69 @@
+import io
+import sys
+
 import pytest
 
 from quantcat import Quantale, from_order, metric_line
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies what it is sent into ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+class Result:
+    def __init__(self, exit_code, stdout, stderr, output, exception):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = output  # stdout and stderr interleaved as written
+        self.exception = exception
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process with captured output.
+
+    ``invoke(main, args)`` calls ``main(args)`` with ``sys.stdout`` and
+    ``sys.stderr`` replaced, and reads the exit code off ``SystemExit``.
+    ``exception`` is None on exit 0, the ``SystemExit`` on any other exit,
+    and the exception itself when the command raised one, which exits 1.
+    """
+
+    def invoke(self, main, args):
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = out, err
+        exception = None
+        try:
+            main(list(args))
+            code = 0
+        except SystemExit as e:
+            code = e.code
+            if code is None:
+                code = 0
+            elif not isinstance(code, int):
+                out.write(f"{code}\n")
+                code = 1
+            if code != 0:
+                exception = e
+        except Exception as e:
+            code, exception = 1, e
+        finally:
+            sys.stdout, sys.stderr = saved
+        return Result(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+@pytest.fixture()
+def runner():
+    return CliRunner()
 
 
 @pytest.fixture(scope="session")

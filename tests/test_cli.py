@@ -7,15 +7,9 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import quantcat
 from quantcat.cli import main
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
 
 
 def _write(tmp_path, name, payload):
@@ -366,3 +360,111 @@ def test_report_shape_and_version(runner, c2_file):
     rep = json.loads(runner.invoke(main, ["check", c2_file]).output)
     assert list(rep)[:4] == ["schema", "tool", "version", "command"]
     assert rep["schema"] == "report/1"
+
+
+def _swap_with_cone(**changes):
+    leg = {"coalgebra": {"schema": "coalgebra/1", "functor": {"id": {}},
+                         "category": {"schema": "vcategory/1", "quantale": "bool",
+                                      "states": ["p"], "matrix": [["1"]]},
+                         "structure": {"p": "p"}},
+           "mapping": {"a": "p", "b": "p"}}
+    leg.update(changes)
+    return {"schema": "setcoalgebra/1", "functor": {"id": {}}, "quantale": "bool",
+            "states": ["a", "b"], "structure": {"a": "b", "b": "a"}, "cone": [leg]}
+
+
+def test_lift_with_a_cone(runner, tmp_path):
+    path = _write(tmp_path, "cone.json", _swap_with_cone())
+    result = runner.invoke(main, ["lift", "--file", path])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["matrix"] == [["1", "1"], ["1", "1"]]
+
+
+MALFORMED_LIFTS = {
+    "top-level array": ([], "set coalgebra must be a JSON object"),
+    "scalar cone": ({**_swap_with_cone(), "cone": 5}, "cone must be a JSON array"),
+    "array mapping": (_swap_with_cone(mapping=["p", "p"]),
+                      "cone leg mapping must be a JSON object"),
+    "mapping misses a state": (_swap_with_cone(mapping={"a": "p"}),
+                               "cone leg mapping misses states ['b']"),
+    "mapping to an unknown state": (_swap_with_cone(mapping={"a": "p", "b": "q"}),
+                                    "cone leg maps to states its coalgebra lacks: ['q']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LIFTS))
+def test_lift_rejects_a_malformed_cone(runner, tmp_path, name):
+    spec, message = MALFORMED_LIFTS[name]
+    result = runner.invoke(main, ["lift", "--file", _write(tmp_path, "lift.json", spec)])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["selfcheck", "--cases", "-1"], "case count -1 is negative"),
+    (["omega-verify", "--depth", "-1"], "depth -1 is negative"),
+])
+def test_negative_counts_are_bad_input(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+COMMANDS = ["check", "hausdorff", "chain", "behave", "equalize", "lift", "cantor",
+            "omega-verify", "ana", "selfcheck"]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"]]
+                         + [[command, "--help"] for command in COMMANDS])
+def test_help_and_version_exit_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert result.stdout
+
+
+def test_version_names_the_package_version(runner):
+    assert runner.invoke(main, ["--version"]).stdout == f"quantcat, version {quantcat.__version__}\n"
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["nope"],
+    ["-h"],
+    ["chain"],
+    ["behave", "--coalgebra", "c.json"],
+    ["chain", "--depth", "x"],
+    ["chain", "--dep", "3"],
+    ["omega-verify", "--format", "xml"],
+    ["chain", "--depth", "2", "--format", "xml"],
+])
+def test_usage_errors_exit_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: quantcat")
+
+
+def test_console_entry_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["quantcat", "chain", "--depth", "2"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["sizes"] == [1, 2, 3]
+
+
+def test_import_loads_no_click_dataclasses_or_suites():
+    """Start-up pays only for what every command uses: the CLI is stdlib
+    argparse, the value classes are plain, and the law suites are
+    imported by ``selfcheck`` alone."""
+    code = ("import sys, quantcat.cli; "
+            "print([m for m in ('click', 'dataclasses', 'quantcat.suites') if m in sys.modules])")
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(quantcat.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -857,3 +857,30 @@ def test_check_coalgebra_matches_the_functor_value_route(q2, c2, godel3):
     assert ("mapping hits unknown target state frozenset({'w'})",) in witnesses
     assert ("u", "v") in witnesses
     assert sum(r.ok for r in reports) >= 20
+
+
+def test_functor_nodes_are_values(q2):
+    labels = discrete(q2, ["l0", "l1"])
+
+    def tree():
+        return HComp(Prod([Const(discrete(q2, ["l0", "l1"])), Sum([Id(), HComp(Id())])]))
+
+    a, b = tree(), tree()
+    assert a is not b and a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    parts = [Const(labels), Id()]
+    assert Prod(parts) != Sum(parts) and Sum(parts) != Prod(parts)
+    assert HComp(Id()) != Id() and Const(labels) != Const(discrete(q2, ["l0"]))
+    assert Prod(parts) != tuple(parts) and Id() != "Id"
+    assert repr(a) == "H(Prod(Const(2), Sum(Id, H(Id))))"
+
+
+def test_records_compare_by_exact_type_and_fields(q2):
+    entry = LawEntry("reflexive", False, ("a",))
+    assert entry == LawEntry("reflexive", False, ("a",), analytic=False)
+    assert hash(entry) == hash(LawEntry("reflexive", False, ("a",)))
+    assert entry != LawEntry("reflexive", False, ("b",))
+    assert AssumptionReport((entry,)) == AssumptionReport((entry,)) != AssumptionReport()
+    assert repr(entry) == "LawEntry(law='reflexive', passed=False, witness=('a',), analytic=False)"
+    levels = final_chain(HComp(Id()), 2, quantale=q2)
+    assert levels == final_chain(HComp(Id()), 2, quantale=q2)
+    assert [level.index for level in levels] == [0, 1, 2]

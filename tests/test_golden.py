@@ -10,13 +10,14 @@ change:
 """
 
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from conftest import CliRunner
 from quantcat.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -183,15 +184,18 @@ FAILING = {"check_not_in_functor.json", "check_not_morphism.json",
 def _render(name, workdir):
     """The report of one case, run where its input files are written under
     relative names, so that a report naming its paths stays stable."""
-    runner = CliRunner()
-    with runner.isolated_filesystem(temp_dir=workdir):
+    cwd = os.getcwd()
+    os.chdir(tempfile.mkdtemp(dir=workdir))
+    try:
         args = []
         for arg in CASES[name]:
             if arg.startswith("@"):
                 key, arg = arg[1:], f"{arg[1:]}.json"
                 Path(arg).write_text(json.dumps(INPUTS[key]))
             args.append(arg)
-        result = runner.invoke(main, args)
+        result = CliRunner().invoke(main, args)
+    finally:
+        os.chdir(cwd)
     assert result.exit_code == (1 if name in FAILING else 0), result.output
     return result.output.encode()
 

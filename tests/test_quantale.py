@@ -5,7 +5,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from quantcat import (
@@ -390,7 +389,7 @@ BAD_TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TABLES))
-def test_malformed_tables_raise_the_same_errors(name, tmp_path):
+def test_malformed_tables_raise_the_same_errors(name, tmp_path, runner):
     els, leq, tensor, unit, message = BAD_TABLES[name]
     with pytest.raises(DescriptorError, match=re.escape(message) + "$"):
         Quantale.finite(els, leq, tensor, unit)
@@ -403,7 +402,7 @@ def test_malformed_tables_raise_the_same_errors(name, tmp_path):
         "tensor": [[tensor[u, v] for v in els if (u, v) in tensor] for u in els],
         "unit": unit,
     }))
-    result = CliRunner().invoke(main, ["check", str(path)])
+    result = runner.invoke(main, ["check", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
@@ -442,13 +441,13 @@ BAD_DESCRIPTORS = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_DESCRIPTORS))
-def test_malformed_descriptors_are_bad_input(name, tmp_path):
+def test_malformed_descriptors_are_bad_input(name, tmp_path, runner):
     spec, message = BAD_DESCRIPTORS[name]
     with pytest.raises(DescriptorError, match=re.escape(message) + "$"):
         load_quantale(spec)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(spec))
-    result = CliRunner().invoke(main, ["check", str(path)])
+    result = runner.invoke(main, ["check", str(path)])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
