@@ -46,13 +46,8 @@ class CliRunner:
             main(list(args))
             code = 0
         except SystemExit as e:
-            code = e.code
-            if code is None:
-                code = 0
-            elif not isinstance(code, int):
-                out.write(f"{code}\n")
-                code = 1
-            if code != 0:
+            code = e.code or 0
+            if code:
                 exception = e
         except Exception as e:
             code, exception = 1, e
