@@ -32,6 +32,13 @@ def _require_fields(d, required, optional=(), what="descriptor"):
         raise DescriptorError(f"{what} has unknown fields {unknown}")
 
 
+def _require_ids(values, what):
+    """Ids are dictionary keys, so arrays and objects cannot be ids."""
+    bad = next((v for v in values if isinstance(v, (list, dict))), None)
+    if bad is not None:
+        raise DescriptorError(f"{what} {json.dumps(bad)} is not a string, number or null")
+
+
 def load_quantale(spec):
     """A built-in name or an inline quantale descriptor."""
     if isinstance(spec, str):
@@ -50,10 +57,7 @@ def load_quantale(spec):
     if any(not isinstance(row, list) or len(row) > len(els)
            for row in leq_rows + tensor_rows):
         raise DescriptorError("leq/tensor rows must be arrays no longer than the element list")
-    # ids are dictionary keys, so arrays and objects cannot be ids
-    bad = next((e for e in els if isinstance(e, (list, dict))), None)
-    if bad is not None:
-        raise DescriptorError(f"element id {json.dumps(bad)} is not a string, number or null")
+    _require_ids(els, "element id")
     ids = set(els)
     stray = next((cell for row in tensor_rows for cell in row
                   if isinstance(cell, (list, dict)) or cell not in ids), None)
@@ -186,6 +190,11 @@ def load_set_coalgebra(spec):
     q = load_quantale(spec["quantale"])
     expr = load_functor(spec["functor"], q)
     states = spec["states"]
+    if not isinstance(states, list):
+        raise DescriptorError("states must be a JSON array")
+    _require_ids(states, "state")
+    if not isinstance(spec["structure"], dict):
+        raise DescriptorError("structure must be a JSON object")
     if set(spec["structure"]) != set(states):
         raise DescriptorError("structure keys do not match the state list")
     from .vcat import discrete

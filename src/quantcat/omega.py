@@ -220,16 +220,13 @@ def verify_chain_commutation(depth, cap=8192):
 
 # -- finality over the Boolean quantale ------------------------------------
 
-# built once, so that the checks below construct no quantale; two
-# quantales are equal exactly when their keys are
-_BOOLEAN_KEY = Quantale.boolean()._key
 _PLAIN_LIFTING = HComp(Id())
 
 
 def _require_boolean_h_coalgebra(c):
     if c.functor != _PLAIN_LIFTING:
         raise ConsistencyError("anamorphism needs a coalgebra of the plain lifting")
-    if c.carrier.quantale._key != _BOOLEAN_KEY:
+    if c.carrier.quantale != Quantale.boolean():
         raise ConsistencyError("anamorphism is defined over the Boolean quantale")
 
 
@@ -280,7 +277,7 @@ def embed_I(x, quantale):
     0 to bottom and 1 to top; carrier and states are kept."""
     from .vcat import VCategory
 
-    if x.quantale._key != _BOOLEAN_KEY:
+    if x.quantale != Quantale.boolean():
         raise ConsistencyError("embed_I expects a category over the Boolean quantale")
     bot, top = quantale.bottom, quantale.top
     i = {"0": bot, "1": top}

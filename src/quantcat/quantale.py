@@ -14,15 +14,21 @@ and meet tables; the Lawvere folds are min and max.  Neither path assumes
 the quantale laws: ``check_quantale_laws`` still checks them on the tables.
 The internal hom table is derived on the first ``hom`` call, since most
 quantales built are never asked for it.
+
+A ``Quantale`` is immutable once built, so the built-ins (``boolean``,
+``godel(n)``, ``lukasiewicz(n)``, ``lawvere`` and ``by_name``) are shared:
+each is built once and kept in an LRU of BUILTIN_MEMO_SIZE entries.
+Quantales given by caller tables (``finite``, ``chain``) are built afresh.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import CapExceeded, DescriptorError
 
 FINITE_TABLE = "finite-table"
 LAWVERE = "lawvere-extended-rational"
+BUILTIN_MEMO_SIZE = 32
 
 
 class _Infinity:
@@ -100,7 +106,10 @@ class Quantale:
     Finite-table instances are built through :meth:`finite`; the Lawvere
     quantale through :meth:`lawvere`.  All public operations take and return
     element values: ids (strings) for finite tables, ``Fraction`` or ``INF``
-    for the Lawvere flavor.
+    for the Lawvere flavor.  Attributes cannot be set or deleted once
+    ``_key``, the last one ``__init__`` sets, exists; the lazily derived
+    ``_hom`` and ``unit_join_prime`` are filled by ``cached_property``,
+    which writes to the instance ``__dict__`` directly.
     """
 
     def __init__(self, flavor, elements=None, leq_pairs=None, tensor_table=None, unit=None):
@@ -131,12 +140,7 @@ class Quantale:
     @classmethod
     def boolean(cls):
         """The two-element Boolean quantale 2."""
-        return cls.finite(
-            ["0", "1"],
-            [("0", "0"), ("0", "1"), ("1", "1")],
-            {("0", "0"): "0", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"},
-            "1",
-        )
+        return _builtin("bool")
 
     @classmethod
     def chain(cls, n, tensor):
@@ -153,18 +157,18 @@ class Quantale:
     @classmethod
     def godel(cls, n):
         """Gödel chain: tensor is min, unit is the top."""
-        return cls.chain(n, min)
+        return _builtin("godel", n)
 
     @classmethod
     def lukasiewicz(cls, n):
         """Łukasiewicz chain: tensor is max(0, u + v - 1), unit is the top;
         on indices that is max(0, i + j - (n - 1))."""
-        return cls.chain(n, lambda i, j: max(0, i + j - (n - 1)))
+        return _builtin("lukasiewicz", n)
 
     @classmethod
     def lawvere(cls):
         """Extended non-negative rationals ([0, inf], >=, +, 0)."""
-        return cls(LAWVERE)
+        return _builtin("lawvere")
 
     @classmethod
     def by_name(cls, name):
@@ -259,10 +263,18 @@ class Quantale:
     # -- equality / hashing -------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Quantale) and self._key == other._key
+        return self is other or isinstance(other, Quantale) and self._key == other._key
 
     def __hash__(self):
         return hash(self._key)
+
+    def __setattr__(self, name, value):
+        if "_key" in self.__dict__:
+            raise AttributeError(f"Quantale is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Quantale is immutable: cannot delete {name!r}")
 
     def __repr__(self):
         if self.flavor == LAWVERE:
@@ -418,6 +430,24 @@ class Quantale:
             self.leq(k, u) or self.leq(k, v)
             for u in els for v in els if self.leq(k, self._join[u, v])
         )
+
+
+@lru_cache(maxsize=BUILTIN_MEMO_SIZE)
+def _builtin(kind, n=None):
+    """The built-in quantale ``kind`` (on ``n`` elements for the chains),
+    built on the first request and shared while it stays in the LRU."""
+    if kind == "bool":
+        return Quantale.finite(
+            ["0", "1"],
+            [("0", "0"), ("0", "1"), ("1", "1")],
+            {("0", "0"): "0", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"},
+            "1",
+        )
+    if kind == "lawvere":
+        return Quantale(LAWVERE)
+    if kind == "godel":
+        return Quantale.chain(n, min)
+    return Quantale.chain(n, lambda i, j: max(0, i + j - (n - 1)))
 
 
 # -- the totally-below relation ---------------------------------------

@@ -401,6 +401,30 @@ def test_lift_rejects_a_malformed_cone(runner, tmp_path, name):
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
 
 
+def _set_coalgebra(states, structure=None):
+    return {"schema": "setcoalgebra/1", "functor": {"id": {}}, "quantale": "bool",
+            "states": states, "structure": {"b": "b"} if structure is None else structure}
+
+
+MALFORMED_SET_COALGEBRAS = {
+    "scalar states": (_set_coalgebra(5), "states must be a JSON array"),
+    "array state": (_set_coalgebra([["a"], "b"]),
+                    'state ["a"] is not a string, number or null'),
+    "object state": (_set_coalgebra([{"a": 1}, "b"]),
+                     'state {"a": 1} is not a string, number or null'),
+    "array structure": (_set_coalgebra(["b"], [["b"]]), "structure must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SET_COALGEBRAS))
+def test_lift_rejects_malformed_states(runner, tmp_path, name):
+    spec, message = MALFORMED_SET_COALGEBRAS[name]
+    result = runner.invoke(main, ["lift", "--file", _write(tmp_path, "lift.json", spec)])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
 @pytest.mark.parametrize("args, message", [
     (["selfcheck", "--cases", "-1"], "case count -1 is negative"),
     (["omega-verify", "--depth", "-1"], "depth -1 is negative"),
@@ -460,11 +484,22 @@ def test_import_loads_no_click_dataclasses_or_suites():
     """Start-up pays only for what every command uses: the CLI is stdlib
     argparse, the value classes are plain, and the law suites are
     imported by ``selfcheck`` alone."""
-    code = ("import sys, quantcat.cli; "
-            "print([m for m in ('click', 'dataclasses', 'quantcat.suites') if m in sys.modules])")
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": str(Path(quantcat.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = _fresh_python("import sys, quantcat.cli; print([m for m in "
+                         "('click', 'dataclasses', 'quantcat.suites') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_builds_no_quantale():
+    """The built-ins are built on their first use, not at import."""
+    proc = _fresh_python("import quantcat.cli, quantcat.quantale as q; "
+                         "print(q._builtin.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def _fresh_python(code):
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(quantcat.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)

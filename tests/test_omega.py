@@ -11,6 +11,7 @@ from quantcat import (
     ExtNat,
     HComp,
     Id,
+    Quantale,
     anamorphism,
     behavior_map,
     discrete,
@@ -131,6 +132,15 @@ def test_anamorphism_examples(q2):
     dead = _h_coalgebra(q2, {"s": set()})
     assert anamorphism(dead) == {"s": ExtNat(0)}
     assert anamorphism(_h_coalgebra(q2, {})) == {}
+
+
+def test_boolean_checks_compare_quantales_by_value(q2, godel3):
+    """An inline copy of the shared Boolean quantale passes its checks."""
+    inline = Quantale.finite(q2.elements, q2._leq, q2._tensor, q2.unit)
+    assert inline is not q2
+    assert anamorphism(_h_coalgebra(inline, {"a": {"b"}, "b": set()})) == {
+        "a": ExtNat(1), "b": ExtNat(0)}
+    assert embed_I(discrete(inline, ["a"]), godel3).a("a", "a") == godel3.top
 
 
 def test_anamorphism_rejects_other_inputs(q2, godel3):

@@ -2,7 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +17,11 @@ from quantcat import (
     totally_below,
     up_closure,
 )
+from quantcat import quantale
 from quantcat.cli import main
 from quantcat.descriptors import load_quantale
-from quantcat.suites import rand_category
+from quantcat.quantale import LAWVERE
+from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_law_suites
 from quantcat.vcat import as_vcategory
 
 FINITE_FIXTURES = [
@@ -502,6 +504,12 @@ def _fresh(q):
     return Quantale.finite(q.elements, q._leq, q._tensor, q.unit)
 
 
+def _unshared(name):
+    """The built-in ``name`` built anew, not the shared instance."""
+    q = Quantale.by_name(name)
+    return Quantale(LAWVERE) if q.flavor == LAWVERE else _fresh(q)
+
+
 @pytest.mark.parametrize("q", HOM_QUANTALES, ids=repr)
 def test_derived_homs_leave_the_reports_as_they_were(q):
     """as_vcategory is the brute-force hom matrix, and the law report reads
@@ -526,8 +534,9 @@ def test_hom_table_is_derived_only_when_asked(monkeypatch):
     prop = cached_property(counting)
     prop.__set_name__(Quantale, "_hom")
     monkeypatch.setattr(Quantale, "_hom", prop)
-    pool = [Quantale.by_name(name) for name in ("bool", "godel:3", "godel:4",
-                                                 "lukasiewicz:3", "lawvere")]
+    # fresh copies: the shared built-ins may have derived their homs in an earlier test
+    pool = [_unshared(name) for name in ("bool", "godel:3", "godel:4",
+                                          "lukasiewicz:3", "lawvere")]
     for q in pool:
         check_quantale_laws(q)
         check_assumptions(q)
@@ -537,7 +546,7 @@ def test_hom_table_is_derived_only_when_asked(monkeypatch):
         q.tensor(values[-1], values[-1])
         assert q.unit_join_prime
     for name in ("bool", "godel:3", "lukasiewicz:3"):
-        up_closure(rand_category(random.Random(name), Quantale.by_name(name), 4, 4), {"s0"})
+        up_closure(rand_category(random.Random(name), _unshared(name), 4, 4), {"s0"})
     assert derived == []
     q = pool[1]
     assert q.hom("1", "1/2") == "1/2"
@@ -556,6 +565,61 @@ def test_tensor_order_does_not_change_equality():
     assert a == b == q and hash(a) == hash(b) == hash(q)
     assert len({a, b, q}) == 1
     assert a != Quantale.lukasiewicz(4)
+
+
+def test_builtins_are_shared():
+    assert Quantale.by_name("godel:3") is Quantale.godel(3)
+    assert Quantale.by_name("lukasiewicz:3") is Quantale.lukasiewicz(3)
+    assert Quantale.by_name("bool") is Quantale.boolean()
+    assert Quantale.by_name("lawvere") is Quantale.lawvere()
+    assert Quantale.godel(3) is not Quantale.godel(4)
+
+
+@pytest.mark.parametrize("name", ["bool", "godel:3", "lukasiewicz:3", "lawvere"])
+def test_builtins_are_immutable(name):
+    q = Quantale.by_name(name)
+    for attr in ("flavor", "_key", "_hom", "fresh"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(q, attr, None)
+    for attr in ("flavor", "_key"):
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(q, attr)
+    assert q == Quantale.by_name(name)
+
+
+def test_inline_copy_of_a_builtin_is_equal_but_not_shared():
+    q = Quantale.godel(3)
+    els = list(q.elements)
+    spec = {"schema": "quantale/1", "elements": els,
+            "leq": [[int(q.leq(u, v)) for v in els] for u in els],
+            "tensor": [[q.tensor(u, v) for v in els] for u in els],
+            "unit": q.unit}
+    inline = load_quantale(spec)
+    assert inline == q and hash(inline) == hash(q)
+    assert inline is not q
+    assert load_quantale(spec) is not inline
+
+
+def test_law_sweeps_build_each_builtin_once(monkeypatch):
+    """A sweep resolves one built-in per case, and an empty intern builds
+    each drawn built-in once."""
+    built, looked_up = [], []
+    real_init = Quantale.__init__
+    intern = lru_cache(maxsize=quantale.BUILTIN_MEMO_SIZE)(quantale._builtin.__wrapped__)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    def lookup(*key):
+        looked_up.append(key)
+        return intern(*key)
+
+    monkeypatch.setattr(Quantale, "__init__", counting_init)
+    monkeypatch.setattr(quantale, "_builtin", lookup)
+    run_law_suites(3, 50)
+    assert len(looked_up) == len(SUITES) * 50
+    assert len(built) == len(set(looked_up)) <= len(QUANTALE_NAMES)
 
 
 def test_mixed_id_types_build_a_quantale():
