@@ -20,7 +20,6 @@ from quantcat import (
 from quantcat import quantale
 from quantcat.cli import main
 from quantcat.descriptors import load_quantale
-from quantcat.quantale import LAWVERE
 from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_law_suites
 from quantcat.vcat import as_vcategory
 
@@ -507,7 +506,7 @@ def _fresh(q):
 def _unshared(name):
     """The built-in ``name`` built anew, not the shared instance."""
     q = Quantale.by_name(name)
-    return Quantale(LAWVERE) if q.flavor == LAWVERE else _fresh(q)
+    return Quantale(quantale.LAWVERE) if q.flavor == quantale.LAWVERE else _fresh(q)
 
 
 @pytest.mark.parametrize("q", HOM_QUANTALES, ids=repr)
