@@ -98,6 +98,11 @@ INPUTS = {
         "schema": "vcategory/1", "quantale": "godel:3", "states": ["l", "m", "r"],
         "matrix": [["1", "0", "0"], ["1", "1", "1"], ["0", "0", "1"]],
     },
+    # the Lawvere line on the points 0, 1 and 3, with |x - y| distances
+    "line013": {
+        "schema": "vcategory/1", "quantale": "lawvere", "states": ["0", "1", "3"],
+        "matrix": [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]],
+    },
     # a(x, y) is top, but x has no successor while y has one
     "notmorphism": {
         "schema": "coalgebra/1",
@@ -174,6 +179,13 @@ CASES = {
     "check_quantale_shuffled_chain.json": ["check", "@shuffledchain"],
     "check_quantale_pentagon.json": ["check", "@pentagon"],
     "selfcheck_seed7.json": ["selfcheck", "--seed", "7", "--cases", "50"],
+    "hausdorff_bool_chain.json": ["hausdorff", "--category", "@boolchain",
+                                  "--left", "c1", "--right", "c0,c2"],
+    "hausdorff_line013.json": ["hausdorff", "--category", "@line013",
+                               "--left", "0,1", "--right", "3"],
+    "ana_h.json": ["ana", "--coalgebra", "@hcoalg"],
+    "omega_verify_depth13.json": ["omega-verify", "--depth", "13"],
+    "omega_verify_depth13.txt": ["omega-verify", "--depth", "13", "--format", "text"],
 }
 
 # the cases whose report says a law failed
