@@ -374,6 +374,8 @@ def cantor(category_path, phi_text, cap, fmt):
 
     if phi_text is not None:
         raw = json.loads(phi_text)
+        if not isinstance(raw, dict):
+            raise DescriptorError("phi must be a JSON object")
         key = {",".join(sorted(a)): a for a in hx.elements}
         if set(raw) != set(key):
             raise DescriptorError("phi keys do not match the lifted carrier")

@@ -10,23 +10,25 @@ Each node class says what F does there: ``obj`` on V-categories, ``dist``
 on set-level terms, ``map`` on state maps and ``normalize`` into ``obj``.
 F(f) is ``normalize_term(F, f.target, F.map(f, t))`` at each term t.
 Behaviour maps and homomorphism checks apply it to the structure terms,
-and coalgebra checks and distance tables read ``dist`` off them, so none
-builds F(X).  Values of F on objects are memoized process-wide in an LRU
-of OBJ_MEMO_SIZE entries.  Each coalgebra keeps the behaviour approximants
-of its last ``behavior_map`` call, so per-pair ``behavioral_distance`` calls
-walk the cone once.
+so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
+reads ``dist`` off the structure terms: ``lift_descent`` iterates it,
+``distance_table`` returns its iterates from the empty cone, and
+``check_coalgebra`` asks whether one step fixes the carrier.  Values of F
+on objects are memoized process-wide in an LRU of OBJ_MEMO_SIZE entries.
+Each coalgebra keeps the behaviour approximants of its last
+``behavior_map`` call, so per-pair ``behavioral_distance`` calls walk the
+cone once.
 """
 
 import functools
 import math
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 from .errors import CapExceeded, ConsistencyError, IterationGuard
 from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
     VFunctor,
-    indiscrete,
     initial_structure,
     is_vfunctor,
     restrict,
@@ -386,16 +388,18 @@ def _structure_terms(c, depth, cap):
 def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
     """Report whether the structure map lands in F(X) and preserves structure.
 
-    The distance between two elements of F(X) is their set-level
-    F-distance, which up-closure does not change, so F(X) is never built."""
+    The structure map is a V-functor exactly when one initial-lift step
+    from the carrier returns the carrier; the witness is the first pair,
+    in row-major order, that the step lowers.  The step reads set-level
+    F-distances, which up-closure does not change, so F(X) is never built."""
     fault = _structure_fault(c, cap)
     if fault is not None:
         return AssumptionReport((LawEntry("structure-in-functor", False, (fault,)),))
-    x, expr = c.carrier, c.functor
-    q = x.quantale
+    x = c.carrier
+    step = _lift_step(c.functor, x, c.structure)
     w = next(
-        ((s, t) for s in x.states for t in x.states
-         if not q.leq(x.a(s, t), expr.dist(x, c.structure[s], c.structure[t]))),
+        ((s, t) for s, row, old in zip(x.states, step, x.matrix)
+         for t, v, u in zip(x.states, row, old) if v != u),
         None,
     )
     return AssumptionReport((
@@ -491,24 +495,19 @@ def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
     """The chain-level distances of behavior_map pulled back to the carrier:
     d_0 .. d_depth with d_k(s, t) = level_k(beh_k(s), beh_k(t)).
 
-    d_0 is top everywhere and d_{k+1}(s, t) is the F-distance of the
-    structure terms of s and t under d_k, so neither the chain levels nor
-    F(X) are built; ``cap`` bounds only the inner objects that checking
-    the structure terms builds.  Each step reads d_k alone, so once a step
-    returns its input the remaining tables repeat it.
+    These are the first iterates of ``lift_descent`` from the empty cone:
+    d_0 is top and d_{k+1} cuts d_k with the F-distance of the structure
+    terms under d_k, so neither the chain levels nor F(X) are built;
+    ``cap`` bounds only the inner objects that checking the structure
+    terms builds.  The descent stops at the initial lift of the empty cone,
+    the greatest structure the structure map preserves (coalgebras over
+    V-Cat are topological over coalgebras over Set), and the remaining
+    tables repeat it.
     """
-    terms = _structure_terms(c, depth, cap)
-    x, expr = c.carrier, c.functor
-    tables = [indiscrete(x.quantale, x.states)]
-    while len(tables) <= depth:
-        d = tables[-1]
-        nxt = VCategory(x.quantale, x.states,
-                        [[expr.dist(d, s, t) for t in terms] for s in terms])
-        if nxt == d:
-            tables += [d] * (depth + 1 - len(tables))
-        else:
-            tables.append(nxt)
-    return tables
+    _structure_terms(c, depth, cap)
+    x = c.carrier
+    tables = list(islice(lift_descent(c.functor, x.quantale, x.states, c.structure), depth + 1))
+    return tables + tables[-1:] * (depth + 1 - len(tables))
 
 
 # -- equalizers ------------------------------------------------------------
@@ -578,6 +577,18 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
     return Coalgebra(expr, carrier, terms)
 
 
+def _lift_step(expr, current, structure):
+    """One step of the initial-lift descent, as a matrix in carrier order:
+    meet(current(s, t), F_current(c s, c t)), where F_current is the
+    set-level F-distance under ``current`` and c the structure map."""
+    q, states = current.quantale, current.states
+    return tuple(
+        tuple(q.meet(current.a(s, t), expr.dist(current, structure[s], structure[t]))
+              for t in states)
+        for s in states
+    )
+
+
 def lift_descent(expr, quantale, states, structure, cone=()):
     """The descending structure iterates of the initial lift, ending with
     the fixpoint; every iterate is itself a valid structure."""
@@ -587,12 +598,8 @@ def lift_descent(expr, quantale, states, structure, cone=()):
     )
     yield current
     while True:
-        nxt = VCategory(quantale, states, [
-            [quantale.meet(current.a(s, t), expr.dist(current, structure[s], structure[t]))
-             for t in states]
-            for s in states
-        ])
-        if nxt == current:
+        step = _lift_step(expr, current, structure)
+        if step == current.matrix:
             return
-        yield nxt
-        current = nxt
+        current = VCategory(quantale, states, step)
+        yield current

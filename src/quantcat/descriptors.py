@@ -39,6 +39,16 @@ def _require_ids(values, what):
         raise DescriptorError(f"{what} {json.dumps(bad)} is not a string, number or null")
 
 
+def _structure(spec, states, what):
+    """The ``structure`` object of a coalgebra descriptor, keyed by ``states``."""
+    raw = spec["structure"]
+    if not isinstance(raw, dict):
+        raise DescriptorError("structure must be a JSON object")
+    if set(raw) != set(states):
+        raise DescriptorError(f"structure keys do not match the {what}")
+    return raw
+
+
 def load_quantale(spec):
     """A built-in name or an inline quantale descriptor."""
     if isinstance(spec, str):
@@ -86,6 +96,9 @@ def load_vcategory(spec):
     q = load_quantale(spec["quantale"])
     states = spec["states"]
     rows = spec["matrix"]
+    if not (isinstance(states, list) and isinstance(rows, list)
+            and all(isinstance(r, list) for r in rows)):
+        raise DescriptorError("states and matrix must be JSON arrays, and each matrix row an array")
     if len(rows) != len(states) or any(len(r) != len(states) for r in rows):
         raise DescriptorError("matrix shape does not match the state list")
     return VCategory(q, states, [[q.parse(v) for v in row] for row in rows])
@@ -170,14 +183,9 @@ def load_coalgebra(spec, cap=4096):
         raise DescriptorError(f"unsupported coalgebra schema {spec['schema']!r}")
     carrier = load_vcategory(spec["category"])
     expr = load_functor(spec["functor"], carrier.quantale)
-    structure = {}
-    raw = spec["structure"]
-    if set(raw) != set(carrier.states):
-        raise DescriptorError("structure keys do not match the carrier states")
-    for s, t in raw.items():
-        structure[s] = normalize_term(
-            expr, carrier, load_term(expr, t, carrier), cap
-        )
+    raw = _structure(spec, carrier.states, "carrier states")
+    structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier), cap)
+                 for s, t in raw.items()}
     return Coalgebra(expr, carrier, structure)
 
 
@@ -193,16 +201,11 @@ def load_set_coalgebra(spec):
     if not isinstance(states, list):
         raise DescriptorError("states must be a JSON array")
     _require_ids(states, "state")
-    if not isinstance(spec["structure"], dict):
-        raise DescriptorError("structure must be a JSON object")
-    if set(spec["structure"]) != set(states):
-        raise DescriptorError("structure keys do not match the state list")
+    raw = _structure(spec, states, "state list")
     from .vcat import discrete
 
     fake = discrete(q, states)
-    structure = {
-        s: load_term(expr, spec["structure"][s], fake) for s in states
-    }
+    structure = {s: load_term(expr, raw[s], fake) for s in states}
     return expr, q, tuple(states), structure
 
 

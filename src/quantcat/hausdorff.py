@@ -1,5 +1,5 @@
-"""Up/down closures, the Hausdorff functor and monad, powerset liftings,
-and the no-embedding obstruction.
+"""Up-closures, increasing subsets, the Hausdorff functor and monad, the
+lax powerset extension, and the no-embedding obstruction.
 
 Subsets of a carrier are handled as bitmasks internally and exposed as
 frozensets of state ids; the element order of every lifted object is the
@@ -8,7 +8,7 @@ ascending bitmask order, which keeps structural equality deterministic.
 
 from .errors import CapExceeded, ConsistencyError, DescriptorError, IterationGuard
 from .quantale import AssumptionReport, LawEntry, Record
-from .vcat import VCategory, VFunctor, VRelation, as_vcategory, dual, vfunctors_between
+from .vcat import VCategory, VFunctor, VRelation
 
 DEFAULT_CARRIER_CAP = 12
 DEFAULT_COUNT_CAP = 4096
@@ -47,11 +47,6 @@ def _up_mask(x, mask):
 def up_closure(x, subset):
     """Points whose distance-join from the subset lies above the unit."""
     return _ids(x, _up_mask(x, _mask(x, subset)))
-
-
-def down_closure(x, subset):
-    """Up-closure taken in the dual category."""
-    return up_closure(dual(x), subset)
 
 
 def _guard_carrier(x, cap):
@@ -112,13 +107,6 @@ def hausdorff_distance(x, a_set, b_set):
     )
 
 
-def symmetric_hausdorff(x, a_set, b_set):
-    """Meet of the two one-sided values; the symmetric distance over Lawvere."""
-    return x.quantale.meet(
-        hausdorff_distance(x, a_set, b_set), hausdorff_distance(x, b_set, a_set)
-    )
-
-
 class HObject(Record):
     """The lifted category on increasing subsets, together with its base."""
 
@@ -175,38 +163,6 @@ def monad_mult(x, hx=None, hhx=None, cap=DEFAULT_CARRIER_CAP):
             raise ConsistencyError("union of an increasing family was not increasing")
         mapping.append(u)
     return VFunctor(hhx.category, hx.category, mapping)
-
-
-def powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
-    """The lifted structure on the full powerset, in ascending mask order."""
-    _guard_carrier(x, cap)
-    subsets = [_ids(x, m) for m in range(1 << len(x.states))]
-    mat = [[hausdorff_distance(x, a, b) for b in subsets] for a in subsets]
-    return VCategory(x.quantale, subsets, mat)
-
-
-def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP, map_cap=20000):
-    """Powerset structure computed as the initial lift of the meet-composite
-    cone over all V-functors into the quantale: the oracle route.
-
-    Pa(A, B) = meet over psi of hom(meet psi(A), meet psi(B)).
-    """
-    q = x.quantale
-    _guard_carrier(x, cap)
-    psis = vfunctors_between(x, as_vcategory(q), cap=map_cap)
-    subsets = [_ids(x, m) for m in range(1 << len(x.states))]
-    meets = [
-        [q.meet_all(psi(s) for s in a) for a in subsets]
-        for psi in psis
-    ]
-    mat = [
-        [
-            q.meet_all(q.hom(meets[p][ia], meets[p][ib]) for p in range(len(psis)))
-            for ib in range(len(subsets))
-        ]
-        for ia in range(len(subsets))
-    ]
-    return VCategory(q, subsets, mat)
 
 
 # -- lax extension of the powerset functor ------------------------------

@@ -92,14 +92,6 @@ def code(upset):
     return ExtNat(upset.size)
 
 
-def decode(e):
-    if e == ExtNat(0):
-        return SymbolicUpset(EMPTY)
-    if e.is_infinite:
-        return SymbolicUpset(ALL)
-    return SymbolicUpset(SEGMENT, e.n)
-
-
 def omega_structure_set(x):
     """The terminal-coalgebra structure map, valued in the symbolic family:
     0 goes to the empty set, infinity to everything, and n to the up-set

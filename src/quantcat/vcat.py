@@ -368,21 +368,6 @@ def initial_structure(quantale, states, legs):
     return VCategory(quantale, states, mat)
 
 
-def is_initial_cone(legs, source=None):
-    """True iff the common source structure equals the pointwise meet formula."""
-    if not legs:
-        if source is None:
-            raise ConsistencyError("empty cone needs an explicit source")
-        return source == indiscrete(source.quantale, source.states)
-    source = legs[0].source
-    if any(f.source != source for f in legs):
-        raise ConsistencyError("cone legs have different sources")
-    lifted = initial_structure(
-        source.quantale, source.states, [(f.mapping, f.target) for f in legs]
-    )
-    return lifted == source
-
-
 def fibre_join(structures, guard=None):
     """Least V-category structure pointwise-above all the given ones.
 

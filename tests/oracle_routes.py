@@ -1,0 +1,84 @@
+"""Independent routes that the tests compare with the library.
+
+Each one computes a construction the library also computes, by a different
+and more direct method: the lifted structure on the full powerset, read off
+the Hausdorff formula and as the initial lift of the cone of all V-functors
+into the quantale; down-closures in the dual; the symmetric Hausdorff
+value; and initiality of a cone read off the pointwise-meet formula.
+"""
+
+from quantcat.errors import ConsistencyError
+from quantcat.hausdorff import (
+    DEFAULT_CARRIER_CAP,
+    _guard_carrier,
+    _ids,
+    hausdorff_distance,
+    up_closure,
+)
+from quantcat.vcat import (
+    VCategory,
+    as_vcategory,
+    dual,
+    indiscrete,
+    initial_structure,
+    vfunctors_between,
+)
+
+
+def down_closure(x, subset):
+    """Up-closure taken in the dual category."""
+    return up_closure(dual(x), subset)
+
+
+def symmetric_hausdorff(x, a_set, b_set):
+    """Meet of the two one-sided values; the symmetric distance over Lawvere."""
+    return x.quantale.meet(
+        hausdorff_distance(x, a_set, b_set), hausdorff_distance(x, b_set, a_set)
+    )
+
+
+def powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
+    """The lifted structure on the full powerset, in ascending mask order."""
+    _guard_carrier(x, cap)
+    subsets = [_ids(x, m) for m in range(1 << len(x.states))]
+    mat = [[hausdorff_distance(x, a, b) for b in subsets] for a in subsets]
+    return VCategory(x.quantale, subsets, mat)
+
+
+def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP, map_cap=20000):
+    """Powerset structure computed as the initial lift of the meet-composite
+    cone over all V-functors into the quantale: the oracle route.
+
+    Pa(A, B) = meet over psi of hom(meet psi(A), meet psi(B)).
+    """
+    q = x.quantale
+    _guard_carrier(x, cap)
+    psis = vfunctors_between(x, as_vcategory(q), cap=map_cap)
+    subsets = [_ids(x, m) for m in range(1 << len(x.states))]
+    meets = [
+        [q.meet_all(psi(s) for s in a) for a in subsets]
+        for psi in psis
+    ]
+    mat = [
+        [
+            q.meet_all(q.hom(meets[p][ia], meets[p][ib]) for p in range(len(psis)))
+            for ib in range(len(subsets))
+        ]
+        for ia in range(len(subsets))
+    ]
+    return VCategory(q, subsets, mat)
+
+
+def is_initial_cone(legs, source=None):
+    """True iff the common source structure equals the pointwise meet formula."""
+    if not legs:
+        if source is None:
+            raise ConsistencyError("empty cone needs an explicit source")
+        return source == indiscrete(source.quantale, source.states)
+    source = legs[0].source
+    if any(f.source != source for f in legs):
+        raise ConsistencyError("cone legs have different sources")
+    lifted = initial_structure(
+        source.quantale, source.states, [(f.mapping, f.target) for f in legs]
+    )
+    return lifted == source

@@ -33,7 +33,6 @@ from quantcat import (
     eval_obj,
     final_chain,
     from_order,
-    generic_powerset_lift,
     hausdorff_object,
     initial_lift_coalgebra,
     is_coalg_hom,
@@ -41,13 +40,13 @@ from quantcat import (
     is_vcategory,
     metric_line,
     omega_structure,
-    powerset_lift,
     restrict,
     verify_chain_commutation,
 )
 from quantcat.descriptors import canonical_json
 from quantcat.omega import canonical_chain_coding
 from quantcat.suites import run_law_suites
+from oracle_routes import generic_powerset_lift, powerset_lift
 
 SEED = 20250808
 _Q2 = Quantale.boolean()
@@ -87,9 +86,12 @@ def test_criterion_1_powerset_lift_oracle():
     family = all_structures(_Q2) + all_structures(_G3)
     assert len(family) >= 200, len(family)
     for x in family:
-        if generic_powerset_lift(x) != powerset_lift(x):
+        direct = powerset_lift(x)
+        hx = hausdorff_object(x)
+        if generic_powerset_lift(x) != direct or restrict(direct, hx.elements) != hx.category:
             failures.append(x.matrix)
-    _finish(1, f"generic lift equals direct lift on {len(family)} structures",
+    _finish(1, f"generic lift equals direct lift, and both restrict to the lifted object, "
+               f"on {len(family)} structures",
             failures, time.monotonic() - t0, 60)
 
 

@@ -778,6 +778,18 @@ def test_distance_table_is_the_chain_level_distance():
             assert symmetrize(d) == _pulled_back(beh, True), c
 
 
+def test_stable_distance_table_is_the_initial_lift_of_the_empty_cone():
+    """Coalgebras over V-Cat are topological over coalgebras over Set: the
+    table at which the descent stops is the greatest structure on the
+    carrier that the set-level structure map preserves."""
+    for c in _seeded_coalgebras(200, 21):
+        x = c.carrier
+        tables = distance_table(c, 64)
+        assert tables[-2] == tables[-1], c
+        lifted = initial_lift_coalgebra(c.functor, x.quantale, x.states, c.structure)
+        assert tables[-1] == lifted.carrier, c
+
+
 def test_distance_table_worked_lawvere_example(lawvere):
     labels = metric_line([0, Fraction(1, 4), 1])
     expr = Prod([Const(labels), HComp(Id())])

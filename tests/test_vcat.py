@@ -22,7 +22,6 @@ from quantcat import (
     indiscrete,
     initial_structure,
     internal_hom,
-    is_initial_cone,
     is_separated,
     is_vcategory,
     is_vfunctor,
@@ -35,6 +34,7 @@ from quantcat import (
     underlying_order,
     vfunctors_between,
 )
+from oracle_routes import is_initial_cone
 
 
 def all_structures(q, states):
