@@ -437,33 +437,32 @@ def _bool_category(states, matrix):
     return {"schema": "vcategory/1", "quantale": "bool", "states": states, "matrix": matrix}
 
 
-_NOT_ARRAYS = "states and matrix must be JSON arrays, and each matrix row an array"
 MALFORMED_CATEGORIES = {
-    "scalar states": (_bool_category(5, [["1"]]), _NOT_ARRAYS),
-    "string states": (_bool_category("ab", [["1", "0"], ["0", "1"]]), _NOT_ARRAYS),
-    "scalar matrix": (_bool_category(["a"], 5), _NOT_ARRAYS),
-    "scalar row": (_bool_category(["a", "b"], [["1", "0"], 5]), _NOT_ARRAYS),
+    "scalar states": _bool_category(5, [["1"]]),
+    "string states": _bool_category("ab", [["1", "0"], ["0", "1"]]),
+    "scalar matrix": _bool_category(["a"], 5),
+    "scalar row": _bool_category(["a", "b"], [["1", "0"], 5]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_CATEGORIES))
 def test_check_rejects_a_malformed_category(runner, tmp_path, name):
-    spec, message = MALFORMED_CATEGORIES[name]
-    result = runner.invoke(main, ["check", _write(tmp_path, "cat.json", spec)])
+    path = _write(tmp_path, "cat.json", MALFORMED_CATEGORIES[name])
+    result = runner.invoke(main, ["check", path])
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
-    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+    assert json.loads(result.stderr) == {
+        "schema": "report/1",
+        "error": "states and matrix must be JSON arrays, and each matrix row an array"}
 
 
 @pytest.mark.parametrize("structure", [5, ["a"]], ids=["scalar", "array"])
-@pytest.mark.parametrize("command", ["check", "behave"])
+@pytest.mark.parametrize("command", [["check"], ["behave", "--depth", "1", "--coalgebra"]],
+                         ids=["check", "behave"])
 def test_coalgebra_structure_must_be_an_object(runner, tmp_path, command, structure):
     spec = {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
             "category": _bool_category(["a"], [["1"]]), "structure": structure}
-    path = _write(tmp_path, "coalg.json", spec)
-    args = ["check", path] if command == "check" else ["behave", "--coalgebra", path,
-                                                       "--depth", "1"]
-    result = runner.invoke(main, args)
+    result = runner.invoke(main, command + [_write(tmp_path, "coalg.json", spec)])
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1",

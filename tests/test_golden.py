@@ -1,6 +1,7 @@
 """Byte-for-byte golden reports of the commands that check quantales and
-coalgebras, read behaviour maps, chain levels, equalizers, initial lifts
-and Cantor sweeps, and run the seeded law sweeps.
+coalgebras, read distance tables, lifted distances, chain levels,
+equalizers, initial lifts, Cantor sweeps and anamorphisms, verify the
+truncation cone, and run the seeded law sweeps.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
