@@ -1,7 +1,8 @@
 """Byte-for-byte golden reports of the commands that check quantales and
-coalgebras, read distance tables, lifted distances, chain levels,
-equalizers, initial lifts, Cantor sweeps and anamorphisms, verify the
-truncation cone, and run the seeded law sweeps.
+coalgebras, read distance tables, lifted distances, chain levels (among
+them a two-point labelled chain), equalizers, initial lifts, Cantor sweeps
+and anamorphisms, verify the truncation cone, and run the seeded law
+sweeps.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
@@ -145,10 +146,12 @@ INPUTS["pentagon"] = _quantale(
 INPUTS["lukasiewicz4"] = "lukasiewicz:4"
 INPUTS["godel5"] = "godel:5"
 
-# with a two-point constant the fourth level passes the default cap
 _POINT = {"const": _discrete("bool", "1", "0", ["l0"])}
 _PROD_H = json.dumps({"prod": [_POINT, {"H": {"id": {}}}]})
 _SUM_H = json.dumps({"sum": [_POINT, {"H": {"id": {}}}]})
+# two discrete labels: levels of 1, 4 and 18 states
+_PROD2_H = json.dumps({"prod": [{"const": _discrete("bool", "1", "0", ["a", "b"])},
+                                {"H": {"id": {}}}]})
 
 # golden file name -> CLI arguments; "@name" is the file holding INPUTS[name]
 CASES = {
@@ -157,6 +160,7 @@ CASES = {
     "check_not_morphism.json": ["check", "@notmorphism"],
     "chain_prod_h_depth3.json": ["chain", "--functor", _PROD_H, "--depth", "3"],
     "chain_sum_h_depth3.json": ["chain", "--functor", _SUM_H, "--depth", "3"],
+    "chain_prod2_h_depth2.json": ["chain", "--functor", _PROD2_H, "--depth", "2"],
     "behave_h.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3"],
     "behave_h.csv": ["behave", "--coalgebra", "@hcoalg", "--depth", "3", "--format", "csv"],
     "behave_h_symmetric.json": ["behave", "--coalgebra", "@hcoalg", "--depth", "3",
