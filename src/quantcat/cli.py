@@ -103,6 +103,11 @@ def _law_entries(rep):
     ]
 
 
+def _check_cap(cap):
+    if cap < 0:
+        raise DescriptorError(f"--cap {cap} is negative")
+
+
 def _fail_input(message):
     sys.stderr.write(ds.canonical_json({"schema": ds.REPORT_SCHEMA, "error": message}))
 
@@ -265,6 +270,7 @@ def _parse_functor(text, quantale):
           _FMT)
 def chain(functor_text, quantale_name, depth, cap, fmt):
     """Level sizes of the final chain of a polynomial functor."""
+    _check_cap(cap)
     q = ds.load_quantale(quantale_name)
     expr = _parse_functor(functor_text, q)
     levels = final_chain(expr, depth, quantale=q, cap=cap)
@@ -283,6 +289,7 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
           _FMT)
 def behave(coalgebra_path, depth, symmetric, cap, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
+    _check_cap(cap)
     c = _load_checked_coalgebra(coalgebra_path)
     q = c.carrier.quantale
     tables = distance_table(c, depth, cap=cap)
@@ -359,6 +366,7 @@ def lift(path, fmt):
           _FMT)
 def cantor(category_path, phi_text, cap, fmt):
     """Witness that maps from the lifted object back are never embeddings."""
+    _check_cap(cap)
     cat = _load_checked_category(category_path)
     hx = hausdorff_object(cat)
 
@@ -379,6 +387,9 @@ def cantor(category_path, phi_text, cap, fmt):
         key = {",".join(sorted(a)): a for a in hx.elements}
         if set(raw) != set(key):
             raise DescriptorError("phi keys do not match the lifted carrier")
+        bad = next((v for v in raw.values() if isinstance(v, (list, dict))), None)
+        if bad is not None:
+            raise DescriptorError(f"phi value {json.dumps(bad)} is not a state id")
         phi = {key[k]: v for k, v in raw.items()}
         v = cantor_check(cat, phi, hx=hx)
         return _report("cantor", {"verdicts": [verdict_json(v)]},

@@ -427,7 +427,8 @@ def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
 
 class ChainLevel(Record):
     """Level n of the final chain: the object F^n(1) and the connecting
-    map from level n+1 down to this one."""
+    map p_n: F^n(1) -> F^(n-1)(1) from this level down to the one below;
+    level 0 has ``connecting`` None."""
 
     __slots__ = ("index", "obj", "connecting")
 
@@ -438,18 +439,28 @@ class ChainLevel(Record):
 
 
 def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
-    """Levels 0..depth of the chain 1 <- F(1) <- F(F(1)) <- ..."""
+    """Levels 0..depth of the chain 1 <- F(1) <- F(F(1)) <- ...
+
+    Level n holds F^n(1) and p_n: F^n(1) -> F^(n-1)(1), with p_1 the map to
+    the point and p_(n+1) = F(p_n).  Nothing above F^depth(1) is built, so
+    ``cap`` bounds exactly the returned levels.  A negative depth raises
+    ValueError."""
+    if depth < 0:
+        raise ValueError(f"depth {depth} is negative")
     q = functor_quantale(expr) or quantale
     if q is None:
         raise ConsistencyError("functor fixes no quantale; pass one explicitly")
     one = terminal(q)
-    objs = [one]
-    for _ in range(depth + 1):
-        objs.append(eval_obj(expr, objs[-1], cap))
-    maps = [VFunctor(objs[1], one, ["*"] * len(objs[1].states))]
+    levels = [ChainLevel(0, one, None)]
     for n in range(1, depth + 1):
-        maps.append(eval_mor(expr, maps[-1], cap))
-    return [ChainLevel(n, objs[n], maps[n]) for n in range(depth + 1)]
+        below = levels[-1]
+        obj = eval_obj(expr, below.obj, cap)
+        if below.connecting is None:
+            p = VFunctor(obj, one, ["*"] * len(obj.states))
+        else:
+            p = eval_mor(expr, below.connecting, cap)
+        levels.append(ChainLevel(n, obj, p))
+    return levels
 
 
 def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):

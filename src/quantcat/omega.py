@@ -180,31 +180,22 @@ def verify_chain_commutation(depth, cap=8192):
     q2 = Quantale.boolean()
     chain = final_chain(HComp(Id()), depth, quantale=q2, cap=cap)
     w = None
+    below = None  # the coding of the level under this one
     for level in chain:
-        states = level.obj.states
-        if len(states) != level.index + 1:
-            w = (level.index, "size", len(states))
-            break
-        coding = canonical_chain_coding(level.obj)
-        for s in states:
-            for t in states:
-                expect = "1" if coding[s] >= coding[t] else "0"
-                if level.obj.a(s, t) != expect:
-                    w = (level.index, "structure", coding[s], coding[t])
-                    break
-            if w:
-                break
+        n, obj = level.index, level.obj
+        coding = canonical_chain_coding(obj)
+        if below is not None:
+            w = next(((n - 1, "connecting", coding[s]) for s in obj.states
+                      if below[level.connecting(s)] != min(coding[s], n - 1)), None)
+        if w is None and len(obj.states) != n + 1:
+            w = (n, "size", len(obj.states))
+        if w is None:
+            w = next(((n, "structure", coding[s], coding[t])
+                      for s in obj.states for t in obj.states
+                      if obj.a(s, t) != ("1" if coding[s] >= coding[t] else "0")), None)
         if w:
             break
-        if level.index + 1 <= depth:
-            above = chain[level.index + 1].obj
-            up_coding = canonical_chain_coding(above)
-            for s in above.states:
-                if coding[level.connecting(s)] != min(up_coding[s], level.index):
-                    w = (level.index, "connecting", up_coding[s])
-                    break
-        if w:
-            break
+        below = coding
     entries.append(LawEntry("legs-match-chain-levels", w is None, w))
 
     return AssumptionReport(tuple(entries))

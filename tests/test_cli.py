@@ -168,6 +168,23 @@ def test_chain_cap_exit_code(runner):
     assert result.exit_code == 3
 
 
+_TWO_LABELS_H = json.dumps({"prod": [
+    {"const": {"schema": "vcategory/1", "quantale": "bool", "states": ["a", "b"],
+               "matrix": [["1", "0"], ["0", "1"]]}},
+    {"H": {"id": {}}}]})
+
+
+@pytest.mark.parametrize("functor, depth, cap, sizes", [
+    ("H", 3, 4, [1, 2, 3, 4]),
+    (_TWO_LABELS_H, 2, 18, [1, 4, 18]),
+], ids=["H", "two-labels"])
+def test_chain_cap_bounds_the_reported_levels(runner, functor, depth, cap, sizes):
+    result = runner.invoke(main, ["chain", "--functor", functor, "--depth", str(depth),
+                                  "--cap", str(cap)])
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(result.output)["sizes"] == sizes
+
+
 def test_hausdorff_command(runner, line_file):
     result = runner.invoke(main, ["hausdorff", "--category", line_file,
                                   "--left", "0,1", "--right", "3"])
@@ -330,6 +347,17 @@ def test_cantor_rejects_a_phi_that_is_not_an_object(runner, c2_file):
                                          "error": "phi must be a JSON object"}
 
 
+@pytest.mark.parametrize("value, text", [(["u"], '["u"]'), ({"a": 1}, '{"a": 1}')],
+                         ids=["array", "object"])
+def test_cantor_rejects_a_phi_value_that_is_not_a_state_id(runner, c2_file, value, text):
+    phi = json.dumps({"": value, "v": "v", "u,v": "u"})
+    result = runner.invoke(main, ["cantor", "--category", c2_file, "--phi", phi])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1",
+                                         "error": f"phi value {text} is not a state id"}
+
+
 def test_cantor_cap(runner, c2_file):
     result = runner.invoke(main, ["cantor", "--category", c2_file, "--cap", "2"])
     assert result.exit_code == 3
@@ -478,6 +506,17 @@ def test_negative_counts_are_bad_input(runner, args, message):
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+@pytest.mark.parametrize("command", ["chain", "behave", "cantor"])
+def test_a_negative_cap_is_bad_input(runner, c2_file, hcoalg_file, command):
+    args = {"chain": ["--depth", "0"],
+            "behave": ["--coalgebra", hcoalg_file, "--depth", "1"],
+            "cantor": ["--category", c2_file]}[command]
+    result = runner.invoke(main, [command, *args, "--cap", "-1"])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": "--cap -1 is negative"}
 
 
 COMMANDS = ["check", "hausdorff", "chain", "behave", "equalize", "lift", "cantor",

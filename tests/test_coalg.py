@@ -125,14 +125,43 @@ def test_final_chain_constant_stabilizes(q2, c2):
     assert len(chain[0].obj.states) == 1
     for level in chain[1:]:
         assert level.obj == c2
-    assert chain[2].connecting == VFunctor(c2, c2, c2.states)
+    assert chain[1].connecting == VFunctor(c2, chain[0].obj, ["*"] * len(c2.states))
+    for level in chain[2:]:
+        assert level.connecting == VFunctor(c2, c2, c2.states)
 
 
 def test_final_chain_sizes_over_boolean(q2, hid):
-    chain = final_chain(hid, 6, quantale=q2)
-    assert [len(l.obj.states) for l in chain] == [1, 2, 3, 4, 5, 6, 7]
-    for level in chain:
+    chain = final_chain(hid, 7, quantale=q2)
+    assert [len(l.obj.states) for l in chain] == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert chain[0].connecting is None
+    for below, level in zip(chain, chain[1:]):
         assert is_vfunctor(level.connecting)
+        assert (level.connecting.source, level.connecting.target) == (level.obj, below.obj)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5])
+def test_final_chain_builds_only_the_levels_it_returns(q2, hid, monkeypatch, depth):
+    """F is applied to the levels below the top only, on objects and on
+    maps, so nothing above F^depth(1) is built."""
+    seen = {"obj": [], "mor": []}
+
+    def recorded(kind, fn):
+        def wrapper(expr, arg, *rest):
+            seen[kind].append(arg)
+            return fn(expr, arg, *rest)
+        return wrapper
+
+    monkeypatch.setattr(coalg, "eval_obj", recorded("obj", coalg.eval_obj))
+    monkeypatch.setattr(coalg, "eval_mor", recorded("mor", coalg.eval_mor))
+    chain = final_chain(hid, depth, quantale=q2)
+    assert [level.index for level in chain] == list(range(depth + 1))
+    assert set(seen["obj"]) == {level.obj for level in chain[:-1]}
+    assert seen["mor"] == [level.connecting for level in chain[1:-1]]
+
+
+def test_final_chain_rejects_a_negative_depth(q2, hid):
+    with pytest.raises(ValueError, match="depth -1 is negative"):
+        final_chain(hid, -1, quantale=q2)
 
 
 def test_deep_final_chain_over_boolean(q2):
@@ -166,7 +195,7 @@ def test_behavior_map_naturality(q2, hid):
     chain = final_chain(hid, 3, quantale=q2)
     behs = behavior_map(c, 3)
     for k in range(3):
-        assert compose(chain[k].connecting, behs[k + 1]) == behs[k]
+        assert compose(chain[k + 1].connecting, behs[k + 1]) == behs[k]
     for beh in behs:
         assert is_vfunctor(beh)
 
@@ -393,9 +422,9 @@ def test_size_caps(q2, hid):
 def test_labeled_lawvere_functor_chain(lawvere):
     labels = metric_line([0, 1])
     expr = Prod([Const(labels), HComp(Id())])
-    chain = final_chain(expr, 2, quantale=lawvere)
-    assert [len(l.obj.states) for l in chain] == [1, 4, 18]
-    for level in chain:
+    chain = final_chain(expr, 3, quantale=lawvere)
+    assert [len(l.obj.states) for l in chain] == [1, 4, 18, 800]
+    for level in chain[1:]:
         assert is_vfunctor(level.connecting)
 
 
@@ -558,7 +587,7 @@ def test_behavior_map_never_builds_the_functor_value(q2, hid, size):
     chain = final_chain(hid, 6, quantale=q2, cap=64)
     assert [b.target for b in behs] == [level.obj for level in chain]
     for k in range(6):
-        assert compose(chain[k].connecting, behs[k + 1]) == behs[k]
+        assert compose(chain[k + 1].connecting, behs[k + 1]) == behs[k]
 
 
 def test_object_memo_stays_bounded(q2):
