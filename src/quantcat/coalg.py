@@ -557,7 +557,7 @@ def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
 
 
 def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
-                           cap=DEFAULT_SIZE_CAP, guard=None):
+                           cap=DEFAULT_SIZE_CAP):
     """Greatest carrier structure making a set-level coalgebra a real one
     under a cone of coalgebra morphisms.
 
@@ -577,8 +577,7 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
                 raise ConsistencyError(
                     f"cone leg is not a set-level coalgebra morphism at {s!r}"
                 )
-    if guard is None:
-        guard = len(states) * len(states) * 64 + 8
+    guard = len(states) * len(states) * 64 + 8
     carrier = None
     for step, current in enumerate(lift_descent(expr, quantale, states, structure, cone)):
         if step > guard:

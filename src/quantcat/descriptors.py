@@ -175,7 +175,7 @@ def _term_key(t):
     return json.dumps(t, sort_keys=True, default=str)
 
 
-def load_coalgebra(spec, cap=4096):
+def load_coalgebra(spec):
     """Coalgebra descriptor; set payloads are canonicalized by up-closing."""
     _require_fields(spec, ("schema", "functor", "category", "structure"),
                     what="coalgebra")
@@ -184,7 +184,7 @@ def load_coalgebra(spec, cap=4096):
     carrier = load_vcategory(spec["category"])
     expr = load_functor(spec["functor"], carrier.quantale)
     raw = _structure(spec, carrier.states, "carrier states")
-    structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier), cap)
+    structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier))
                  for s, t in raw.items()}
     return Coalgebra(expr, carrier, structure)
 

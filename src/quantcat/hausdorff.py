@@ -171,8 +171,8 @@ def monad_mult(x, hx=None, hhx=None, cap=DEFAULT_CARRIER_CAP):
 def lax_powerset_extension(r):
     """Extend a V-relation to all subsets by the meet-of-joins formula."""
     q = r.quantale
-    src = [frozenset(c) for c in _subsets(r.source_states)]
-    tgt = [frozenset(c) for c in _subsets(r.target_states)]
+    src = list(_subsets(r.source_states))
+    tgt = list(_subsets(r.target_states))
     ridx = {
         (s, t): r.matrix[i][j]
         for i, s in enumerate(r.source_states)
@@ -186,9 +186,11 @@ def lax_powerset_extension(r):
 
 
 def _subsets(states):
+    """Every subset of ``states`` as a frozenset, by mask m from 0 to
+    2^n - 1, where bit i of m picks the i-th state."""
     states = tuple(states)
     for m in range(1 << len(states)):
-        yield tuple(s for i, s in enumerate(states) if m >> i & 1)
+        yield frozenset(s for i, s in enumerate(states) if m >> i & 1)
 
 
 def lax_extension_monotone(r, r2):

@@ -6,12 +6,14 @@ The ``lawvere-extended-rational`` flavor is the quantale of extended
 non-negative rationals ordered by >=, with truncated addition as tensor; its
 laws hold analytically and only finitary joins/meets are ever requested.
 
-Every built-in quantale is a chain.  A finite table whose order is linear
-is recognised at construction and ranks its elements, and its join and
-meet tables, bottom and top are read off the ranks.  Other finite tables
-derive their lattice by search.  Every finite table folds through its join
-and meet tables; the Lawvere folds are min and max.  Neither path assumes
-the quantale laws: ``check_quantale_laws`` still checks them on the tables.
+Every finite table derives its lattice by one rule, whatever the shape of
+its order.  The order is read once into per-element up-set and down-set
+bitmasks; join(u, v) is the one common upper bound of u and v that lies
+below all the others, meet is the dual, and bottom and top are the one
+element below and the one above all others.  Every finite table folds
+through its join and meet tables; the Lawvere folds are min and max.  The
+derivation does not assume the quantale laws: ``check_quantale_laws``
+still checks them on the tables.
 The internal hom table is derived on the first ``hom`` call, since most
 quantales built are never asked for it.
 
@@ -194,63 +196,38 @@ class Quantale:
         for u in els:
             if (u, u) not in leq:
                 raise DescriptorError(f"leq not reflexive at {u!r}")
-        rank = self._linear_rank()
-        if rank is not None:
-            self._derive_chain_lattice(rank)
-        else:
-            self._search_lattice()
+        n = len(els)
+        # bit j of up[i] is set when element i <= element j, of down[i] when j <= i
+        up = [sum(1 << j for j, v in enumerate(els) if (u, v) in leq) for u in els]
+        down = [sum(1 << j for j, v in enumerate(els) if (v, u) in leq) for u in els]
+
+        def single(bounds, cover):
+            # the one index i in bounds with bounds inside cover[i], or None
+            # (an index, since None is a valid element id)
+            found = [i for i in range(n) if bounds >> i & 1 and bounds & cover[i] == bounds]
+            return found[0] if len(found) == 1 else None
+
+        self._join = {}
+        self._meet = {}
+        # (u, v) and (v, u) have the same bounds, so the first failing pair
+        # in element order has u at or before v
+        for i, u in enumerate(els):
+            for j in range(i, n):
+                v = els[j]
+                join = single(up[i] & up[j], up)
+                meet = single(down[i] & down[j], down)
+                if join is None or meet is None:
+                    raise DescriptorError(f"leq is not a lattice order at ({u!r}, {v!r})")
+                self._join[u, v] = self._join[v, u] = els[join]
+                self._meet[u, v] = self._meet[v, u] = els[meet]
+        everything = (1 << n) - 1
+        bot, top = single(everything, up), single(everything, down)
+        if bot is None or top is None:
+            raise DescriptorError("lattice lacks a unique bottom or top")
+        self._bot, self._top = els[bot], els[top]
         missing = [p for p in ((u, v) for u in els for v in els) if p not in self._tensor]
         if missing:
             raise DescriptorError(f"tensor table missing entries: {missing[:3]}")
-
-    def _linear_rank(self):
-        """Each element's number of elements below it, when the order is
-        linear; otherwise None.  The order is linear when every pair is
-        comparable, the ranks are distinct and every pair respects them."""
-        els = self.elements
-        leq = self._leq
-        rank = {v: sum((u, v) in leq for u in els) for v in els}
-        if len(set(rank.values())) != len(els):
-            return None
-        for u in els:
-            for v in els:
-                if (u, v) in leq:
-                    if rank[u] > rank[v]:
-                        return None
-                elif (v, u) not in leq:
-                    return None
-        return rank
-
-    def _derive_chain_lattice(self, rank):
-        chain = sorted(self.elements, key=rank.get)
-        self._bot, self._top = chain[0], chain[-1]
-        self._join = {}
-        self._meet = {}
-        for i, u in enumerate(chain):
-            for v in chain[i:]:
-                self._join[u, v] = self._join[v, u] = v
-                self._meet[u, v] = self._meet[v, u] = u
-
-    def _search_lattice(self):
-        els = self.elements
-        leq = self._leq
-        self._join = {}
-        self._meet = {}
-        for u in els:
-            for v in els:
-                ub = [w for w in els if (u, w) in leq and (v, w) in leq]
-                lub = [w for w in ub if all((w, z) in leq for z in ub)]
-                lb = [w for w in els if (w, u) in leq and (w, v) in leq]
-                glb = [w for w in lb if all((z, w) in leq for z in lb)]
-                if len(lub) != 1 or len(glb) != 1:
-                    raise DescriptorError(f"leq is not a lattice order at ({u!r}, {v!r})")
-                self._join[u, v] = lub[0]
-                self._meet[u, v] = glb[0]
-        bots = [u for u in els if all((u, v) in leq for v in els)]
-        tops = [u for u in els if all((v, u) in leq for v in els)]
-        if len(bots) != 1 or len(tops) != 1:
-            raise DescriptorError("lattice lacks a unique bottom or top")
-        self._bot, self._top = bots[0], tops[0]
 
     @cached_property
     def _hom(self):

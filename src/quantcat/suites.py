@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import hausdorff as hd
 from .coalg import Const, Id, Prod, Sum, eval_mor, eval_obj
 from .errors import ConsistencyError
-from .quantale import INF, Quantale
+from .quantale import FINITE_TABLE, INF, Quantale
 from .vcat import (
     VCategory,
     VFunctor,
@@ -45,7 +45,7 @@ def draw_quantale(rng):
 
 
 def _elements(q):
-    return list(q.elements) if q.flavor == "finite-table" else _LAWVERE_POOL
+    return list(q.elements) if q.flavor == FINITE_TABLE else _LAWVERE_POOL
 
 
 def rand_category(rng, q, max_size=3, min_size=0, states=None):
@@ -96,12 +96,6 @@ def rand_relation(rng, q, src, tgt):
         q, src, tgt,
         [[rng.choice(pool) for _ in tgt] for _ in src],
     )
-
-
-def _subsets(states):
-    states = tuple(states)
-    for m in range(1 << len(states)):
-        yield frozenset(s for i, s in enumerate(states) if m >> i & 1)
 
 
 # -- individual suites ---------------------------------------------------
@@ -189,9 +183,9 @@ def suite_hausdorff_identities(rng):
     k = q.unit
     member_ok = True
     closure_ok = True
-    for a in _subsets(x.states):
+    for a in hd._subsets(x.states):
         ua = hd.up_closure(x, a)
-        for b in _subsets(x.states):
+        for b in hd._subsets(x.states):
             v = hd.hausdorff_distance(x, a, b)
             if q.leq(k, v) != (b <= ua):
                 member_ok = False
@@ -215,10 +209,10 @@ def suite_closures(rng):
     ok = all(
         a <= hd.up_closure(x, a)
         and hd.up_closure(x, hd.up_closure(x, a)) == hd.up_closure(x, a)
-        for a in _subsets(x.states)
+        for a in hd._subsets(x.states)
     )
     checks.append(("up-closure-is-closure", ok))
-    incr = [a for a in _subsets(x.states) if hd.up_closure(x, a) == a]
+    incr = [a for a in hd._subsets(x.states) if hd.up_closure(x, a) == a]
     checks.append((
         "intersections-stay-increasing",
         all(hd.up_closure(x, a & b) == a & b for a in incr for b in incr),
@@ -228,10 +222,10 @@ def suite_closures(rng):
         all(
             frozenset(f(s) for s in hd.up_closure(x, a))
             <= hd.up_closure(y, frozenset(f(s) for s in a))
-            for a in _subsets(x.states)
+            for a in hd._subsets(x.states)
         ),
     ))
-    incr_y = [b for b in _subsets(y.states) if hd.up_closure(y, b) == b]
+    incr_y = [b for b in hd._subsets(y.states) if hd.up_closure(y, b) == b]
     pre_ok = True
     for b in incr_y:
         pre = frozenset(s for s in x.states if f(s) in b)

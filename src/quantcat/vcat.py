@@ -368,7 +368,7 @@ def initial_structure(quantale, states, legs):
     return VCategory(quantale, states, mat)
 
 
-def fibre_join(structures, guard=None):
+def fibre_join(structures):
     """Least V-category structure pointwise-above all the given ones.
 
     Iterates a <- a v (a . a) v diag(k) from the pointwise join; terminates
@@ -386,9 +386,7 @@ def fibre_join(structures, guard=None):
         [q.join_all(s.matrix[i][j] for s in structures) for j in range(n)]
         for i in range(n)
     ]
-    if guard is None:
-        guard = n * n * 64 + 8
-    for _ in range(guard):
+    for _ in range(n * n * 64 + 8):
         nxt = [
             [
                 q.join(

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantcat import (
     INF,
@@ -220,19 +220,51 @@ def test_lawvere_lattice_reversed(lawvere):
 # -- brute-force oracles read off the leq pairs and the tensor ------------------
 
 
+def _lubs(els, leq, items):
+    """Every upper bound of ``items`` in ``els`` below all the others."""
+    ub = [w for w in els if all((x, w) in leq for x in items)]
+    return [w for w in ub if all((w, z) in leq for z in ub)]
+
+
+def _glbs(els, leq, items):
+    lb = [w for w in els if all((w, x) in leq for x in items)]
+    return [w for w in lb if all((z, w) in leq for z in lb)]
+
+
 def _lub(els, leq, items):
     """The least upper bound of ``items``, found by search over ``els``."""
-    ub = [w for w in els if all((x, w) in leq for x in items)]
-    least = [w for w in ub if all((w, z) in leq for z in ub)]
+    least = _lubs(els, leq, items)
     assert len(least) == 1
     return least[0]
 
 
 def _glb(els, leq, items):
-    lb = [w for w in els if all((w, x) in leq for x in items)]
-    greatest = [w for w in lb if all((z, w) in leq for z in lb)]
+    greatest = _glbs(els, leq, items)
     assert len(greatest) == 1
     return greatest[0]
+
+
+def _search_lattice(els, leq, tensor):
+    """The checks of ``Quantale.finite`` on the order and the tensor table,
+    by search: (bottom, top, join, meet), or the text of the
+    ``DescriptorError`` that the first failing check raises."""
+    for u in els:
+        if (u, u) not in leq:
+            return f"leq not reflexive at {u!r}"
+    join, meet = {}, {}
+    for u in els:
+        for v in els:
+            lub, glb = _lubs(els, leq, [u, v]), _glbs(els, leq, [u, v])
+            if len(lub) != 1 or len(glb) != 1:
+                return f"leq is not a lattice order at ({u!r}, {v!r})"
+            join[u, v], meet[u, v] = lub[0], glb[0]
+    bots, tops = _lubs(els, leq, []), _glbs(els, leq, [])
+    if len(bots) != 1 or len(tops) != 1:
+        return "lattice lacks a unique bottom or top"
+    missing = [(u, v) for u in els for v in els if (u, v) not in tensor]
+    if missing:
+        return f"tensor table missing entries: {missing[:3]}"
+    return bots[0], tops[0], join, meet
 
 
 def _assert_matches_brute_force(q, els, leq, tensor):
@@ -272,13 +304,6 @@ def test_builtin_chain_matches_the_fraction_formulas(kind, n):
     _assert_matches_brute_force(q, els, leq, tensor)
 
 
-def test_boolean_matches_brute_force(q2):
-    els = ["0", "1"]
-    leq = {("0", "0"), ("0", "1"), ("1", "1")}
-    tensor = {(u, v): "1" if u == v == "1" else "0" for u in els for v in els}
-    _assert_matches_brute_force(q2, els, leq, tensor)
-
-
 @st.composite
 def shuffled_chains(draw):
     """A linear order on ids listed in a random order, with any tensor table."""
@@ -297,6 +322,64 @@ def test_shuffled_linear_order_matches_brute_force(spec):
     els, leq, tensor, unit = spec
     q = Quantale.finite(els, leq, tensor, unit)
     _assert_matches_brute_force(q, els, leq, tensor)
+
+
+def _transitive_closure(pairs):
+    closed = set(pairs)
+    while extra := {(a, d) for a, b in closed for c, d in closed if b == c} - closed:
+        closed |= extra
+    return closed
+
+
+@st.composite
+def reflexive_relations(draw):
+    """A reflexive relation on at most 6 ids listed in a random order: any
+    relation, a poset (random pairs along a hidden chain, transitively
+    closed, and with that chain's ends as bottom and top when bounded), or
+    the hidden chain itself; sometimes with one pair or one tensor entry
+    dropped."""
+    n = draw(st.integers(1, 6))
+    chain = [f"e{i}" for i in range(n)]
+    els = draw(st.permutations(chain))
+    shape = draw(st.sampled_from(["any", "poset", "bounded poset", "chain"]))
+    leq = {(u, u) for u in chain}
+    if shape == "any":
+        leq |= {(u, v) for u in chain for v in chain if u != v and draw(st.booleans())}
+    elif shape == "chain":
+        leq |= {(chain[i], chain[j]) for i in range(n) for j in range(i, n)}
+    else:
+        leq |= {(chain[i], chain[j]) for i in range(n) for j in range(i + 1, n)
+                if draw(st.booleans())}
+        if shape == "bounded poset":
+            leq |= {(chain[0], u) for u in chain} | {(u, chain[-1]) for u in chain}
+        leq = _transitive_closure(leq)
+    tensor = {(u, v): draw(st.sampled_from(chain)) for u in els for v in els}
+    drop = draw(st.sampled_from(["nothing", "pair", "tensor entry"]))
+    if drop == "pair":
+        leq.discard(draw(st.sampled_from(sorted(leq))))
+    elif drop == "tensor entry":
+        del tensor[draw(st.sampled_from(sorted(tensor)))]
+    return els, leq, tensor, draw(st.sampled_from(chain))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(reflexive_relations())
+# a < b < c < a: every pair has one join and one meet, yet no element is
+# below all others; random relations rarely draw such a cycle
+@example((["a", "b", "c"], {(u, u) for u in "abc"} | {("a", "b"), ("b", "c"), ("c", "a")},
+          {(u, v): "a" for u in "abc" for v in "abc"}, "a"))
+def test_lattice_matches_the_search_oracle(spec):
+    els, leq, tensor, unit = spec
+    want = _search_lattice(els, leq, tensor)
+    if isinstance(want, str):
+        with pytest.raises(DescriptorError, match=re.escape(want) + "$"):
+            Quantale.finite(els, leq, tensor, unit)
+        return
+    q = Quantale.finite(els, leq, tensor, unit)
+    bottom, top, join, meet = want
+    assert (q.bottom, q.top) == (bottom, top)
+    assert {p: q.join(*p) for p in join} == join
+    assert {p: q.meet(*p) for p in meet} == meet
 
 
 # -- the folds ------------------------------------------------------------------
@@ -484,6 +567,25 @@ def _mixed_ids():
     return load_quantale({"schema": "quantale/1", "elements": [0, "1"],
                           "leq": [[1, 1], [0, 1]], "tensor": [[0, 0], [0, "1"]],
                           "unit": "1"})
+
+
+def _with_tables(q):
+    """``q`` with the element list, order pairs and tensor table it was built from."""
+    return q, list(q.elements), set(q._leq), dict(q._tensor)
+
+
+BRUTE_FORCE_LATTICES = {
+    "bool": (Quantale.boolean(), ["0", "1"], {("0", "0"), ("0", "1"), ("1", "1")},
+             {(u, v): "1" if u == v == "1" else "0" for u in "01" for v in "01"}),
+    "diamond": _with_tables(_diamond()),
+    "pentagon": _with_tables(_pentagon()),
+    "mixed-ids": _with_tables(_mixed_ids()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_FORCE_LATTICES))
+def test_small_lattices_match_brute_force(name):
+    _assert_matches_brute_force(*BRUTE_FORCE_LATTICES[name])
 
 
 HOM_QUANTALES = [Quantale.by_name(name) for name in (
