@@ -13,6 +13,7 @@ import time
 from . import __version__
 from . import descriptors as ds
 from .coalg import (
+    DEFAULT_SIZE_CAP,
     HComp,
     Id,
     check_coalgebra,
@@ -23,7 +24,8 @@ from .coalg import (
     is_coalg_hom,
 )
 from .errors import CapExceeded, DescriptorError, QuantcatError
-from .hausdorff import cantor_check, hausdorff_distance, hausdorff_object, up_closure
+from .hausdorff import (cantor_check, enumerate_increasing, hausdorff_distance,
+                        hausdorff_object, up_closure)
 from .omega import anamorphism, is_omega_hom, verify_chain_commutation
 from .quantale import check_assumptions, check_quantale_laws
 from .vcat import VFunctor, check_vcategory, symmetrize
@@ -266,7 +268,7 @@ def _parse_functor(text, quantale):
           _option("--quantale", dest="quantale_name", default="bool",
                   help="Built-in quantale name (default: %(default)s)."),
           _option("--depth", type=int, required=True),
-          _option("--cap", type=int, default=4096, help="(default: %(default)s)"),
+          _option("--cap", type=int, default=DEFAULT_SIZE_CAP, help="(default: %(default)s)"),
           _FMT)
 def chain(functor_text, quantale_name, depth, cap, fmt):
     """Level sizes of the final chain of a polynomial functor."""
@@ -282,7 +284,7 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
 @_command(_option("--coalgebra", dest="coalgebra_path", required=True),
           _option("--depth", type=int, required=True),
           _option("--symmetric", action="store_true"),
-          _option("--cap", type=int, default=4096,
+          _option("--cap", type=int, default=DEFAULT_SIZE_CAP,
                   help="Size bound on the inner objects built to up-close the "
                        "structure terms; no chain level or F(X) is built "
                        "(default: %(default)s)."),
@@ -368,7 +370,6 @@ def cantor(category_path, phi_text, cap, fmt):
     """Witness that maps from the lifted object back are never embeddings."""
     _check_cap(cap)
     cat = _load_checked_category(category_path)
-    hx = hausdorff_object(cat)
 
     def verdict_json(v):
         out = {"kind": v.kind}
@@ -381,6 +382,7 @@ def cantor(category_path, phi_text, cap, fmt):
         return out
 
     if phi_text is not None:
+        hx = hausdorff_object(cat)
         raw = json.loads(phi_text)
         if not isinstance(raw, dict):
             raise DescriptorError("phi must be a JSON object")
@@ -395,9 +397,10 @@ def cantor(category_path, phi_text, cap, fmt):
         return _report("cantor", {"verdicts": [verdict_json(v)]},
                        v.kind != "contradiction-witness", fmt)
 
-    total = len(cat.states) ** len(hx.elements)
-    if total > cap:
-        raise CapExceeded("candidate maps from the lifted object", total, cap)
+    n, k = len(cat.states), len(enumerate_increasing(cat))
+    if n ** k > cap:
+        raise CapExceeded("candidate maps from the lifted object", f"{n}^{k}", cap)
+    hx = hausdorff_object(cat)
     from itertools import product as iproduct
 
     tallies = {}
@@ -406,7 +409,7 @@ def cantor(category_path, phi_text, cap, fmt):
         v = cantor_check(cat, list(images), hx=hx)
         tallies[v.kind] = tallies.get(v.kind, 0) + 1
         first.setdefault(v.kind, verdict_json(v))
-    body = {"maps": total,
+    body = {"maps": n ** k,
             "tallies": {k: tallies[k] for k in sorted(tallies)},
             "witnesses": {k: first[k] for k in sorted(first)}}
     return _report("cantor", body, "contradiction-witness" not in tallies, fmt)

@@ -246,8 +246,6 @@ class HComp:
 
     def obj(self, x, cap):
         inner = eval_obj(self.inner, x, cap)
-        if len(inner.states) > cap:
-            raise CapExceeded("lifted carrier", len(inner.states), cap)
         return hd.hausdorff_object(inner, cap=cap, count_cap=cap).category
 
     def dist(self, cat, s, t):
@@ -385,14 +383,14 @@ def _structure_terms(c, depth, cap):
     return [c.structure[s] for s in c.carrier.states]
 
 
-def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
+def check_coalgebra(c):
     """Report whether the structure map lands in F(X) and preserves structure.
 
     The structure map is a V-functor exactly when one initial-lift step
     from the carrier returns the carrier; the witness is the first pair,
     in row-major order, that the step lowers.  The step reads set-level
     F-distances, which up-closure does not change, so F(X) is never built."""
-    fault = _structure_fault(c, cap)
+    fault = _structure_fault(c, DEFAULT_SIZE_CAP)
     if fault is not None:
         return AssumptionReport((LawEntry("structure-in-functor", False, (fault,)),))
     x = c.carrier
@@ -408,7 +406,7 @@ def check_coalgebra(c, cap=DEFAULT_SIZE_CAP):
     ))
 
 
-def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
+def is_coalg_hom(h, cx, cy):
     """h is a V-functor commuting with both structure maps."""
     if cx.functor != cy.functor:
         raise ConsistencyError("coalgebras over different functor expressions")
@@ -417,7 +415,7 @@ def is_coalg_hom(h, cx, cy, cap=DEFAULT_SIZE_CAP):
     if not is_vfunctor(h):
         return False
     return all(
-        _fmap(cx.functor, h, cx.structure[s], cap) == cy.structure[h(s)]
+        _fmap(cx.functor, h, cx.structure[s], DEFAULT_SIZE_CAP) == cy.structure[h(s)]
         for s in cx.carrier.states
     )
 
@@ -524,13 +522,13 @@ def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
 # -- equalizers ------------------------------------------------------------
 
 
-def term_in_restriction(expr, term, allowed, ambient, cap=DEFAULT_SIZE_CAP):
+def term_in_restriction(expr, term, allowed, ambient):
     """Does a term of F(ambient) lie in F of the full subcategory on
     ``allowed``?  Normalizing there rejects every Id leaf outside it."""
-    return _in_functor(expr, restrict(ambient, allowed), term, cap)
+    return _in_functor(expr, restrict(ambient, allowed), term, DEFAULT_SIZE_CAP)
 
 
-def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
+def equalizer(cx, f, g):
     """The largest sub-coalgebra on which two homomorphisms agree.
 
     Starts from the plain agreement set and strips states whose structure
@@ -543,7 +541,7 @@ def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
         kept = set(current)
         nxt = [
             s for s in current
-            if term_in_restriction(cx.functor, cx.structure[s], kept, x, cap)
+            if term_in_restriction(cx.functor, cx.structure[s], kept, x)
         ]
         if nxt == current:
             break
@@ -556,8 +554,7 @@ def equalizer(cx, f, g, cap=DEFAULT_SIZE_CAP):
 # -- initial lifts of coalgebra cones ---------------------------------------
 
 
-def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
-                           cap=DEFAULT_SIZE_CAP):
+def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
     """Greatest carrier structure making a set-level coalgebra a real one
     under a cone of coalgebra morphisms.
 
@@ -573,7 +570,7 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
         for s in states:
             expect = expr.map(lambda t: mapping[t], structure[s])
             actual = leg.structure[mapping[s]]
-            if normalize_term(expr, leg.carrier, expect, cap) != actual:
+            if normalize_term(expr, leg.carrier, expect) != actual:
                 raise ConsistencyError(
                     f"cone leg is not a set-level coalgebra morphism at {s!r}"
                 )
@@ -583,7 +580,7 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=(),
         if step > guard:
             raise IterationGuard("initial-lift descent did not stabilize within its bound")
         carrier = current
-    terms = {s: normalize_term(expr, carrier, structure[s], cap) for s in states}
+    terms = {s: normalize_term(expr, carrier, structure[s]) for s in states}
     return Coalgebra(expr, carrier, terms)
 
 

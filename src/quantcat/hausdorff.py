@@ -70,7 +70,7 @@ def enumerate_increasing(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP
 
 
 def _order_upset_masks(x, count_cap):
-    """Bitmasks of all up-sets of the underlying order, capped in number."""
+    """Bitmasks of all order up-sets, capped in number; a stack walk, so no recursion limit."""
     n = len(x.states)
     up = x.unit_rows()
     down = [0] * n
@@ -80,21 +80,20 @@ def _order_upset_masks(x, count_cap):
                 down[j] |= 1 << i
     out = []
     full = (1 << n) - 1
-
-    def rec(in_mask, out_mask):
+    stack = [(0, 0)]
+    while stack:
+        in_mask, out_mask = stack.pop()
         undecided = full & ~in_mask & ~out_mask
         if not undecided:
             out.append(in_mask)
             if len(out) > count_cap:
                 raise CapExceeded("increasing-subset count", len(out), count_cap)
-            return
+            continue
         i = (undecided & -undecided).bit_length() - 1
-        if not (up[i] & out_mask):
-            rec(in_mask | up[i], out_mask)
         if not (down[i] & in_mask):
-            rec(in_mask, out_mask | down[i])
-
-    rec(0, 0)
+            stack.append((in_mask, out_mask | down[i]))
+        if not (up[i] & out_mask):
+            stack.append((in_mask | up[i], out_mask))
     return out
 
 
@@ -138,24 +137,24 @@ def hausdorff_object(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP):
     return HObject(x, tuple(elements), VCategory(q, elements, mat))
 
 
-def hausdorff_map(f, hx=None, hy=None, cap=DEFAULT_CARRIER_CAP):
+def hausdorff_map(f, hx=None, hy=None):
     """The lifted map: an increasing subset goes to the up-closed image."""
-    hx = hx or hausdorff_object(f.source, cap=cap)
-    hy = hy or hausdorff_object(f.target, cap=cap)
+    hx = hx or hausdorff_object(f.source)
+    hy = hy or hausdorff_object(f.target)
     mapping = [up_closure(f.target, {f(s) for s in a}) for a in hx.elements]
     return VFunctor(hx.category, hy.category, mapping)
 
 
-def monad_unit(x, hx=None, cap=DEFAULT_CARRIER_CAP):
+def monad_unit(x, hx=None):
     """x -> Hx sending a point to its up-closure."""
-    hx = hx or hausdorff_object(x, cap=cap)
+    hx = hx or hausdorff_object(x)
     return VFunctor(x, hx.category, [up_closure(x, {s}) for s in x.states])
 
 
-def monad_mult(x, hx=None, hhx=None, cap=DEFAULT_CARRIER_CAP):
+def monad_mult(x, hx=None, hhx=None):
     """HHx -> Hx by union; the union of an increasing family is increasing."""
-    hx = hx or hausdorff_object(x, cap=cap)
-    hhx = hhx or hausdorff_object(hx.category, cap=cap)
+    hx = hx or hausdorff_object(x)
+    hhx = hhx or hausdorff_object(hx.category)
     mapping = []
     for fam in hhx.elements:
         u = frozenset().union(*fam) if fam else frozenset()
@@ -305,7 +304,7 @@ class EmbeddingVerdict(Record):
         self.values = values
 
 
-def cantor_check(x, phi, hx=None, cap=DEFAULT_CARRIER_CAP):
+def cantor_check(x, phi, hx=None):
     """Produce a witness that phi: Hx -> x is not an embedding.
 
     ``phi`` maps increasing subsets (frozensets) to states, given as a dict
@@ -314,7 +313,7 @@ def cantor_check(x, phi, hx=None, cap=DEFAULT_CARRIER_CAP):
     """
     if x.quantale.trivial:
         raise DescriptorError("no-embedding witnesses need a non-trivial quantale")
-    hx = hx or hausdorff_object(x, cap=cap)
+    hx = hx or hausdorff_object(x)
     if isinstance(phi, dict):
         images = [phi[a] for a in hx.elements]
     else:

@@ -142,7 +142,7 @@ def canonical_chain_coding(obj):
     return coding
 
 
-def verify_chain_commutation(depth, cap=8192):
+def verify_chain_commutation(depth):
     """Check that the truncation legs form a commuting cone matching the
     final chain of the Hausdorff lifting over the Boolean quantale.  A
     negative depth raises ConsistencyError."""
@@ -178,7 +178,7 @@ def verify_chain_commutation(depth, cap=8192):
     entries.append(LawEntry("truncation-legs-monotone-surjective", w is None, w))
 
     q2 = Quantale.boolean()
-    chain = final_chain(HComp(Id()), depth, quantale=q2, cap=cap)
+    chain = final_chain(HComp(Id()), depth, quantale=q2, cap=8192)
     w = None
     below = None  # the coding of the level under this one
     for level in chain:
@@ -272,7 +272,7 @@ def embed_I(x, quantale):
 # -- the finite Priestley check ---------------------------------------------
 
 
-def is_priestley_finite(x, map_cap=20000):
+def is_priestley_finite(x):
     """Decide whether the cone of all V-functors into the dual of the
     quantale separates points and is initial.  Finite carriers over
     finite-table quantales only; the discrete topology makes every such
@@ -281,7 +281,7 @@ def is_priestley_finite(x, map_cap=20000):
     if q.flavor != FINITE_TABLE:
         raise DescriptorError("the Priestley check needs a finite-table quantale")
     vop = dual(as_vcategory(q))
-    cone = vfunctors_between(x, vop, cap=map_cap)
+    cone = vfunctors_between(x, vop)
     certificate = {"maps": len(cone)}
     for s in x.states:
         for t in x.states:

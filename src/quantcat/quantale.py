@@ -538,7 +538,7 @@ def check_quantale_laws(q):
     return AssumptionReport(tuple(entries))
 
 
-def check_assumptions(q, cap=16):
+def check_assumptions(q):
     """Check the standing assumptions: directedness of the totally-below
     cone under the unit, non-triviality, and unit integrality."""
     if q.flavor == LAWVERE:
@@ -546,7 +546,7 @@ def check_assumptions(q, cap=16):
         return AssumptionReport(tuple(LawEntry(l, True, analytic=True) for l in laws))
 
     entries = []
-    rel = totally_below(q, cap=cap)
+    rel = totally_below(q)
     down_k = [u for u in q.elements if (u, q.unit) in rel]
     if not down_k:
         entries.append(LawEntry("totally-below-unit-directed", False, ("empty",)))

@@ -334,11 +334,10 @@ def tensor(x, y):
     return VCategory(q, states, mat)
 
 
-def internal_hom(x, y, cap=20000):
+def internal_hom(x, y):
     """All V-functors x -> y with structure [f, g] = meet of pointwise distances."""
     q = x.quantale
-    fs = vfunctors_between(x, y, cap=cap)
-    states = [f.mapping for f in fs]
+    states = [f.mapping for f in vfunctors_between(x, y)]
     mat = [
         [q.meet_all(y.a(fm[i], gm[i]) for i in range(len(x.states))) for gm in states]
         for fm in states

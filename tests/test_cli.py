@@ -363,6 +363,30 @@ def test_cantor_cap(runner, c2_file):
     assert result.exit_code == 3
 
 
+def test_cantor_refuses_the_sweep_before_building_the_lifted_object(runner, tmp_path,
+                                                                    monkeypatch):
+    """12 discrete states have 4096 increasing subsets, so 12^4096 maps;
+    that count is refused before the lifted object is built, and named
+    without expanding it."""
+    from quantcat import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lifted object was built")
+
+    monkeypatch.setattr(cli, "hausdorff_object", refuse)
+    states = [f"s{i}" for i in range(12)]
+    path = _write(tmp_path, "d12.json", {
+        "schema": "vcategory/1", "quantale": "bool", "states": states,
+        "matrix": [["1" if s == t else "0" for t in states] for s in states],
+    })
+    result = runner.invoke(main, ["cantor", "--category", path])
+    assert result.exit_code == 3, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "schema": "report/1",
+        "error": "candidate maps from the lifted object: size 12^4096 exceeds cap 20000"}
+
+
 def test_omega_verify(runner):
     result = runner.invoke(main, ["omega-verify", "--depth", "6"])
     assert result.exit_code == 0

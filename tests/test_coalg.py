@@ -417,6 +417,10 @@ def test_size_caps(q2, hid):
         eval_obj(Prod([Id(), Id(), Id()]), big, cap=100)
     with pytest.raises(CapExceeded):
         final_chain(hid, 3, quantale=q2, cap=3)
+    # H over a constant larger than the cap: hausdorff_object refuses it
+    with pytest.raises(CapExceeded) as err:
+        eval_obj(HComp(Const(discrete(q2, ["p", "q", "r"]))), big, cap=2)
+    assert (err.value.what, err.value.size, err.value.cap) == ("subset enumeration carrier", 3, 2)
 
 
 def test_labeled_lawvere_functor_chain(lawvere):

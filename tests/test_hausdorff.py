@@ -133,6 +133,11 @@ def test_enumeration_respects_the_count_cap(q2):
         eval_obj(HComp(Id()), x, cap=64)
     # all 4096 subsets are increasing
     assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 65, 64)
+    # the walk is not recursive, so a carrier far above the recursion limit
+    # meets the count cap too
+    with pytest.raises(CapExceeded) as err:
+        enumerate_increasing(discrete(q2, [f"s{i}" for i in range(1100)]), cap=4096, count_cap=64)
+    assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 65, 64)
     with pytest.raises(CapExceeded):
         enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=7)
     assert len(enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=8)) == 8
