@@ -59,14 +59,20 @@ def _load_checked_coalgebra(path):
     spec = _read_json(path)
     if not isinstance(spec, dict) or spec.get("schema") != ds.COALGEBRA_SCHEMA:
         raise DescriptorError(f"{path}: expected a coalgebra descriptor")
-    carrier_rep = check_vcategory(ds.load_vcategory(spec["category"]))
-    if not carrier_rep.ok:
-        raise DescriptorError(f"{path}: carrier is not a V-category")
-    c = ds.load_coalgebra(spec)
+    _require_carrier(ds.load_vcategory(spec["category"]), path)
+    return _require_coalgebra(ds.load_coalgebra(spec), path)
+
+
+def _require_carrier(cat, where):
+    if not check_vcategory(cat).ok:
+        raise DescriptorError(f"{where}: carrier is not a V-category")
+
+
+def _require_coalgebra(c, where):
     rep = check_coalgebra(c)
     if not rep.ok:
         bad = rep.failures()[0]
-        raise DescriptorError(f"{path}: not a coalgebra ({bad.law}, witness {bad.witness})")
+        raise DescriptorError(f"{where}: not a coalgebra ({bad.law}, witness {bad.witness})")
     return c
 
 
@@ -353,6 +359,9 @@ def equalize(coalgebra_path, target_path, left, right, fmt):
 def lift(path, fmt):
     """Greatest structure making a set-level coalgebra a real one."""
     expr, q, states, structure, cone = ds.load_lift(_read_json(path))
+    for k, (_, leg) in enumerate(cone):
+        _require_carrier(leg.carrier, f"cone leg {k}")
+        _require_coalgebra(leg, f"cone leg {k}")
     out = initial_lift_coalgebra(expr, q, states, structure, cone=cone)
     body = {
         "states": list(states),
@@ -381,23 +390,26 @@ def cantor(category_path, phi_text, cap, fmt):
             out["values"] = [str(x) for x in v.values]
         return out
 
+    # phi is checked against the increasing subsets before the lifted
+    # object, quadratic in their number, is built
+    subsets = enumerate_increasing(cat)
     if phi_text is not None:
-        hx = hausdorff_object(cat)
         raw = json.loads(phi_text)
         if not isinstance(raw, dict):
             raise DescriptorError("phi must be a JSON object")
-        key = {",".join(sorted(a)): a for a in hx.elements}
+        key = {",".join(sorted(a)): a for a in subsets}
         if set(raw) != set(key):
             raise DescriptorError("phi keys do not match the lifted carrier")
-        bad = next((v for v in raw.values() if isinstance(v, (list, dict))), None)
+        bad = next((v for v in raw.values() if isinstance(v, (list, dict)) or v not in cat),
+                   None)
         if bad is not None:
             raise DescriptorError(f"phi value {json.dumps(bad)} is not a state id")
         phi = {key[k]: v for k, v in raw.items()}
-        v = cantor_check(cat, phi, hx=hx)
+        v = cantor_check(cat, phi, hx=hausdorff_object(cat))
         return _report("cantor", {"verdicts": [verdict_json(v)]},
                        v.kind != "contradiction-witness", fmt)
 
-    n, k = len(cat.states), len(enumerate_increasing(cat))
+    n, k = len(cat.states), len(subsets)
     if n ** k > cap:
         raise CapExceeded("candidate maps from the lifted object", f"{n}^{k}", cap)
     hx = hausdorff_object(cat)

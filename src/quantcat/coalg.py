@@ -153,17 +153,14 @@ class Prod:
         return f"Prod{self.parts}"
 
     def obj(self, x, cap):
-        q = x.quantale
         parts = [eval_obj(p, x, cap) for p in self.parts]
         size = math.prod(len(p.states) for p in parts)
         if size > cap:
             raise CapExceeded("product carrier", size, cap)
         states = list(iproduct(*(p.states for p in parts)))
-        mat = [
-            [q.meet_all(p.a(a, b) for p, a, b in zip(parts, s, t)) for t in states]
-            for s in states
-        ]
-        return VCategory(q, states, mat)
+        return initial_structure(
+            x.quantale, states, [([s[k] for s in states], p) for k, p in enumerate(parts)]
+        )
 
     def dist(self, cat, s, t):
         return cat.quantale.meet_all(

@@ -9,7 +9,7 @@ from functools import total_ordering
 from .coalg import HComp, Id, final_chain
 from .errors import ConsistencyError, DescriptorError
 from .quantale import FINITE_TABLE, AssumptionReport, LawEntry, Quantale, Record
-from .vcat import as_vcategory, dual, vfunctors_between
+from .vcat import as_vcategory, dual, initial_structure, vfunctors_between
 
 
 @total_ordering
@@ -290,9 +290,10 @@ def is_priestley_finite(x):
                 certificate["witness"] = (s, t)
                 return False, certificate
     certificate["separating"] = True
+    meets = initial_structure(q, x.states, [(psi.mapping, vop) for psi in cone])
     for s in x.states:
         for t in x.states:
-            meet = q.meet_all(vop.a(psi(s), psi(t)) for psi in cone)
+            meet = meets.a(s, t)
             if meet != x.a(s, t):
                 certificate["initial"] = False
                 certificate["witness"] = (s, t, q.format(meet), q.format(x.a(s, t)))

@@ -141,8 +141,9 @@ class Quantale:
 
     @classmethod
     def boolean(cls):
-        """The two-element Boolean quantale 2."""
-        return _builtin("bool")
+        """The two-element Boolean quantale 2, which is ``godel(2)``: both
+        are the chain 0 < 1 with tensor min and unit 1."""
+        return cls.godel(2)
 
     @classmethod
     def chain(cls, n, tensor):
@@ -413,13 +414,6 @@ class Quantale:
 def _builtin(kind, n=None):
     """The built-in quantale ``kind`` (on ``n`` elements for the chains),
     built on the first request and shared while it stays in the LRU."""
-    if kind == "bool":
-        return Quantale.finite(
-            ["0", "1"],
-            [("0", "0"), ("0", "1"), ("1", "1")],
-            {("0", "0"): "0", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"},
-            "1",
-        )
     if kind == "lawvere":
         return Quantale(LAWVERE)
     if kind == "godel":

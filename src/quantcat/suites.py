@@ -64,21 +64,14 @@ def rand_category(rng, q, max_size=3, min_size=0, states=None):
 
 
 def rand_vfunctor(rng, q, max_source=3, max_target=3):
-    """A random valid V-functor, built by degrading the initial structure
-    over a random carrier map."""
+    """A random valid V-functor: its source carries the initial structure
+    of a random map into the target and of the identity into random noise."""
     y = rand_category(rng, q, max_size=max_target, min_size=1)
     n = rng.randint(0, max_source)
     states = [f"t{i}" for i in range(n)]
     mapping = [rng.choice(y.states) for _ in range(n)]
-    top = initial_structure(q, states, [(mapping, y)])
     noise = rand_category(rng, q, states=states)
-    source = VCategory(
-        q, states,
-        [
-            [q.meet(top.matrix[i][j], noise.matrix[i][j]) for j in range(n)]
-            for i in range(n)
-        ],
-    )
+    source = initial_structure(q, states, [(mapping, y), (states, noise)])
     return VFunctor(source, y, mapping)
 
 

@@ -4,7 +4,9 @@ Each one computes a construction the library also computes, by a different
 and more direct method: the lifted structure on the full powerset, read off
 the Hausdorff formula and as the initial lift of the cone of all V-functors
 into the quantale; down-closures in the dual; the symmetric Hausdorff
-value; and initiality of a cone read off the pointwise-meet formula.
+value; and initiality of a cone read off the pointwise-meet formula,
+computed here cell by cell rather than by ``vcat.initial_structure``, which
+is the library route it checks.
 """
 
 from quantcat.errors import ConsistencyError
@@ -15,14 +17,7 @@ from quantcat.hausdorff import (
     hausdorff_distance,
     up_closure,
 )
-from quantcat.vcat import (
-    VCategory,
-    as_vcategory,
-    dual,
-    indiscrete,
-    initial_structure,
-    vfunctors_between,
-)
+from quantcat.vcat import VCategory, as_vcategory, dual, vfunctors_between
 
 
 def down_closure(x, subset):
@@ -70,15 +65,16 @@ def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP, map_cap=20000):
 
 
 def is_initial_cone(legs, source=None):
-    """True iff the common source structure equals the pointwise meet formula."""
-    if not legs:
-        if source is None:
-            raise ConsistencyError("empty cone needs an explicit source")
-        return source == indiscrete(source.quantale, source.states)
-    source = legs[0].source
-    if any(f.source != source for f in legs):
-        raise ConsistencyError("cone legs have different sources")
-    lifted = initial_structure(
-        source.quantale, source.states, [(f.mapping, f.target) for f in legs]
+    """True iff the common source structure equals the pointwise meet formula:
+    a(s, t) is the meet over the legs f of b(f s, f t), and top for no legs."""
+    if legs:
+        source = legs[0].source
+        if any(f.source != source for f in legs):
+            raise ConsistencyError("cone legs have different sources")
+    elif source is None:
+        raise ConsistencyError("empty cone needs an explicit source")
+    q = source.quantale
+    return all(
+        source.a(s, t) == q.meet_all(f.target.a(f(s), f(t)) for f in legs)
+        for s in source.states for t in source.states
     )
-    return lifted == source

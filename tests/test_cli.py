@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -387,6 +388,38 @@ def test_cantor_refuses_the_sweep_before_building_the_lifted_object(runner, tmp_
         "error": "candidate maps from the lifted object: size 12^4096 exceeds cap 20000"}
 
 
+def _phi_on_all_subsets(states, value):
+    return {",".join(sorted(a)): value
+            for k in range(len(states) + 1) for a in itertools.combinations(states, k)}
+
+
+@pytest.mark.parametrize("phi, message", [
+    ({}, "phi keys do not match the lifted carrier"),
+    (_phi_on_all_subsets([f"s{i}" for i in range(12)], "nope"),
+     'phi value "nope" is not a state id'),
+], ids=["no keys", "unknown value"])
+def test_cantor_checks_phi_before_building_the_lifted_object(runner, tmp_path, monkeypatch,
+                                                             phi, message):
+    """Every subset of 12 discrete states is increasing, so the lifted
+    object would hold 4096 x 4096 cells; phi is refused against the subset
+    enumeration alone."""
+    from quantcat import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lifted object was built")
+
+    monkeypatch.setattr(cli, "hausdorff_object", refuse)
+    states = [f"s{i}" for i in range(12)]
+    path = _write(tmp_path, "d12.json", {
+        "schema": "vcategory/1", "quantale": "bool", "states": states,
+        "matrix": [["1" if s == t else "0" for t in states] for s in states],
+    })
+    result = runner.invoke(main, ["cantor", "--category", path, "--phi", json.dumps(phi)])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
 def test_omega_verify(runner):
     result = runner.invoke(main, ["omega-verify", "--depth", "6"])
     assert result.exit_code == 0
@@ -440,6 +473,13 @@ def test_lift_with_a_cone(runner, tmp_path):
     assert json.loads(result.output)["matrix"] == [["1", "1"], ["1", "1"]]
 
 
+def _pqr_coalgebra(matrix, structure):
+    return {"schema": "coalgebra/1", "functor": {"id": {}},
+            "category": {"schema": "vcategory/1", "quantale": "bool",
+                         "states": ["p", "q", "r"], "matrix": matrix},
+            "structure": structure}
+
+
 MALFORMED_LIFTS = {
     "top-level array": ([], "set coalgebra must be a JSON object"),
     "scalar cone": ({**_swap_with_cone(), "cone": 5}, "cone must be a JSON array"),
@@ -449,6 +489,16 @@ MALFORMED_LIFTS = {
                                "cone leg mapping misses states ['b']"),
     "mapping to an unknown state": (_swap_with_cone(mapping={"a": "p", "b": "q"}),
                                     "cone leg maps to states its coalgebra lacks: ['q']"),
+    # p -> q -> r without p -> r: the pulled-back matrix would not be transitive
+    "carrier not transitive": (
+        _swap_with_cone(coalgebra=_pqr_coalgebra(
+            [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]], {"p": "p", "q": "q", "r": "r"})),
+        "cone leg 0: carrier is not a V-category"),
+    # p <= q, but the structure map sends p to r and q to q
+    "structure not a V-functor": (
+        _swap_with_cone(coalgebra=_pqr_coalgebra(
+            [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]], {"p": "r", "q": "q", "r": "r"})),
+        "cone leg 0: not a coalgebra (structure-morphism, witness ('p', 'q'))"),
 }
 
 

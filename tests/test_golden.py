@@ -1,8 +1,8 @@
 """Byte-for-byte golden reports of the commands that check quantales and
 coalgebras, read distance tables, lifted distances, chain levels (among
-them a two-point labelled chain), equalizers, initial lifts, Cantor sweeps
-and anamorphisms, verify the truncation cone, and run the seeded law
-sweeps.
+them a two-point labelled chain), equalizers, initial lifts (one of them
+along a one-leg cone), Cantor sweeps and anamorphisms, verify the
+truncation cone, and run the seeded law sweeps.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
@@ -77,6 +77,26 @@ INPUTS = {
         "quantale": "bool",
         "states": ["s0", "s1"],
         "structure": {"s0": ["l0", "s1"], "s1": ["l1", "s1"]},
+    },
+    # a lawful leg into z <= y with x -> {y, z}: c and d both map to z, so
+    # the lift relates them both ways, and a stays unrelated to b
+    "conelift": {
+        "schema": "setcoalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "quantale": "bool",
+        "states": ["a", "b", "c", "d"],
+        "structure": {"a": ["b", "c"], "b": [], "c": ["c"], "d": ["b", "d"]},
+        "cone": [{
+            "mapping": {"a": "x", "b": "y", "c": "z", "d": "z"},
+            "coalgebra": {
+                "schema": "coalgebra/1",
+                "functor": {"H": {"id": {}}},
+                "category": {"schema": "vcategory/1", "quantale": "bool",
+                             "states": ["x", "y", "z"],
+                             "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "1", "1"]]},
+                "structure": {"x": ["y", "z"], "y": [], "z": ["y", "z"]},
+            },
+        }],
     },
     # the constant category 0 -> 1 -> 2 is not transitive, so the term loaded
     # as the up-closure of {0} is {0, 1}, which is not up-closed
@@ -179,6 +199,7 @@ CASES = {
                       "--left", "x=p,y=p,z=p", "--right", "x=p,y=p,z=q"],
     "lift_swap.json": ["lift", "--file", "@swap"],
     "lift_labels.json": ["lift", "--file", "@labels"],
+    "lift_cone.json": ["lift", "--file", "@conelift"],
     "check_quantale_builtins.json": ["check", "@lukasiewicz4", "@godel5"],
     # the witnesses of a failed law depend on the order and tensor tables
     "check_quantale_shuffled_chain.json": ["check", "@shuffledchain"],

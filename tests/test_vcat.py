@@ -7,6 +7,9 @@ import pytest
 from quantcat import (
     CapExceeded,
     ConsistencyError,
+    Const,
+    Id,
+    Prod,
     Quantale,
     VCategory,
     VFunctor,
@@ -16,6 +19,7 @@ from quantcat import (
     compose,
     discrete,
     dual,
+    eval_obj,
     fibre_join,
     from_order,
     identity_functor,
@@ -34,6 +38,7 @@ from quantcat import (
     underlying_order,
     vfunctors_between,
 )
+from quantcat.suites import QUANTALE_NAMES, rand_category
 from oracle_routes import is_initial_cone
 
 
@@ -297,6 +302,36 @@ def test_reflection_preserves_initial_cones(q2, godel3):
                     sq, tq, {sproj(s): tproj(f(s)) for s in src.states}
                 ))
             assert is_initial_cone(legs)
+
+
+@pytest.mark.parametrize("name", QUANTALE_NAMES)
+def test_limit_structures_match_their_formulas(name):
+    """indiscrete, symmetrize, internal_hom and the functor product are all
+    initial structures; each matches its direct formula cell by cell."""
+    q = Quantale.by_name(name)
+    rng = random.Random(15)
+    for _ in range(40):
+        x = rand_category(rng, q, max_size=3)
+        y = rand_category(rng, q, max_size=2, min_size=1)
+        top, sym = indiscrete(q, x.states), symmetrize(x)
+        for s in x.states:
+            for t in x.states:
+                assert top.a(s, t) == q.top
+                assert sym.a(s, t) == q.meet(x.a(s, t), x.a(t, s))
+        hom = internal_hom(x, y)
+        assert hom.states == tuple(f.mapping for f in vfunctors_between(x, y))
+        for f in hom.states:
+            for g in hom.states:
+                want = q.top
+                for u, v in zip(f, g):
+                    want = q.meet(want, y.a(u, v))
+                assert hom.a(f, g) == want
+        prod = eval_obj(Prod([Const(y), Id(), Const(x)]), x)
+        assert prod.states == tuple(iproduct(y.states, x.states, x.states))
+        for s in prod.states:
+            for t in prod.states:
+                want = q.meet(q.meet(y.a(s[0], t[0]), x.a(s[1], t[1])), x.a(s[2], t[2]))
+                assert prod.a(s, t) == want
 
 
 def test_restrict(c2):
