@@ -182,19 +182,11 @@ def as_vcategory(quantale):
 
 
 def restrict(x, keep):
-    """Full subcategory on the given states, preserving carrier order.
-
-    This is the initial structure of the inclusion, kept a plain slice of
-    the matrix: the equalizer restricts once per state on every step, and
-    routing it through :func:`initial_structure` gained nothing on the
-    ``session`` benchmark, which runs those equalizers."""
+    """Full subcategory on the given states, preserving carrier order: the
+    initial structure of the inclusion."""
     keep = set(keep)
-    idx = [i for i, s in enumerate(x.states) if s in keep]
-    return VCategory(
-        x.quantale,
-        [x.states[i] for i in idx],
-        [[x.matrix[i][j] for j in idx] for i in idx],
-    )
+    kept = [s for s in x.states if s in keep]
+    return initial_structure(x.quantale, kept, [(kept, x)])
 
 
 def identity_functor(x):
@@ -352,19 +344,27 @@ def initial_structure(quantale, states, legs):
     ``mapping`` assigns a target state to each carrier state, in carrier
     order.  The empty cone yields the indiscrete top structure.  V-Cat is
     topological over Set, so this one routine builds every limit structure:
-    products, internal homs, symmetrizations and initial lifts.
+    products, internal homs, symmetrizations, full subcategories and
+    initial lifts.
     """
-    mat = None
+    pulled = []
     for mapping, target in legs:
         if target.quantale != quantale:
             raise ConsistencyError("cone leg over a different quantale")
         idx = [target.index(y) for y in mapping]
-        pulled = [[row[j] for j in idx] for row in [target.matrix[i] for i in idx]]
-        mat = pulled if mat is None else [
-            list(map(quantale.meet, r, p)) for r, p in zip(mat, pulled)
-        ]
-    if mat is None:
-        mat = [[quantale.top] * len(states) for _ in states]
+        pulled.append(([target.matrix[i] for i in idx], idx))
+    if not pulled:
+        return VCategory(quantale, states, [(quantale.top,) * len(states)] * len(states))
+    # One row at a time, so no pulled-back matrix is kept whole; tuple rows
+    # pass into the VCategory uncopied.
+    mat = []
+    for i in range(len(states)):
+        row = None
+        for rows, idx in pulled:
+            r = rows[i]
+            p = [r[j] for j in idx]
+            row = p if row is None else list(map(quantale.meet, row, p))
+        mat.append(tuple(row))
     return VCategory(quantale, states, mat)
 
 
