@@ -22,6 +22,7 @@ from .coalg import (
     final_chain,
     initial_lift_coalgebra,
     is_coalg_hom,
+    require_coalgebra,
 )
 from .errors import CapExceeded, DescriptorError, QuantcatError
 from .hausdorff import (cantor_check, enumerate_increasing, hausdorff_distance,
@@ -59,21 +60,10 @@ def _load_checked_coalgebra(path):
     spec = _read_json(path)
     if not isinstance(spec, dict) or spec.get("schema") != ds.COALGEBRA_SCHEMA:
         raise DescriptorError(f"{path}: expected a coalgebra descriptor")
-    _require_carrier(ds.load_vcategory(spec["category"]), path)
-    return _require_coalgebra(ds.load_coalgebra(spec), path)
-
-
-def _require_carrier(cat, where):
-    if not check_vcategory(cat).ok:
-        raise DescriptorError(f"{where}: carrier is not a V-category")
-
-
-def _require_coalgebra(c, where):
-    rep = check_coalgebra(c)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise DescriptorError(f"{where}: not a coalgebra ({bad.law}, witness {bad.witness})")
-    return c
+    # the carrier is checked before load_coalgebra up-closes terms in it
+    if not check_vcategory(ds.load_vcategory(spec["category"])).ok:
+        raise DescriptorError(f"{path}: carrier is not a V-category")
+    return require_coalgebra(ds.load_coalgebra(spec), path)
 
 
 def _report(command, body, ok, fmt, timings=None):
@@ -359,9 +349,6 @@ def equalize(coalgebra_path, target_path, left, right, fmt):
 def lift(path, fmt):
     """Greatest structure making a set-level coalgebra a real one."""
     expr, q, states, structure, cone = ds.load_lift(_read_json(path))
-    for k, (_, leg) in enumerate(cone):
-        _require_carrier(leg.carrier, f"cone leg {k}")
-        _require_coalgebra(leg, f"cone leg {k}")
     out = initial_lift_coalgebra(expr, q, states, structure, cone=cone)
     body = {
         "states": list(states),

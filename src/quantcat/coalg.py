@@ -24,12 +24,13 @@ import functools
 import math
 from itertools import islice, product as iproduct
 
-from .errors import CapExceeded, ConsistencyError, IterationGuard
+from .errors import CapExceeded, ConsistencyError
 from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
     VFunctor,
     initial_structure,
+    is_vcategory,
     is_vfunctor,
     restrict,
     terminal,
@@ -403,6 +404,17 @@ def check_coalgebra(c):
     ))
 
 
+def require_coalgebra(c, where):
+    """Return c if its carrier is a V-category and its laws hold, else raise."""
+    if not is_vcategory(c.carrier):
+        raise ConsistencyError(f"{where}: carrier is not a V-category")
+    bad = check_coalgebra(c).failures()
+    if bad:
+        raise ConsistencyError(
+            f"{where}: not a coalgebra ({bad[0].law}, witness {bad[0].witness})")
+    return c
+
+
 def is_coalg_hom(h, cx, cy):
     """h is a V-functor commuting with both structure maps."""
     if cx.functor != cy.functor:
@@ -557,26 +569,21 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
 
     ``structure`` maps each state to a set-level term of F(states); each
     cone entry is (mapping, target Coalgebra) with ``mapping`` listing
-    target states in carrier order.  The result structure starts at the
-    pointwise meet of the cone legs and descends by cutting with the
-    functor image until it stabilizes.
+    target states in carrier order.  Each leg must pass
+    ``require_coalgebra`` and be a set-level coalgebra morphism.  The
+    result structure starts at the pointwise meet of the cone legs and
+    descends by cutting with the functor image until it stabilizes.
     """
     states = tuple(states)
-    for mapping, leg in cone:
-        mapping = dict(zip(states, mapping))
+    for k, (mapping, leg) in enumerate(cone):
+        require_coalgebra(leg, f"cone leg {k}")
+        image = dict(zip(states, mapping))
         for s in states:
-            expect = expr.map(lambda t: mapping[t], structure[s])
-            actual = leg.structure[mapping[s]]
-            if normalize_term(expr, leg.carrier, expect) != actual:
-                raise ConsistencyError(
-                    f"cone leg is not a set-level coalgebra morphism at {s!r}"
-                )
-    guard = len(states) * len(states) * 64 + 8
-    carrier = None
-    for step, current in enumerate(lift_descent(expr, quantale, states, structure, cone)):
-        if step > guard:
-            raise IterationGuard("initial-lift descent did not stabilize within its bound")
-        carrier = current
+            expect = normalize_term(expr, leg.carrier, expr.map(image.__getitem__, structure[s]))
+            if expect != leg.structure[image[s]]:
+                raise ConsistencyError(f"cone leg is not a set-level coalgebra morphism at {s!r}")
+    for carrier in lift_descent(expr, quantale, states, structure, cone):
+        pass
     terms = {s: normalize_term(expr, carrier, structure[s]) for s in states}
     return Coalgebra(expr, carrier, terms)
 
@@ -595,7 +602,12 @@ def _lift_step(expr, current, structure):
 
 def lift_descent(expr, quantale, states, structure, cone=()):
     """The descending structure iterates of the initial lift, ending with
-    the fixpoint; every iterate is itself a valid structure."""
+    the fixpoint; every iterate is itself a valid structure.
+
+    It ends without a guard: ``_lift_step`` only meets and joins the current
+    entries, the constant leaves' entries, top and bottom, so all values lie
+    in one finite set (over Lawvere, a chain, those entries themselves).
+    Each step lowers some cell or ends the descent."""
     states = tuple(states)
     current = initial_structure(
         quantale, states, [(m, leg.carrier) for m, leg in cone]

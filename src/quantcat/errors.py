@@ -24,4 +24,6 @@ class ConsistencyError(QuantcatError):
 
 
 class IterationGuard(QuantcatError):
-    """A fixpoint iteration ran past its bound (impossible on finite lattices)."""
+    """A fixpoint ran past its bound.  Only ``cantor_check`` raises it, after
+    n + 2 steps over n increasing subsets: for phi injective and initial,
+    I -> up-closure(phi(I)) is monotone, so it descends and repeats in n."""

@@ -7,7 +7,7 @@ inequality.  Everything here is immutable and safe to share.
 
 from itertools import product as iproduct
 
-from .errors import CapExceeded, ConsistencyError, IterationGuard
+from .errors import CapExceeded, ConsistencyError
 from .quantale import AssumptionReport, LawEntry
 
 
@@ -371,8 +371,10 @@ def initial_structure(quantale, states, legs):
 def fibre_join(structures):
     """Least V-category structure pointwise-above all the given ones.
 
-    Iterates a <- a v (a . a) v diag(k) from the pointwise join; terminates
-    on finite quantales and on Lawvere min-plus relaxation.
+    One Floyd-Warshall pass over the pointwise join (Lehmann, TCS 4, 1977):
+    for each k, m[i][j] v= m[i][k] (x) m[k][k]* (x) m[k][j]; then the unit
+    joins the diagonal.  Exact under the quantale laws; since the tensor
+    preserves joins, bottom (x) v is bottom and rows with m[i][k] bottom skip.
     """
     if not structures:
         raise ConsistencyError("fibre_join needs at least one structure")
@@ -386,24 +388,19 @@ def fibre_join(structures):
         [q.join_all(s.matrix[i][j] for s in structures) for j in range(n)]
         for i in range(n)
     ]
-    for _ in range(n * n * 64 + 8):
-        nxt = [
-            [
-                q.join(
-                    q.join(
-                        mat[i][j],
-                        q.join_all(q.tensor(mat[i][l], mat[l][j]) for l in range(n)),
-                    ),
-                    q.unit if i == j else q.bottom,
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if nxt == mat:
-            return VCategory(q, states, mat)
-        mat = nxt
-    raise IterationGuard("fibre_join did not stabilize within its bound")
+    for k in range(n):
+        # the star of m[k][k]: least s = unit v s (x) m[k][k]; unit if unit is top
+        star = q.unit
+        while (nxt := q.join(q.unit, q.tensor(star, mat[k][k]))) != star:
+            star = nxt
+        via = [q.tensor(star, v) for v in mat[k]]
+        for row in mat:
+            u = row[k]
+            if u != q.bottom:
+                row[:] = [q.join(a, q.tensor(u, b)) for a, b in zip(row, via)]
+    for i in range(n):
+        mat[i][i] = q.join(mat[i][i], q.unit)
+    return VCategory(q, states, mat)
 
 
 # -- enumeration --------------------------------------------------------

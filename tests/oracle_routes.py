@@ -4,9 +4,10 @@ Each one computes a construction the library also computes, by a different
 and more direct method: the lifted structure on the full powerset, read off
 the Hausdorff formula and as the initial lift of the cone of all V-functors
 into the quantale; down-closures in the dual; the symmetric Hausdorff
-value; and initiality of a cone read off the pointwise-meet formula,
+value; initiality of a cone read off the pointwise-meet formula,
 computed here cell by cell rather than by ``vcat.initial_structure``, which
-is the library route it checks.
+is the library route it checks; and the least V-category structure above
+a matrix by repeated squaring, against ``vcat.fibre_join``'s single pass.
 """
 
 from quantcat.errors import ConsistencyError
@@ -78,3 +79,34 @@ def is_initial_cone(legs, source=None):
         source.a(s, t) == q.meet_all(f.target.a(f(s), f(t)) for f in legs)
         for s in source.states for t in source.states
     )
+
+
+def squaring_closure(structures):
+    """Least V-category structure above the pointwise join of the inputs:
+    iterate a <- a v (a . a) v diag(k) until nothing changes.  The iterates
+    ascend and stay below the closure, so the loop ends on every finite
+    lattice; over Lawvere, whose unit is top, after about log2 n rounds."""
+    first = structures[0]
+    q, states = first.quantale, first.states
+    n = len(states)
+    mat = [
+        [q.join_all(s.matrix[i][j] for s in structures) for j in range(n)]
+        for i in range(n)
+    ]
+    while True:
+        nxt = [
+            [
+                q.join(
+                    q.join(
+                        mat[i][j],
+                        q.join_all(q.tensor(mat[i][l], mat[l][j]) for l in range(n)),
+                    ),
+                    q.unit if i == j else q.bottom,
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        if nxt == mat:
+            return VCategory(q, states, mat)
+        mat = nxt

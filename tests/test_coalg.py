@@ -337,6 +337,21 @@ def test_initial_lift_rejects_bad_cone(q2, c2):
                                cone=[(["u", "v"], target)])
 
 
+def test_initial_lift_checks_cone_legs(q2, c2):
+    # p -> q -> r with no p -> r: the pulled-back carrier would not be a
+    # V-category, so the leg is refused before the descent
+    chain = from_order(q2, ["p", "q", "r"], [("p", "q"), ("q", "r")])
+    leg = Coalgebra(Id(), chain, {"p": "p", "q": "q", "r": "r"})
+    with pytest.raises(ConsistencyError, match=r"^cone leg 0: carrier is not a V-category$"):
+        initial_lift_coalgebra(Id(), q2, ["a", "b", "c"], {"a": "a", "b": "b", "c": "c"},
+                               cone=[(["p", "q", "r"], leg)])
+    swap = Coalgebra(Id(), c2, {"u": "v", "v": "u"})
+    with pytest.raises(ConsistencyError, match=r"^cone leg 0: not a coalgebra "
+                       r"\(structure-morphism, witness \('u', 'v'\)\)$"):
+        initial_lift_coalgebra(Id(), q2, ["a", "b"], {"a": "b", "b": "a"},
+                               cone=[(["u", "v"], swap)])
+
+
 def test_lift_of_equalizer_cone_reproduces_equalizer(q2):
     """Lifting the set-level equalizer along its inclusion returns the
     restricted structure."""
@@ -380,6 +395,40 @@ def test_lift_descent_iterates_are_valid_and_antitone(q2, godel3):
                 q.leq(nxt.matrix[i][j], prev.matrix[i][j])
                 for i in range(2) for j in range(2)
             )
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_lift_descent_on_a_path_ends_after_n_iterates(q2, hid, n):
+    # s_i -> {s_(i+1)}: each step tells apart one more state back from the
+    # end of the path, so the descent yields one iterate per state
+    from quantcat.coalg import lift_descent
+
+    states = [f"s{i}" for i in range(n)]
+    structure = {s: frozenset(states[i + 1:i + 2]) for i, s in enumerate(states)}
+    assert sum(1 for _ in lift_descent(hid, q2, states, structure)) == n
+
+
+def test_lawvere_lift_takes_values_from_the_constant_leaves(lawvere, hid):
+    # the descent starts at top (all 0) and ends on values that only the
+    # constant leaves' distances bring in: 1/3, 5/3, 2 and inf
+    expr = Prod([Const(metric_line([0, Fraction(1, 3), 2])), hid])
+    states = ["x", "y", "z", "w"]
+    structure = {
+        "x": ("0", frozenset({"y"})),
+        "y": ("1/3", frozenset({"z"})),
+        "z": ("2", frozenset()),
+        "w": ("0", frozenset({"w", "z"})),
+    }
+    out = initial_lift_coalgebra(expr, lawvere, states, structure)
+    f = Fraction
+    assert out.carrier.matrix == (
+        (f(0), f(5, 3), f(2), INF),
+        (INF, f(0), f(5, 3), INF),
+        (INF, INF, f(0), INF),
+        (f(1, 3), f(1, 3), f(2), f(0)),
+    )
+    tables = distance_table(Coalgebra(expr, discrete(lawvere, states), structure), 6)
+    assert tables[-1] == out.carrier
 
 
 def test_lift_of_random_equalizer_cones(q2, hid):

@@ -15,6 +15,7 @@ from quantcat import (
     VFunctor,
     as_vcategory,
     check_vcategory,
+    check_quantale_laws,
     check_vfunctor,
     compose,
     discrete,
@@ -38,8 +39,8 @@ from quantcat import (
     underlying_order,
     vfunctors_between,
 )
-from quantcat.suites import QUANTALE_NAMES, rand_category
-from oracle_routes import is_initial_cone
+from quantcat.suites import QUANTALE_NAMES, _elements, rand_category
+from oracle_routes import is_initial_cone, squaring_closure
 
 
 def all_structures(q, states):
@@ -220,6 +221,57 @@ def test_fibre_join_is_least_upper_structure(qname):
                    for x in xs for i in range(2) for l in range(2)):
                 assert all(q.leq(j.matrix[i][l], cand.matrix[i][l])
                            for i in range(2) for l in range(2))
+
+
+def _unit_below_top():
+    """The 3-chain b < k < t with unit k: b absorbs and t (x) t = t, so the
+    star of a diagonal t is t, not the unit."""
+    els = ["b", "k", "t"]
+    table = {(u, v): "b" if "b" in (u, v) else max(u, v, key=els.index)
+             for u in els for v in els}
+    q = Quantale.finite(els, [(u, v) for i, u in enumerate(els) for v in els[i:]],
+                        table, "k")
+    assert check_quantale_laws(q).ok
+    return q
+
+
+def test_fibre_join_matches_the_squaring_closure():
+    rng = random.Random(16)
+    for q in [Quantale.by_name(name) for name in QUANTALE_NAMES] + [_unit_below_top()]:
+        pool = _elements(q)
+        for n in range(9):
+            states = [f"s{i}" for i in range(n)]
+            for _ in range(5):
+                xs = [
+                    VCategory(q, states, [
+                        [rng.choice(pool) if rng.random() < 0.5 else q.bottom
+                         for _ in range(n)]
+                        for _ in range(n)
+                    ])
+                    for _ in range(rng.randint(1, 3))
+                ]
+                assert fibre_join(xs) == squaring_closure(xs), (q, xs)
+
+
+def test_fibre_join_closes_a_long_path(lawvere):
+    # squaring needs about log2(32) rounds here.  Over the 3-chain, state 16
+    # carries a loop t above the unit, and every path through it reads t.
+    n = 32
+    states = [f"s{i}" for i in range(n)]
+    for q, edge, loop, closed in (
+        (lawvere, Fraction(1), Fraction(0), lambda i, j: Fraction(j - i)),
+        (_unit_below_top(), "k", "t", lambda i, j: "t" if i <= 16 <= j else "k"),
+    ):
+        raw = VCategory(q, states, [
+            [edge if j == i + 1 else loop if i == j == 16 else q.bottom for j in range(n)]
+            for i in range(n)
+        ])
+        out = fibre_join([raw])
+        assert out == squaring_closure([raw])
+        assert out.matrix == tuple(
+            tuple(closed(i, j) if j >= i else q.bottom for j in range(n))
+            for i in range(n)
+        )
 
 
 def test_check_vfunctor(q2, c2):
