@@ -337,7 +337,7 @@ class Coalgebra:
         self._hash = hash(
             (functor, carrier, tuple(self.structure[s] for s in carrier.states))
         )
-        # (depth, cap, approximants) of the last behavior_map; not compared
+        # (depth, approximants) of the last behavior_map; not compared
         self._behaviour = None
 
     def __eq__(self, other):
@@ -470,37 +470,38 @@ def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
     return levels
 
 
-def behavior_map(c, depth, cap=DEFAULT_SIZE_CAP):
+def behavior_map(c, depth):
     """Depth-indexed behaviour approximants beh_0 .. beh_depth.
 
     beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
+    Every object built is bounded by DEFAULT_SIZE_CAP.
 
-    The coalgebra keeps the approximants of its last call, keyed by
-    ``(depth, cap)``, and a call with the same key returns a new list of
-    them without walking the cone again; a call that raises leaves the memo
-    as it was.  The memo is one entry on the coalgebra and is freed with it.
+    The coalgebra keeps the approximants of its last call, keyed by depth
+    alone, and a call with the same depth returns a new list of them
+    without walking the cone again; a call that raises leaves the memo as
+    it was.  The memo is one entry on the coalgebra and is freed with it.
     """
     memo = c._behaviour
-    if memo is not None and memo[0] == depth and memo[1] == cap:
-        return list(memo[2])
-    terms = _structure_terms(c, depth, cap)
+    if memo is not None and memo[0] == depth:
+        return list(memo[1])
+    terms = _structure_terms(c, depth, DEFAULT_SIZE_CAP)
     x, expr = c.carrier, c.functor
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
     for _ in range(depth):
         beh = behs[-1]
-        level = eval_obj(expr, beh.target, cap)
-        behs.append(VFunctor(x, level, [_fmap(expr, beh, t, cap) for t in terms]))
-    c._behaviour = (depth, cap, tuple(behs))
+        level = eval_obj(expr, beh.target)
+        behs.append(VFunctor(x, level, [_fmap(expr, beh, t, DEFAULT_SIZE_CAP) for t in terms]))
+    c._behaviour = (depth, tuple(behs))
     return behs
 
 
-def behavioral_distance(c, x, y, depth, symmetric=False, cap=DEFAULT_SIZE_CAP):
+def behavioral_distance(c, x, y, depth, symmetric=False):
     """Chain-level distances between the behaviours of two states,
     one value per depth 0..depth; antitone along the chain."""
     out = []
-    for beh in behavior_map(c, depth, cap):
+    for beh in behavior_map(c, depth):
         level = beh.target
         d = level.a(beh(x), beh(y))
         if symmetric:

@@ -175,13 +175,20 @@ def _term_key(t):
     return json.dumps(t, sort_keys=True, default=str)
 
 
-def load_coalgebra(spec):
-    """Coalgebra descriptor; set payloads are canonicalized by up-closing."""
+def coalgebra_carrier(spec):
+    """The carrier of a coalgebra descriptor, after its fields are checked.
+    It is loaded without the terms, which up-closing can read only in a
+    lawful carrier."""
     _require_fields(spec, ("schema", "functor", "category", "structure"),
                     what="coalgebra")
     if spec["schema"] != COALGEBRA_SCHEMA:
         raise DescriptorError(f"unsupported coalgebra schema {spec['schema']!r}")
-    carrier = load_vcategory(spec["category"])
+    return load_vcategory(spec["category"])
+
+
+def load_coalgebra(spec):
+    """Coalgebra descriptor; set payloads are canonicalized by up-closing."""
+    carrier = coalgebra_carrier(spec)
     expr = load_functor(spec["functor"], carrier.quantale)
     raw = _structure(spec, carrier.states, "carrier states")
     structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier))

@@ -1,15 +1,22 @@
 """The extended naturals as the explicit terminal coalgebra of the
 Hausdorff lifting at the ordered-discrete level, with finality checked
-against finite truncations, the change of base from the Boolean quantale,
-and the finite Priestley decision procedure.
+against finite truncations, and the change of base from the Boolean
+quantale.
+
+The finite Priestley question needs no procedure of its own.  Every
+V-functor psi: X -> V^op has a(s, t) <= hom(psi t, psi s).  For each y the
+map a(-, y) is such a V-functor, by transitivity, and the meet over y of
+hom(a(t, y), a(s, y)) is at most hom(a(t, t), a(s, t)) <= a(s, t).  So the
+cone of all V-functors into V^op is always initial (the Yoneda argument,
+Lawvere 1973), and it separates s and t unless they are equivalent: it
+separates points exactly when ``vcat.is_separated`` holds.
 """
 
 from functools import total_ordering
 
 from .coalg import HComp, Id, final_chain
 from .errors import ConsistencyError, DescriptorError
-from .quantale import FINITE_TABLE, AssumptionReport, LawEntry, Quantale, Record
-from .vcat import as_vcategory, dual, initial_structure, vfunctors_between
+from .quantale import AssumptionReport, LawEntry, Quantale, Record
 
 
 @total_ordering
@@ -267,36 +274,3 @@ def embed_I(x, quantale):
     return VCategory(
         quantale, x.states, [[i[v] for v in row] for row in x.matrix]
     )
-
-
-# -- the finite Priestley check ---------------------------------------------
-
-
-def is_priestley_finite(x):
-    """Decide whether the cone of all V-functors into the dual of the
-    quantale separates points and is initial.  Finite carriers over
-    finite-table quantales only; the discrete topology makes every such
-    map continuous."""
-    q = x.quantale
-    if q.flavor != FINITE_TABLE:
-        raise DescriptorError("the Priestley check needs a finite-table quantale")
-    vop = dual(as_vcategory(q))
-    cone = vfunctors_between(x, vop)
-    certificate = {"maps": len(cone)}
-    for s in x.states:
-        for t in x.states:
-            if s != t and all(psi(s) == psi(t) for psi in cone):
-                certificate["separating"] = False
-                certificate["witness"] = (s, t)
-                return False, certificate
-    certificate["separating"] = True
-    meets = initial_structure(q, x.states, [(psi.mapping, vop) for psi in cone])
-    for s in x.states:
-        for t in x.states:
-            meet = meets.a(s, t)
-            if meet != x.a(s, t):
-                certificate["initial"] = False
-                certificate["witness"] = (s, t, q.format(meet), q.format(x.a(s, t)))
-                return False, certificate
-    certificate["initial"] = True
-    return True, certificate

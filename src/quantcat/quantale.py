@@ -26,7 +26,7 @@ Quantales given by caller tables (``finite``, ``chain``) are built afresh.
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import CapExceeded, DescriptorError
+from .errors import DescriptorError
 
 FINITE_TABLE = "finite-table"
 LAWVERE = "lawvere-extended-rational"
@@ -397,17 +397,15 @@ class Quantale:
 
     @cached_property
     def unit_join_prime(self):
-        """True when k <= join(S) holds exactly when k <= s for some s in S,
-        for every finite S: k is not below bottom, and k <= join(u, v) implies
-        k <= u or k <= v.  It holds on every chain of two or more elements.
-        On ``lawvere`` k = 0 <= min(u, v) means u = 0 or v = 0."""
+        """True when k <= join(S) holds exactly when k <= s for some s in S:
+        k is totally below itself, the relation of ``totally_below`` at
+        (k, k).  On a finite table every S is finite, so this is k not
+        below bottom and k <= join(u, v) implying k <= u or k <= v.  It
+        holds on every chain of two or more elements.  On ``lawvere``
+        k = 0 <= min(u, v) means u = 0 or v = 0."""
         if self.flavor == LAWVERE:
             return True
-        k, els = self._unit, self.elements
-        return not self.leq(k, self._bot) and all(
-            self.leq(k, u) or self.leq(k, v)
-            for u in els for v in els if self.leq(k, self._join[u, v])
-        )
+        return not self.leq(self._unit, _join_not_above(self, self._unit))
 
 
 @lru_cache(maxsize=BUILTIN_MEMO_SIZE)
@@ -424,29 +422,26 @@ def _builtin(kind, n=None):
 # -- the totally-below relation ---------------------------------------
 
 
-def totally_below(q, cap=16):
+def _join_not_above(q, u):
+    """The join of every element s of a finite table with u not <= s."""
+    return q.join_all(s for s in q.elements if not q.leq(u, s))
+
+
+def totally_below(q):
     """The full totally-below relation of a finite-table quantale.
 
     u is totally below v when every subset S with v <= join(S) contains
-    some s with u <= s.  Computed by naive search over all subsets.
+    some s with u <= s.  That holds exactly when v is not below the join
+    of S0 = {s | u not <= s}: S0 holds no element above u, so v <= join(S0)
+    rules it out; and a set S with v <= join(S) and no element above u lies
+    inside S0, so v <= join(S0).  One join per u, so O(n^2) in all.
     """
     if q.flavor != FINITE_TABLE:
         raise DescriptorError("totally_below requires a finite-table quantale")
-    els = q.elements
-    n = len(els)
-    if n > cap:
-        raise CapExceeded("totally_below subset search", n, cap)
-    joins = [q.bottom] * (1 << n)
-    for m in range(1, 1 << n):
-        low = (m & -m).bit_length() - 1
-        joins[m] = q.join(joins[m & (m - 1)], els[low])
-    above = {u: sum(1 << i for i, s in enumerate(els) if q.leq(u, s)) for u in els}
     rel = set()
-    for v in els:
-        masks = [m for m in range(1 << n) if q.leq(v, joins[m])]
-        for u in els:
-            if all(m & above[u] for m in masks):
-                rel.add((u, v))
+    for u in q.elements:
+        low = _join_not_above(q, u)
+        rel.update((u, v) for v in q.elements if not q.leq(v, low))
     return rel
 
 

@@ -10,6 +10,8 @@ from itertools import product as iproduct
 from .errors import CapExceeded, ConsistencyError
 from .quantale import AssumptionReport, LawEntry
 
+VFUNCTOR_MAP_CAP = 20000
+
 
 class VCategory:
     """Carrier states plus a structure matrix into a fixed quantale.
@@ -406,11 +408,13 @@ def fibre_join(structures):
 # -- enumeration --------------------------------------------------------
 
 
-def vfunctors_between(x, y, cap=20000):
-    """Every structure-preserving map x -> y, in lexicographic mapping order."""
+def vfunctors_between(x, y):
+    """Every structure-preserving map x -> y, in lexicographic mapping order.
+    More than VFUNCTOR_MAP_CAP candidate maps raise CapExceeded before any
+    is built."""
     size = len(y.states) ** len(x.states) if x.states else 1
-    if size > cap:
-        raise CapExceeded("vfunctors_between candidate maps", size, cap)
+    if size > VFUNCTOR_MAP_CAP:
+        raise CapExceeded("vfunctors_between candidate maps", size, VFUNCTOR_MAP_CAP)
     out = []
     for mapping in iproduct(y.states, repeat=len(x.states)):
         f = VFunctor(x, y, mapping)

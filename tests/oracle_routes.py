@@ -6,8 +6,11 @@ the Hausdorff formula and as the initial lift of the cone of all V-functors
 into the quantale; down-closures in the dual; the symmetric Hausdorff
 value; initiality of a cone read off the pointwise-meet formula,
 computed here cell by cell rather than by ``vcat.initial_structure``, which
-is the library route it checks; and the least V-category structure above
-a matrix by repeated squaring, against ``vcat.fibre_join``'s single pass.
+is the library route it checks; the least V-category structure above
+a matrix by repeated squaring, against ``vcat.fibre_join``'s single pass;
+the totally-below relation by a search over all subsets, against
+``quantale.totally_below``'s closed form; and the cone of all V-functors
+into ``V^op``, against ``vcat.is_separated``.
 """
 
 from quantcat.errors import ConsistencyError
@@ -41,7 +44,7 @@ def powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
     return VCategory(x.quantale, subsets, mat)
 
 
-def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP, map_cap=20000):
+def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
     """Powerset structure computed as the initial lift of the meet-composite
     cone over all V-functors into the quantale: the oracle route.
 
@@ -49,7 +52,7 @@ def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP, map_cap=20000):
     """
     q = x.quantale
     _guard_carrier(x, cap)
-    psis = vfunctors_between(x, as_vcategory(q), cap=map_cap)
+    psis = vfunctors_between(x, as_vcategory(q))
     subsets = [_ids(x, m) for m in range(1 << len(x.states))]
     meets = [
         [q.meet_all(psi(s) for s in a) for a in subsets]
@@ -110,3 +113,37 @@ def squaring_closure(structures):
         if nxt == mat:
             return VCategory(q, states, mat)
         mat = nxt
+
+
+def totally_below_by_subsets(q):
+    """Pairs (u, v) of a finite table such that every subset S with
+    v <= join(S) holds some s with u <= s, found by joining all 2^n
+    subsets."""
+    els = q.elements
+    n = len(els)
+    joins = [q.bottom] * (1 << n)
+    for m in range(1, 1 << n):
+        low = (m & -m).bit_length() - 1
+        joins[m] = q.join(joins[m & (m - 1)], els[low])
+    above = {u: sum(1 << i for i, s in enumerate(els) if q.leq(u, s)) for u in els}
+    rel = set()
+    for v in els:
+        masks = [m for m in range(1 << n) if q.leq(v, joins[m])]
+        rel.update((u, v) for u in els if all(m & above[u] for m in masks))
+    return rel
+
+
+def priestley_cone(x):
+    """Does the cone of all V-functors from x into the dual of its
+    (finite-table) quantale separate points, and is it initial?  Returns
+    (separating and initial, {"maps", "separating", "initial"}), with
+    initiality read cell by cell off the pointwise-meet formula."""
+    q = x.quantale
+    vop = dual(as_vcategory(q))
+    cone = vfunctors_between(x, vop)
+    separating = all(any(psi(s) != psi(t) for psi in cone)
+                     for s in x.states for t in x.states if s != t)
+    initial = all(x.a(s, t) == q.meet_all(vop.a(psi(s), psi(t)) for psi in cone)
+                  for s in x.states for t in x.states)
+    return separating and initial, {"maps": len(cone), "separating": separating,
+                                    "initial": initial}

@@ -156,6 +156,58 @@ def test_check_input_errors(runner, tmp_path):
     assert runner.invoke(main, ["check", unknown]).exit_code == 2
 
 
+def test_check_coalgebra_without_category_is_bad_input(tmp_path):
+    path = _write(tmp_path, "nocat.json", {
+        "schema": "coalgebra/1", "functor": {"H": {"id": {}}}, "structure": {"a": []}})
+    env = dict(os.environ, PYTHONPATH=str(Path(quantcat.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "quantcat", "check", path],
+                          capture_output=True, env=env, check=False, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {
+        "schema": "report/1", "error": "coalgebra missing fields ['category']"}
+
+
+def test_check_coalgebra_reports_an_unlawful_carrier(runner, tmp_path):
+    # a -> b -> c without a -> c: the carrier is not transitive, so its laws
+    # are reported; the terms are not loaded, since up-closing {a} gives
+    # {a, b}, which is not up-closed and so no element of H(X)
+    path = _write(tmp_path, "coalg.json", {
+        "schema": "coalgebra/1", "functor": {"H": {"H": {"id": {}}}},
+        "category": _bool_category(["a", "b", "c"], [["1", "1", "0"], ["0", "1", "1"],
+                                                     ["0", "0", "1"]]),
+        "structure": {"a": [["a"]], "b": [], "c": [["c"], ["b"]]}})
+    result = runner.invoke(main, ["check", path])
+    assert result.exit_code == 1, result.exception
+    laws = json.loads(result.output)["files"][0]["laws"]
+    assert [(e["law"], e["passed"], e["witness"]) for e in laws] == [
+        ("reflexive", True, None), ("transitive", False, ["a", "b", "c"])]
+
+
+def test_check_a_long_chain_quantale(runner, tmp_path):
+    result = runner.invoke(main, ["check", _write(tmp_path, "q.json", "godel:24")])
+    assert result.exit_code == 0, result.output
+    rep = json.loads(result.output)
+    assert rep["ok"] is True
+    assumptions = {e["law"]: e["passed"] for e in rep["files"][0]["assumptions"]}
+    assert assumptions["totally-below-unit-directed"] is True
+
+
+@pytest.mark.parametrize("command", ["check", "selfcheck"])
+def test_timings_add_only_their_seconds(runner, c2_file, command):
+    args = {"check": ["check", c2_file], "selfcheck": ["selfcheck", "--cases", "2"]}[command]
+    plain = runner.invoke(main, args)
+    timed = runner.invoke(main, args + ["--timings"])
+    assert plain.exit_code == timed.exit_code == 0
+    rep, timed_rep = json.loads(plain.output), json.loads(timed.output)
+    assert "timings" not in rep
+    timings = timed_rep.pop("timings")
+    assert list(timings) == ["seconds"]
+    assert isinstance(timings["seconds"], (int, float)) and timings["seconds"] >= 0
+    assert timed_rep == rep
+
+
 def test_chain_sizes(runner):
     result = runner.invoke(main, ["chain", "--functor", "H", "--quantale", "bool",
                                   "--depth", "6"])

@@ -629,15 +629,18 @@ def test_negative_depth_is_rejected(q2, hid):
             walk(c, -1)
 
 
-@pytest.mark.parametrize("size", [12, 15])
+@pytest.mark.parametrize("size", [13, 15])
 def test_behavior_map_never_builds_the_functor_value(q2, hid, size):
     states = [f"s{i}" for i in range(size)]
     rng = random.Random(3)
     c = Coalgebra(hid, discrete(q2, states),
                   {s: frozenset(t for t in states if rng.random() < 0.35) for s in states})
-    # F(X) has 2^size elements, far above the cap; the chain levels stay below it
-    behs = behavior_map(c, 6, cap=64)
-    chain = final_chain(hid, 6, quantale=q2, cap=64)
+    # F(X) has 2^size elements, above the default size cap of 4096, so
+    # building it raises; the chain levels stay below it
+    with pytest.raises(CapExceeded):
+        eval_obj(hid, c.carrier)
+    behs = behavior_map(c, 6)
+    chain = final_chain(hid, 6, quantale=q2)
     assert [b.target for b in behs] == [level.obj for level in chain]
     for k in range(6):
         assert compose(chain[k + 1].connecting, behs[k + 1]) == behs[k]
@@ -707,17 +710,6 @@ def test_behaviour_memo_hands_out_copies(q2):
     behavior_map(c, 3).append(None)
     assert behavior_map(c, 3) == want
     assert want == behavior_map(Coalgebra(c.functor, c.carrier, c.structure), 3)
-
-
-def test_behaviour_memo_keeps_the_cap(q2):
-    c = _three_state_hid(q2)
-    behs = behavior_map(c, 4)
-    # level 3 of the chain has four states
-    with pytest.raises(CapExceeded):
-        behavior_map(c, 4, cap=3)
-    with pytest.raises(CapExceeded):
-        behavioral_distance(c, "a", "b", 4, cap=3)
-    assert behavior_map(c, 4) == behs
 
 
 def test_behaviour_memo_keeps_the_depth(q2):

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from quantcat import (
     INF,
-    CapExceeded,
     DescriptorError,
     Quantale,
     check_assumptions,
@@ -22,6 +21,7 @@ from quantcat.cli import main
 from quantcat.descriptors import load_quantale
 from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_law_suites
 from quantcat.vcat import as_vcategory
+from oracle_routes import totally_below_by_subsets
 
 FINITE_FIXTURES = [
     Quantale.boolean(),
@@ -163,11 +163,6 @@ def test_totally_below_godel_chain(godel3):
     rel = totally_below(godel3)
     assert ("1/2", "1") in rel
     assert ("0", "1") in rel
-
-
-def test_totally_below_cap():
-    with pytest.raises(CapExceeded):
-        totally_below(Quantale.godel(6), cap=4)
 
 
 @pytest.mark.parametrize("q", FINITE_FIXTURES, ids=lambda q: repr(q))
@@ -740,3 +735,31 @@ def test_unit_join_prime_matches_its_definition(q):
     # here the unit is the top, which is join-prime exactly on the chains
     chain = all(q.leq(u, v) or q.leq(v, u) for u in values for v in values)
     assert q.unit_join_prime == (chain and len(set(values)) > 1)
+
+
+# -- the totally-below relation against the subset search -----------------------
+
+
+def _boolean_algebra(k):
+    """The Boolean algebra 2^k on bit strings, tensor meet, unit top."""
+    els = [format(m, f"0{k}b") for m in range(1 << k)]
+    return Quantale.finite(
+        els, [(u, v) for u in els for v in els if int(u, 2) & ~int(v, 2) == 0],
+        {(u, v): format(int(u, 2) & int(v, 2), f"0{k}b") for u in els for v in els},
+        els[-1])
+
+
+TOTALLY_BELOW_QUANTALES = [
+    Quantale.by_name(name) for name in QUANTALE_NAMES if name != "lawvere"] + [
+    Quantale.godel(1), _pentagon(), _diamond(), _boolean_algebra(2), _boolean_algebra(3)]
+
+
+def test_totally_below_matches_the_subset_search():
+    primes = set()
+    for q in TOTALLY_BELOW_QUANTALES:
+        want = totally_below_by_subsets(q)
+        assert totally_below(q) == want, q
+        assert q.unit_join_prime == ((q.unit, q.unit) in want), q
+        primes.add(q.unit_join_prime)
+    assert primes == {True, False}
+

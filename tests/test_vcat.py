@@ -39,8 +39,9 @@ from quantcat import (
     underlying_order,
     vfunctors_between,
 )
+from quantcat import vcat
 from quantcat.suites import QUANTALE_NAMES, _elements, rand_category
-from oracle_routes import is_initial_cone, squaring_closure
+from oracle_routes import is_initial_cone, priestley_cone, squaring_closure
 
 
 def all_structures(q, states):
@@ -293,13 +294,16 @@ def test_compose_preserves_law(q2, c2):
         compose(down, VFunctor(c2, terminal(q2), ["*", "*"]))
 
 
-def test_vfunctors_between(q2, c2):
+def test_vfunctors_between(q2, c2, monkeypatch):
     point = terminal(q2)
     assert len(vfunctors_between(point, c2)) == 2
     assert len(vfunctors_between(c2, c2)) == 3
     assert len(vfunctors_between(c2, discrete(q2, ["a", "b"]))) == 2
-    with pytest.raises(CapExceeded):
-        vfunctors_between(discrete(q2, list("abcdef")), c2, cap=10)
+    # 2^15 candidate maps exceed the bound, which is checked before any is tried
+    monkeypatch.setattr(vcat, "is_vfunctor", None)
+    with pytest.raises(CapExceeded) as err:
+        vfunctors_between(discrete(q2, [f"s{i}" for i in range(15)]), c2)
+    assert (err.value.size, err.value.cap) == (2 ** 15, vcat.VFUNCTOR_MAP_CAP)
 
 
 def test_join_meet_are_vfunctors_out_of_powers(q2, godel3):
@@ -390,3 +394,19 @@ def test_restrict(c2):
     sub = restrict(c2, ["v"])
     assert sub.states == ("v",)
     assert sub.matrix == (("1",),)
+
+
+def test_is_separated_matches_the_priestley_cone():
+    """The cone of all V-functors into V^op is always initial, and it
+    separates points exactly on the separated V-categories."""
+    rng = random.Random(17)
+    seen = set()
+    for q in [Quantale.by_name(name) for name in QUANTALE_NAMES if name != "lawvere"] + [
+            _unit_below_top()]:
+        for _ in range(120):
+            x = rand_category(rng, q, max_size=4)
+            ok, cert = priestley_cone(x)
+            assert cert["initial"], x.matrix
+            assert ok == cert["separating"] == is_separated(x), x.matrix
+            seen.add(ok)
+    assert seen == {True, False}
