@@ -22,6 +22,7 @@ from .coalg import (
     final_chain,
     initial_lift_coalgebra,
     is_coalg_hom,
+    require_carrier,
     require_coalgebra,
 )
 from .errors import CapExceeded, DescriptorError, QuantcatError
@@ -61,8 +62,7 @@ def _load_checked_coalgebra(path):
     if not isinstance(spec, dict) or spec.get("schema") != ds.COALGEBRA_SCHEMA:
         raise DescriptorError(f"{path}: expected a coalgebra descriptor")
     # the carrier is checked before load_coalgebra up-closes terms in it
-    if not check_vcategory(ds.load_vcategory(spec["category"])).ok:
-        raise DescriptorError(f"{path}: carrier is not a V-category")
+    require_carrier(ds.load_vcategory(spec["category"]), path)
     return require_coalgebra(ds.load_coalgebra(spec), path)
 
 
@@ -274,17 +274,12 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
 @_command(_option("--coalgebra", dest="coalgebra_path", required=True),
           _option("--depth", type=int, required=True),
           _option("--symmetric", action="store_true"),
-          _option("--cap", type=int, default=DEFAULT_SIZE_CAP,
-                  help="Size bound on the inner objects built to up-close the "
-                       "structure terms; no chain level or F(X) is built "
-                       "(default: %(default)s)."),
           _FMT)
-def behave(coalgebra_path, depth, symmetric, cap, fmt):
+def behave(coalgebra_path, depth, symmetric, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
-    _check_cap(cap)
     c = _load_checked_coalgebra(coalgebra_path)
     q = c.carrier.quantale
-    tables = distance_table(c, depth, cap=cap)
+    tables = distance_table(c, depth)
     if symmetric:
         tables = [symmetrize(d) for d in tables]
     rows = []

@@ -7,7 +7,8 @@ carrier states for Id, constant points for Const, tuples for Prod, tagged
 pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
 
 Each node class says what F does there: ``obj`` on V-categories, ``dist``
-on set-level terms, ``map`` on state maps and ``normalize`` into ``obj``.
+on set-level terms, ``map`` on state maps and ``normalize`` into ``obj``;
+``load`` reads a term from its JSON form and ``dump`` writes it back.
 F(f) is ``normalize_term(F, f.target, F.map(f, t))`` at each term t.
 Behaviour maps and homomorphism checks apply it to the structure terms,
 so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
@@ -21,10 +22,11 @@ cone once.
 """
 
 import functools
+import json
 import math
 from itertools import islice, product as iproduct
 
-from .errors import CapExceeded, ConsistencyError
+from .errors import CapExceeded, ConsistencyError, DescriptorError, require_fields
 from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
@@ -64,6 +66,16 @@ def _leaf(home, term):
     return term
 
 
+def _known(home, spec, what):
+    """A JSON leaf in ``home``; arrays and objects are refused before a dict lookup."""
+    if isinstance(spec, (list, dict)) or spec not in home:
+        raise DescriptorError(f"unknown {what} {spec!r}")
+    return spec
+
+
+_JSON_TEXT = functools.partial(json.dumps, sort_keys=True, default=str)
+
+
 def _misshapen(expr, term):
     return ConsistencyError(f"term {_term_text(term)} does not have the shape of {expr!r}")
 
@@ -100,6 +112,12 @@ class Id:
     def normalize(self, cat, term, cap):
         return _leaf(cat, term)
 
+    def load(self, spec, home):
+        return _known(home, spec, "state")
+
+    def dump(self, term):
+        return term
+
 
 class Const:
     __slots__ = ("category", "_hash")
@@ -133,6 +151,12 @@ class Const:
 
     def normalize(self, cat, term, cap):
         return _leaf(self.category, term)
+
+    def load(self, spec, home):
+        return _known(self.category, spec, "constant point")
+
+    def dump(self, term):
+        return term
 
 
 class Prod:
@@ -175,6 +199,14 @@ class Prod:
         if not (isinstance(term, tuple) and len(term) == len(self.parts)):
             raise _misshapen(self, term)
         return tuple(p.normalize(cat, u, cap) for p, u in zip(self.parts, term))
+
+    def load(self, spec, home):
+        if not isinstance(spec, list) or len(spec) != len(self.parts):
+            raise DescriptorError("product term arity mismatch")
+        return tuple(p.load(u, home) for p, u in zip(self.parts, spec))
+
+    def dump(self, term):
+        return [p.dump(u) for p, u in zip(self.parts, term)]
 
 
 class Sum:
@@ -222,6 +254,17 @@ class Sum:
             raise _misshapen(self, term)
         return (term[0], self.parts[term[0]].normalize(cat, term[1], cap))
 
+    def load(self, spec, home):
+        require_fields(spec, ("branch", "term"), what="sum term")
+        b = spec["branch"]
+        # JSON true is a bool, which is an int
+        if type(b) is not int or not 0 <= b < len(self.parts):
+            raise DescriptorError(f"bad sum branch {b!r}")
+        return (b, self.parts[b].load(spec["term"], home))
+
+    def dump(self, term):
+        return {"branch": term[0], "term": self.parts[term[0]].dump(term[1])}
+
 
 class HComp:
     __slots__ = ("inner", "parts", "_hash")
@@ -260,6 +303,14 @@ class HComp:
             raise _misshapen(self, term)
         inner = eval_obj(self.inner, cat, cap)
         return hd.up_closure(inner, {self.inner.normalize(cat, t, cap) for t in term})
+
+    def load(self, spec, home):
+        if not isinstance(spec, list):
+            raise DescriptorError("set term must be a JSON array")
+        return frozenset(self.inner.load(t, home) for t in spec)
+
+    def dump(self, term):
+        return sorted((self.inner.dump(t) for t in term), key=_JSON_TEXT)
 
 
 def _leaf_quantales(expr):
@@ -404,10 +455,15 @@ def check_coalgebra(c):
     ))
 
 
+def require_carrier(x, where):
+    """Raise unless the carrier x is a V-category."""
+    if not is_vcategory(x):
+        raise ConsistencyError(f"{where}: carrier is not a V-category")
+
+
 def require_coalgebra(c, where):
     """Return c if its carrier is a V-category and its laws hold, else raise."""
-    if not is_vcategory(c.carrier):
-        raise ConsistencyError(f"{where}: carrier is not a V-category")
+    require_carrier(c.carrier, where)
     bad = check_coalgebra(c).failures()
     if bad:
         raise ConsistencyError(
@@ -510,20 +566,19 @@ def behavioral_distance(c, x, y, depth, symmetric=False):
     return out
 
 
-def distance_table(c, depth, cap=DEFAULT_SIZE_CAP):
+def distance_table(c, depth):
     """The chain-level distances of behavior_map pulled back to the carrier:
     d_0 .. d_depth with d_k(s, t) = level_k(beh_k(s), beh_k(t)).
 
     These are the first iterates of ``lift_descent`` from the empty cone:
     d_0 is top and d_{k+1} cuts d_k with the F-distance of the structure
-    terms under d_k, so neither the chain levels nor F(X) are built;
-    ``cap`` bounds only the inner objects that checking the structure
-    terms builds.  The descent stops at the initial lift of the empty cone,
-    the greatest structure the structure map preserves (coalgebras over
-    V-Cat are topological over coalgebras over Set), and the remaining
-    tables repeat it.
+    terms under d_k, so neither the chain levels nor F(X) are built.  The
+    descent stops at the initial lift of the empty cone, the greatest
+    structure the structure map preserves (coalgebras over V-Cat are
+    topological over coalgebras over Set), and the remaining tables repeat
+    it.
     """
-    _structure_terms(c, depth, cap)
+    _structure_terms(c, depth, DEFAULT_SIZE_CAP)
     x = c.carrier
     tables = list(islice(lift_descent(c.functor, x.quantale, x.states, c.structure), depth + 1))
     return tables + tables[-1:] * (depth + 1 - len(tables))

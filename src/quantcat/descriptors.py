@@ -9,8 +9,8 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term
-from .errors import DescriptorError
+from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term, require_carrier
+from .errors import DescriptorError, require_fields
 from .quantale import Quantale
 from .vcat import VCategory
 
@@ -19,17 +19,6 @@ VCATEGORY_SCHEMA = "vcategory/1"
 COALGEBRA_SCHEMA = "coalgebra/1"
 SET_COALGEBRA_SCHEMA = "setcoalgebra/1"
 REPORT_SCHEMA = "report/1"
-
-
-def _require_fields(d, required, optional=(), what="descriptor"):
-    if not isinstance(d, dict):
-        raise DescriptorError(f"{what} must be a JSON object")
-    missing = [f for f in required if f not in d]
-    if missing:
-        raise DescriptorError(f"{what} missing fields {missing}")
-    unknown = [f for f in d if f not in required and f not in optional]
-    if unknown:
-        raise DescriptorError(f"{what} has unknown fields {unknown}")
 
 
 def _require_ids(values, what):
@@ -53,8 +42,8 @@ def load_quantale(spec):
     """A built-in name or an inline quantale descriptor."""
     if isinstance(spec, str):
         return Quantale.by_name(spec)
-    _require_fields(spec, ("schema", "elements", "leq", "tensor", "unit"),
-                    what="quantale")
+    require_fields(spec, ("schema", "elements", "leq", "tensor", "unit"),
+                   what="quantale")
     if spec["schema"] != QUANTALE_SCHEMA:
         raise DescriptorError(f"unsupported quantale schema {spec['schema']!r}")
     els = spec["elements"]
@@ -89,8 +78,8 @@ def load_quantale(spec):
 
 
 def load_vcategory(spec):
-    _require_fields(spec, ("schema", "quantale", "states", "matrix"),
-                    what="vcategory")
+    require_fields(spec, ("schema", "quantale", "states", "matrix"),
+                   what="vcategory")
     if spec["schema"] != VCATEGORY_SCHEMA:
         raise DescriptorError(f"unsupported vcategory schema {spec['schema']!r}")
     q = load_quantale(spec["quantale"])
@@ -106,7 +95,7 @@ def load_vcategory(spec):
 
 def load_functor(spec, quantale):
     """Functor AST from nested objects: id, const, prod, sum, H."""
-    _require_fields(spec, (), ("id", "const", "prod", "sum", "H"), what="functor")
+    require_fields(spec, (), ("id", "const", "prod", "sum", "H"), what="functor")
     if len(spec) != 1:
         raise DescriptorError("functor node must have exactly one key")
     key, body = next(iter(spec.items()))
@@ -123,64 +112,24 @@ def load_functor(spec, quantale):
         return Prod([load_functor(p, quantale) for p in body])
     if key == "sum":
         return Sum([load_functor(p, quantale) for p in body])
-    if key == "H":
-        return HComp(load_functor(body, quantale))
-    raise DescriptorError(f"unknown functor node {key!r}")
+    return HComp(load_functor(body, quantale))
 
 
 def load_term(expr, spec, carrier):
-    """A structural term of F(carrier) from JSON, by recursion on the functor."""
-    if isinstance(expr, Id):
-        if spec not in carrier.states:
-            raise DescriptorError(f"unknown state {spec!r}")
-        return spec
-    if isinstance(expr, Const):
-        if spec not in expr.category.states:
-            raise DescriptorError(f"unknown constant point {spec!r}")
-        return spec
-    if isinstance(expr, Prod):
-        if not isinstance(spec, list) or len(spec) != len(expr.parts):
-            raise DescriptorError("product term arity mismatch")
-        return tuple(
-            load_term(p, spec[i], carrier) for i, p in enumerate(expr.parts)
-        )
-    if isinstance(expr, Sum):
-        _require_fields(spec, ("branch", "term"), what="sum term")
-        b = spec["branch"]
-        if not isinstance(b, int) or not 0 <= b < len(expr.parts):
-            raise DescriptorError(f"bad sum branch {b!r}")
-        return (b, load_term(expr.parts[b], spec["term"], carrier))
-    if isinstance(expr, HComp):
-        if not isinstance(spec, list):
-            raise DescriptorError("set term must be a JSON array")
-        return frozenset(load_term(expr.inner, t, carrier) for t in spec)
-    raise DescriptorError(f"unknown functor node {expr!r}")
+    """A term of F(carrier) from JSON; ``carrier`` is a V-category or a state list."""
+    return expr.load(spec, carrier)
 
 
 def dump_term(expr, term, quantale):
-    if isinstance(expr, (Id, Const)):
-        return term
-    if isinstance(expr, Prod):
-        return [dump_term(p, term[i], quantale) for i, p in enumerate(expr.parts)]
-    if isinstance(expr, Sum):
-        return {"branch": term[0], "term": dump_term(expr.parts[term[0]], term[1], quantale)}
-    if isinstance(expr, HComp):
-        return sorted(
-            (dump_term(expr.inner, t, quantale) for t in term), key=_term_key
-        )
-    raise DescriptorError(f"unknown functor node {expr!r}")
-
-
-def _term_key(t):
-    return json.dumps(t, sort_keys=True, default=str)
+    return expr.dump(term)
 
 
 def coalgebra_carrier(spec):
     """The carrier of a coalgebra descriptor, after its fields are checked.
     It is loaded without the terms, which up-closing can read only in a
     lawful carrier."""
-    _require_fields(spec, ("schema", "functor", "category", "structure"),
-                    what="coalgebra")
+    require_fields(spec, ("schema", "functor", "category", "structure"),
+                   what="coalgebra")
     if spec["schema"] != COALGEBRA_SCHEMA:
         raise DescriptorError(f"unsupported coalgebra schema {spec['schema']!r}")
     return load_vcategory(spec["category"])
@@ -198,8 +147,8 @@ def load_coalgebra(spec):
 
 def load_set_coalgebra(spec):
     """Set-level coalgebra: a functor, a quantale, bare states, and terms."""
-    _require_fields(spec, ("schema", "functor", "quantale", "states", "structure"),
-                    what="set coalgebra")
+    require_fields(spec, ("schema", "functor", "quantale", "states", "structure"),
+                   what="set coalgebra")
     if spec["schema"] != SET_COALGEBRA_SCHEMA:
         raise DescriptorError(f"unsupported schema {spec['schema']!r}")
     q = load_quantale(spec["quantale"])
@@ -208,11 +157,10 @@ def load_set_coalgebra(spec):
     if not isinstance(states, list):
         raise DescriptorError("states must be a JSON array")
     _require_ids(states, "state")
+    if len(set(states)) != len(states):
+        raise DescriptorError("duplicate state ids")
     raw = _structure(spec, states, "state list")
-    from .vcat import discrete
-
-    fake = discrete(q, states)
-    structure = {s: load_term(expr, raw[s], fake) for s in states}
+    structure = {s: load_term(expr, raw[s], states) for s in states}
     return expr, q, tuple(states), structure
 
 
@@ -229,8 +177,10 @@ def load_lift(spec):
     if not isinstance(legs, list):
         raise DescriptorError("cone must be a JSON array")
     cone = []
-    for leg in legs:
-        _require_fields(leg, ("mapping", "coalgebra"), what="cone leg")
+    for k, leg in enumerate(legs):
+        require_fields(leg, ("mapping", "coalgebra"), what="cone leg")
+        # checked before load_coalgebra up-closes the leg's terms in it
+        require_carrier(coalgebra_carrier(leg["coalgebra"]), f"cone leg {k}")
         target = load_coalgebra(leg["coalgebra"])
         raw = leg["mapping"]
         if not isinstance(raw, dict):

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the descriptor field check."""
 
 
 class QuantcatError(Exception):
@@ -17,6 +17,17 @@ class CapExceeded(QuantcatError):
 
 class DescriptorError(QuantcatError):
     """A JSON descriptor or element id failed to parse or validate."""
+
+
+def require_fields(d, required, optional=(), what="descriptor"):
+    if not isinstance(d, dict):
+        raise DescriptorError(f"{what} must be a JSON object")
+    missing = [f for f in required if f not in d]
+    if missing:
+        raise DescriptorError(f"{what} missing fields {missing}")
+    unknown = [f for f in d if f not in required and f not in optional]
+    if unknown:
+        raise DescriptorError(f"{what} has unknown fields {unknown}")
 
 
 class ConsistencyError(QuantcatError):

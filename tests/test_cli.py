@@ -551,6 +551,16 @@ MALFORMED_LIFTS = {
         _swap_with_cone(coalgebra=_pqr_coalgebra(
             [["1", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]], {"p": "r", "q": "q", "r": "r"})),
         "cone leg 0: not a coalgebra (structure-morphism, witness ('p', 'q'))"),
+    # under H(H(Id)) the leg's terms cannot be up-closed in a carrier that
+    # is not transitive, so the carrier is checked first
+    "carrier not transitive under nested H": (
+        {"schema": "setcoalgebra/1", "functor": {"H": {"H": {"id": {}}}}, "quantale": "bool",
+         "states": ["p"], "structure": {"p": []},
+         "cone": [{"mapping": {"p": "q"}, "coalgebra": {
+             **_pqr_coalgebra([["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]],
+                              {"p": [["p"]], "q": [], "r": []}),
+             "functor": {"H": {"H": {"id": {}}}}}}]},
+        "cone leg 0: carrier is not a V-category"),
 }
 
 
@@ -558,6 +568,46 @@ MALFORMED_LIFTS = {
 def test_lift_rejects_a_malformed_cone(runner, tmp_path, name):
     spec, message = MALFORMED_LIFTS[name]
     result = runner.invoke(main, ["lift", "--file", _write(tmp_path, "lift.json", spec)])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+_POINT = {"schema": "vcategory/1", "quantale": "bool", "states": ["p"], "matrix": [["1"]]}
+_TWO_IDS = [{"id": {}}, {"id": {}}]
+
+# functor, the one state's structure term, the loader's error
+BAD_TERMS = {
+    "unknown state": ({"id": {}}, "z", "unknown state 'z'"),
+    "array state": ({"id": {}}, ["a"], "unknown state ['a']"),
+    "unknown constant point": ({"const": _POINT}, "z", "unknown constant point 'z'"),
+    "product arity": ({"prod": _TWO_IDS}, ["a"], "product term arity mismatch"),
+    "scalar sum term": ({"sum": _TWO_IDS}, "a", "sum term must be a JSON object"),
+    "sum term without term": ({"sum": _TWO_IDS}, {"branch": 0},
+                              "sum term missing fields ['term']"),
+    "sum term with extra field": ({"sum": _TWO_IDS}, {"branch": 0, "term": "a", "x": 1},
+                                  "sum term has unknown fields ['x']"),
+    "sum branch out of range": ({"sum": _TWO_IDS}, {"branch": 2, "term": "a"},
+                                "bad sum branch 2"),
+    "boolean sum branch": ({"sum": _TWO_IDS}, {"branch": True, "term": "a"},
+                           "bad sum branch True"),
+    "scalar set term": ({"H": {"id": {}}}, "a", "set term must be a JSON array"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TERMS))
+@pytest.mark.parametrize("command", ["check", "lift"])
+def test_a_bad_term_is_bad_input(runner, tmp_path, command, name):
+    functor, term, message = BAD_TERMS[name]
+    if command == "check":
+        spec = {"schema": "coalgebra/1", "functor": functor,
+                "category": _bool_category(["a"], [["1"]]), "structure": {"a": term}}
+        args = ["check"]
+    else:
+        spec = {"schema": "setcoalgebra/1", "functor": functor, "quantale": "bool",
+                "states": ["a"], "structure": {"a": term}}
+        args = ["lift", "--file"]
+    result = runner.invoke(main, args + [_write(tmp_path, "term.json", spec)])
     assert result.exit_code == 2, result.exception
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
@@ -575,6 +625,8 @@ MALFORMED_SET_COALGEBRAS = {
     "object state": (_set_coalgebra([{"a": 1}, "b"]),
                      'state {"a": 1} is not a string, number or null'),
     "array structure": (_set_coalgebra(["b"], [["b"]]), "structure must be a JSON object"),
+    # the states are checked before the terms are looked up in them
+    "duplicate state": (_set_coalgebra(["b", "b"], {"b": "z"}), "duplicate state ids"),
 }
 
 
@@ -634,10 +686,9 @@ def test_negative_counts_are_bad_input(runner, args, message):
     assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
 
 
-@pytest.mark.parametrize("command", ["chain", "behave", "cantor"])
-def test_a_negative_cap_is_bad_input(runner, c2_file, hcoalg_file, command):
+@pytest.mark.parametrize("command", ["chain", "cantor"])
+def test_a_negative_cap_is_bad_input(runner, c2_file, command):
     args = {"chain": ["--depth", "0"],
-            "behave": ["--coalgebra", hcoalg_file, "--depth", "1"],
             "cantor": ["--category", c2_file]}[command]
     result = runner.invoke(main, [command, *args, "--cap", "-1"])
     assert result.exit_code == 2, result.exception

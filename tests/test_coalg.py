@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -45,6 +46,7 @@ from quantcat import (
 )
 from quantcat import coalg
 from quantcat.coalg import OBJ_MEMO_SIZE, _term_text, term_in_restriction
+from quantcat.descriptors import dump_term, load_term
 
 
 @pytest.fixture()
@@ -805,6 +807,15 @@ def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
             for s in fx.states:
                 for t in fx.states:
                     assert expr.dist(x, s, t) == fx.a(s, t), (expr, s, t)
+
+
+def test_json_terms_round_trip(q2, godel3, lawvere):
+    for q in (q2, godel3, lawvere):
+        x = _ordered_carrier(q)
+        for expr in _seven_functors(_labels(q)):
+            for t in eval_obj(expr, x).states:
+                text = json.dumps(dump_term(expr, t, q))
+                assert load_term(expr, json.loads(text), x) == t, (expr, t)
 
 
 def _seeded_coalgebras(count, seed):
