@@ -6,7 +6,6 @@ Exit codes: 0 all checks passed, 1 a law or property failed, 2 bad input,
 
 import argparse
 import functools
-import json
 import sys
 import time
 
@@ -14,8 +13,6 @@ from . import __version__
 from . import descriptors as ds
 from .coalg import (
     DEFAULT_SIZE_CAP,
-    HComp,
-    Id,
     check_coalgebra,
     distance_table,
     equalizer,
@@ -25,45 +22,17 @@ from .coalg import (
     require_carrier,
     require_coalgebra,
 )
-from .errors import CapExceeded, DescriptorError, QuantcatError
+from .errors import CapExceeded, DescriptorError, LawFailure, QuantcatError
 from .hausdorff import (cantor_check, enumerate_increasing, hausdorff_distance,
                         hausdorff_object, up_closure)
 from .omega import anamorphism, is_omega_hom, verify_chain_commutation
-from .quantale import check_assumptions, check_quantale_laws
-from .vcat import VFunctor, check_vcategory, symmetrize
+from .quantale import Quantale, check_assumptions, check_quantale_laws
+from .vcat import VCategory, VFunctor, check_vcategory, symmetrize
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
-
-
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise DescriptorError(f"{path}: {e}")
-    except json.JSONDecodeError as e:
-        raise DescriptorError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-
-
-def _load_checked_category(path):
-    cat = ds.load_vcategory(_read_json(path))
-    rep = check_vcategory(cat)
-    if not rep.ok:
-        bad = rep.failures()[0]
-        raise DescriptorError(f"{path}: not a V-category ({bad.law}, witness {bad.witness})")
-    return cat
-
-
-def _load_checked_coalgebra(path):
-    spec = _read_json(path)
-    if not isinstance(spec, dict) or spec.get("schema") != ds.COALGEBRA_SCHEMA:
-        raise DescriptorError(f"{path}: expected a coalgebra descriptor")
-    # the carrier is checked before load_coalgebra up-closes terms in it
-    require_carrier(ds.load_vcategory(spec["category"]), path)
-    return require_coalgebra(ds.load_coalgebra(spec), path)
 
 
 def _report(command, body, ok, fmt, timings=None):
@@ -183,35 +152,24 @@ def check(paths, fmt, timings):
     """Run the law suites on every object in the given files."""
     t0 = time.monotonic()
     files = []
-    ok = True
     for path in paths:
-        spec = _read_json(path)
-        schema = spec.get("schema") if isinstance(spec, dict) else None
-        if schema == ds.QUANTALE_SCHEMA or isinstance(spec, str):
-            q = ds.load_quantale(spec)
-            laws = check_quantale_laws(q)
-            assumptions = check_assumptions(q)
-            entry_ok = laws.ok and assumptions.ok
-            files.append({"path": path, "kind": "quantale",
-                          "laws": _law_entries(laws),
-                          "assumptions": _law_entries(assumptions),
-                          "ok": entry_ok})
-        elif schema == ds.VCATEGORY_SCHEMA:
-            cat = ds.load_vcategory(spec)
-            rep = check_vcategory(cat)
-            files.append({"path": path, "kind": "vcategory",
-                          "laws": _law_entries(rep), "ok": rep.ok})
-            entry_ok = rep.ok
-        elif schema == ds.COALGEBRA_SCHEMA:
-            rep = check_vcategory(ds.coalgebra_carrier(spec))
-            if rep.ok:  # the terms are up-closed in the carrier
-                rep = check_coalgebra(ds.load_coalgebra(spec))
-            files.append({"path": path, "kind": "coalgebra",
-                          "laws": _law_entries(rep), "ok": rep.ok})
-            entry_ok = rep.ok
+        try:
+            obj = ds.load_file(path)
+        except LawFailure as e:  # a coalgebra whose carrier is not a V-category
+            kind, reports = "coalgebra", {"laws": e.report}
         else:
-            raise DescriptorError(f"{path}: unrecognized schema {schema!r}")
-        ok = ok and entry_ok
+            if isinstance(obj, Quantale):
+                kind, reports = "quantale", {"laws": check_quantale_laws(obj),
+                                             "assumptions": check_assumptions(obj)}
+            elif isinstance(obj, VCategory):
+                kind, reports = "vcategory", {"laws": check_vcategory(obj)}
+            else:
+                kind, reports = "coalgebra", {"laws": check_coalgebra(obj)}
+        entry = {"path": path, "kind": kind}
+        entry.update((name, _law_entries(r)) for name, r in reports.items())
+        entry["ok"] = all(r.ok for r in reports.values())
+        files.append(entry)
+    ok = all(f["ok"] for f in files)
     tm = {"seconds": round(time.monotonic() - t0, 3)} if timings else None
     return _report("check", {"files": files}, ok, fmt, tm)
 
@@ -222,7 +180,7 @@ def check(paths, fmt, timings):
           _FMT)
 def hausdorff(category_path, left, right, fmt):
     """Lifted distances and up-closures for two subsets."""
-    cat = _load_checked_category(category_path)
+    cat = require_carrier(ds.load_file(category_path, ds.VCATEGORY_SCHEMA), category_path)
     q = cat.quantale
 
     def parse_subset(text):
@@ -247,12 +205,6 @@ def hausdorff(category_path, left, right, fmt):
     return _report("hausdorff", body, True, fmt)
 
 
-def _parse_functor(text, quantale):
-    if text == "H":
-        return HComp(Id())
-    return ds.load_functor(json.loads(text), quantale)
-
-
 @_command(_option("--functor", dest="functor_text", default="H",
                   help='"H" or an inline functor AST as JSON (default: %(default)s).'),
           _option("--quantale", dest="quantale_name", default="bool",
@@ -264,7 +216,7 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
     """Level sizes of the final chain of a polynomial functor."""
     _check_cap(cap)
     q = ds.load_quantale(quantale_name)
-    expr = _parse_functor(functor_text, q)
+    expr = ds.parse_functor(functor_text, q)
     levels = final_chain(expr, depth, quantale=q, cap=cap)
     body = {"functor": functor_text, "quantale": quantale_name, "depth": depth,
             "sizes": [len(l.obj.states) for l in levels]}
@@ -277,7 +229,7 @@ def chain(functor_text, quantale_name, depth, cap, fmt):
           _FMT)
 def behave(coalgebra_path, depth, symmetric, fmt):
     """Depth-indexed behavioural distance table over all state pairs."""
-    c = _load_checked_coalgebra(coalgebra_path)
+    c = require_coalgebra(ds.load_file(coalgebra_path, ds.COALGEBRA_SCHEMA), coalgebra_path)
     q = c.carrier.quantale
     tables = distance_table(c, depth)
     if symmetric:
@@ -315,8 +267,8 @@ def _parse_state_map(text, source, target):
           _FMT)
 def equalize(coalgebra_path, target_path, left, right, fmt):
     """Largest sub-coalgebra on which two homomorphisms agree."""
-    cx = _load_checked_coalgebra(coalgebra_path)
-    cy = _load_checked_coalgebra(target_path)
+    cx = require_coalgebra(ds.load_file(coalgebra_path, ds.COALGEBRA_SCHEMA), coalgebra_path)
+    cy = require_coalgebra(ds.load_file(target_path, ds.COALGEBRA_SCHEMA), target_path)
     f = _parse_state_map(left, cx.carrier, cy.carrier)
     g = _parse_state_map(right, cx.carrier, cy.carrier)
     for name, h in (("left", f), ("right", g)):
@@ -337,7 +289,7 @@ def equalize(coalgebra_path, target_path, left, right, fmt):
           _FMT)
 def lift(path, fmt):
     """Greatest structure making a set-level coalgebra a real one."""
-    expr, q, states, structure, cone = ds.load_lift(_read_json(path))
+    expr, q, states, structure, cone = ds.load_file(path, ds.SET_COALGEBRA_SCHEMA)
     out = initial_lift_coalgebra(expr, q, states, structure, cone=cone)
     body = {
         "states": list(states),
@@ -354,7 +306,7 @@ def lift(path, fmt):
 def cantor(category_path, phi_text, cap, fmt):
     """Witness that maps from the lifted object back are never embeddings."""
     _check_cap(cap)
-    cat = _load_checked_category(category_path)
+    cat = require_carrier(ds.load_file(category_path, ds.VCATEGORY_SCHEMA), category_path)
 
     def verdict_json(v):
         out = {"kind": v.kind}
@@ -370,17 +322,7 @@ def cantor(category_path, phi_text, cap, fmt):
     # object, quadratic in their number, is built
     subsets = enumerate_increasing(cat)
     if phi_text is not None:
-        raw = json.loads(phi_text)
-        if not isinstance(raw, dict):
-            raise DescriptorError("phi must be a JSON object")
-        key = {",".join(sorted(a)): a for a in subsets}
-        if set(raw) != set(key):
-            raise DescriptorError("phi keys do not match the lifted carrier")
-        bad = next((v for v in raw.values() if isinstance(v, (list, dict)) or v not in cat),
-                   None)
-        if bad is not None:
-            raise DescriptorError(f"phi value {json.dumps(bad)} is not a state id")
-        phi = {key[k]: v for k, v in raw.items()}
+        phi = ds.parse_phi(phi_text, cat, subsets)
         v = cantor_check(cat, phi, hx=hausdorff_object(cat))
         return _report("cantor", {"verdicts": [verdict_json(v)]},
                        v.kind != "contradiction-witness", fmt)
@@ -416,7 +358,7 @@ def omega_verify(depth, fmt):
 def ana(coalgebra_path, fmt):
     """Behaviour of a Boolean-quantale lifting coalgebra in the extended
     naturals; emits "inf" for infinity."""
-    c = _load_checked_coalgebra(coalgebra_path)
+    c = require_coalgebra(ds.load_file(coalgebra_path, ds.COALGEBRA_SCHEMA), coalgebra_path)
     beh = anamorphism(c)
     ok = is_omega_hom(c, beh)
     body = {"behavior": {s: repr(beh[s]) for s in c.carrier.states}}

@@ -26,13 +26,14 @@ import json
 import math
 from itertools import islice, product as iproduct
 
-from .errors import CapExceeded, ConsistencyError, DescriptorError, require_fields
+from .errors import (CapExceeded, ConsistencyError, DescriptorError, LawFailure,
+                     require_fields)
 from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
     VFunctor,
+    check_vcategory,
     initial_structure,
-    is_vcategory,
     is_vfunctor,
     restrict,
     terminal,
@@ -455,20 +456,24 @@ def check_coalgebra(c):
     ))
 
 
+def _require(obj, report, what):
+    bad = report.failures()
+    if bad:
+        raise LawFailure(f"{what} ({bad[0].law}, witness {bad[0].witness})", report)
+    return obj
+
+
 def require_carrier(x, where):
-    """Raise unless the carrier x is a V-category."""
-    if not is_vcategory(x):
-        raise ConsistencyError(f"{where}: carrier is not a V-category")
+    """Return x if it is a V-category; else raise LawFailure, named by
+    ``where``, with the first failing law and its witness."""
+    return _require(x, check_vcategory(x), f"{where}: not a V-category")
 
 
 def require_coalgebra(c, where):
-    """Return c if its carrier is a V-category and its laws hold, else raise."""
-    require_carrier(c.carrier, where)
-    bad = check_coalgebra(c).failures()
-    if bad:
-        raise ConsistencyError(
-            f"{where}: not a coalgebra ({bad[0].law}, witness {bad[0].witness})")
-    return c
+    """Return c if its coalgebra laws hold, else raise LawFailure.  The
+    carrier is taken to be a V-category, as ``load_coalgebra`` checks
+    before it reads the terms."""
+    return _require(c, check_coalgebra(c), f"{where}: not a coalgebra")
 
 
 def is_coalg_hom(h, cx, cy):
@@ -507,9 +512,9 @@ def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
     Level n holds F^n(1) and p_n: F^n(1) -> F^(n-1)(1), with p_1 the map to
     the point and p_(n+1) = F(p_n).  Nothing above F^depth(1) is built, so
     ``cap`` bounds exactly the returned levels.  A negative depth raises
-    ValueError."""
+    ConsistencyError."""
     if depth < 0:
-        raise ValueError(f"depth {depth} is negative")
+        raise ConsistencyError(f"depth {depth} is negative")
     q = functor_quantale(expr) or quantale
     if q is None:
         raise ConsistencyError("functor fixes no quantale; pass one explicitly")
@@ -625,13 +630,14 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
 
     ``structure`` maps each state to a set-level term of F(states); each
     cone entry is (mapping, target Coalgebra) with ``mapping`` listing
-    target states in carrier order.  Each leg must pass
-    ``require_coalgebra`` and be a set-level coalgebra morphism.  The
+    target states in carrier order.  Each leg must pass ``require_carrier``
+    and ``require_coalgebra`` and be a set-level coalgebra morphism.  The
     result structure starts at the pointwise meet of the cone legs and
     descends by cutting with the functor image until it stabilizes.
     """
     states = tuple(states)
     for k, (mapping, leg) in enumerate(cone):
+        require_carrier(leg.carrier, f"cone leg {k} carrier")
         require_coalgebra(leg, f"cone leg {k}")
         image = dict(zip(states, mapping))
         for s in states:

@@ -2,7 +2,9 @@
 expressions, plus canonical report rendering.
 
 Every descriptor carries a ``schema`` version field and unknown fields are
-rejected, so golden files stay stable.
+rejected, so golden files stay stable.  This module is the one reader of
+the format: it decodes files and inline options, checks shapes, field
+types and ids, and returns loaded objects.
 """
 
 import json
@@ -19,6 +21,56 @@ VCATEGORY_SCHEMA = "vcategory/1"
 COALGEBRA_SCHEMA = "coalgebra/1"
 SET_COALGEBRA_SCHEMA = "setcoalgebra/1"
 REPORT_SCHEMA = "report/1"
+
+
+def _decode(text, where):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DescriptorError(f"{where}:{e.lineno}:{e.colno}: {e.msg}")
+
+
+def load_file(path, schema=None):
+    """The object in the descriptor file at ``path``, read as ``schema``.
+    With no ``schema`` the file's own schema field picks a quantale (a JSON
+    string names a built-in), a V-category or a coalgebra.  A coalgebra's
+    carrier that is not a V-category is named by ``path``."""
+    try:
+        with open(path) as fh:
+            spec = _decode(fh.read(), path)
+    except (OSError, UnicodeDecodeError) as e:
+        raise DescriptorError(f"{path}: {e}")
+    loaders = {QUANTALE_SCHEMA: load_quantale, VCATEGORY_SCHEMA: load_vcategory,
+               COALGEBRA_SCHEMA: lambda spec: _coalgebra(spec, path),
+               SET_COALGEBRA_SCHEMA: load_lift}
+    if schema is None:
+        schema = (QUANTALE_SCHEMA if isinstance(spec, str)
+                  else spec.get("schema") if isinstance(spec, dict) else None)
+        if schema not in (QUANTALE_SCHEMA, VCATEGORY_SCHEMA, COALGEBRA_SCHEMA):
+            raise DescriptorError(f"{path}: unrecognized schema {schema!r}")
+    return loaders[schema](spec)
+
+
+def parse_functor(text, quantale):
+    """The functor of a ``--functor`` option: "H" or an inline functor AST."""
+    if text == "H":
+        return HComp(Id())
+    return load_functor(_decode(text, "--functor"), quantale)
+
+
+def parse_phi(text, category, subsets):
+    """The map of a ``--phi`` option, a JSON object from every increasing
+    subset, as its sorted states joined by commas, to a state of ``category``."""
+    raw = _decode(text, "--phi")
+    if not isinstance(raw, dict):
+        raise DescriptorError("phi must be a JSON object")
+    key = {",".join(subset_to_json(a)): a for a in subsets}
+    if set(raw) != set(key):
+        raise DescriptorError("phi keys do not match the lifted carrier")
+    for v in raw.values():
+        if isinstance(v, (list, dict)) or v not in category:
+            raise DescriptorError(f"phi value {json.dumps(v)} is not a state id")
+    return {key[k]: v for k, v in raw.items()}
 
 
 def _require_ids(values, what):
@@ -58,10 +110,9 @@ def load_quantale(spec):
         raise DescriptorError("leq/tensor rows must be arrays no longer than the element list")
     _require_ids(els, "element id")
     ids = set(els)
-    stray = next((cell for row in tensor_rows for cell in row
-                  if isinstance(cell, (list, dict)) or cell not in ids), None)
-    if stray is not None:
-        raise DescriptorError(f"tensor value {json.dumps(stray)} is not an element id")
+    for cell in (cell for row in tensor_rows for cell in row):
+        if isinstance(cell, (list, dict)) or cell not in ids:
+            raise DescriptorError(f"tensor value {json.dumps(cell)} is not an element id")
     pairs = [
         (els[i], els[j])
         for i, row in enumerate(leq_rows)
@@ -90,6 +141,7 @@ def load_vcategory(spec):
         raise DescriptorError("states and matrix must be JSON arrays, and each matrix row an array")
     if len(rows) != len(states) or any(len(r) != len(states) for r in rows):
         raise DescriptorError("matrix shape does not match the state list")
+    _require_ids(states, "state")
     return VCategory(q, states, [[q.parse(v) for v in row] for row in rows])
 
 
@@ -108,11 +160,11 @@ def load_functor(spec, quantale):
         if cat.quantale != quantale:
             raise DescriptorError("constant category over a different quantale")
         return Const(cat)
-    if key == "prod":
-        return Prod([load_functor(p, quantale) for p in body])
-    if key == "sum":
-        return Sum([load_functor(p, quantale) for p in body])
-    return HComp(load_functor(body, quantale))
+    if key == "H":
+        return HComp(load_functor(body, quantale))
+    if not isinstance(body, list):
+        raise DescriptorError(f"{key} node body must be a JSON array")
+    return (Prod if key == "prod" else Sum)([load_functor(p, quantale) for p in body])
 
 
 def load_term(expr, spec, carrier):
@@ -124,20 +176,18 @@ def dump_term(expr, term, quantale):
     return expr.dump(term)
 
 
-def coalgebra_carrier(spec):
-    """The carrier of a coalgebra descriptor, after its fields are checked.
-    It is loaded without the terms, which up-closing can read only in a
-    lawful carrier."""
+def load_coalgebra(spec):
+    """Coalgebra descriptor.  Set payloads are canonicalized by up-closing in
+    the carrier, so the carrier is refused first unless it is a V-category."""
+    return _coalgebra(spec, "coalgebra")
+
+
+def _coalgebra(spec, where):
     require_fields(spec, ("schema", "functor", "category", "structure"),
                    what="coalgebra")
     if spec["schema"] != COALGEBRA_SCHEMA:
         raise DescriptorError(f"unsupported coalgebra schema {spec['schema']!r}")
-    return load_vcategory(spec["category"])
-
-
-def load_coalgebra(spec):
-    """Coalgebra descriptor; set payloads are canonicalized by up-closing."""
-    carrier = coalgebra_carrier(spec)
+    carrier = require_carrier(load_vcategory(spec["category"]), f"{where} carrier")
     expr = load_functor(spec["functor"], carrier.quantale)
     raw = _structure(spec, carrier.states, "carrier states")
     structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier))
@@ -179,9 +229,7 @@ def load_lift(spec):
     cone = []
     for k, leg in enumerate(legs):
         require_fields(leg, ("mapping", "coalgebra"), what="cone leg")
-        # checked before load_coalgebra up-closes the leg's terms in it
-        require_carrier(coalgebra_carrier(leg["coalgebra"]), f"cone leg {k}")
-        target = load_coalgebra(leg["coalgebra"])
+        target = _coalgebra(leg["coalgebra"], f"cone leg {k}")
         raw = leg["mapping"]
         if not isinstance(raw, dict):
             raise DescriptorError("cone leg mapping must be a JSON object")

@@ -34,6 +34,14 @@ class ConsistencyError(QuantcatError):
     """An internal invariant failed; the input object was malformed."""
 
 
+class LawFailure(ConsistencyError):
+    """An input object breaks a law; ``report`` holds every law checked."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
+
+
 class IterationGuard(QuantcatError):
     """A fixpoint ran past its bound.  Only ``cantor_check`` raises it, after
     n + 2 steps over n increasing subsets: for phi injective and initial,

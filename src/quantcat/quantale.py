@@ -275,7 +275,7 @@ class Quantale:
             return INF
         try:
             v = Fraction(text)
-        except (ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ArithmeticError):  # ArithmeticError: 1/0, Infinity
             raise DescriptorError(f"bad rational {text!r}")
         if v < 0:
             raise DescriptorError(f"negative value {text!r} not in [0, inf]")

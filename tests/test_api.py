@@ -65,3 +65,38 @@ def test_only_coalg_tests_the_type_of_a_functor_node():
         if _isinstance_on_a_node(node)
     }
     assert found <= {"coalg.py"}
+
+
+# the fields of every descriptor schema
+DESCRIPTOR_FIELDS = {"schema", "elements", "leq", "tensor", "unit", "quantale", "states",
+                     "matrix", "functor", "category", "structure", "cone", "mapping",
+                     "coalgebra", "branch", "term", "id", "const", "prod", "sum", "H"}
+
+
+def _reads_a_descriptor_field(node):
+    """``spec["field"]`` or ``spec.get("field", ...)`` for a descriptor field."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr == "get" and node.args):
+        key = node.args[0]
+    else:
+        return False
+    return isinstance(key, ast.Constant) and key.value in DESCRIPTOR_FIELDS
+
+
+def test_the_command_line_handles_only_loaded_objects():
+    """``descriptors`` decodes every file and inline option and checks its
+    fields, so the command line imports no json, reads no descriptor field
+    and compares no schema."""
+    tree = ast.parse((Path(quantcat.__file__).parent / "cli.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert "json" not in imported
+    fields_read = [node.lineno for node in ast.walk(tree) if _reads_a_descriptor_field(node)]
+    assert fields_read == []
+    compared = {name.id if isinstance(name, ast.Name) else name.attr
+                for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for name in ast.walk(node) if isinstance(name, (ast.Name, ast.Attribute))}
+    assert not [name for name in compared if name.endswith("_SCHEMA")]

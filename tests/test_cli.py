@@ -8,9 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quantcat
+from conftest import CliRunner
 from quantcat.cli import main
+from test_golden import CASES as GOLDEN_CASES, INPUTS as GOLDEN_INPUTS
 
 
 def _write(tmp_path, name, payload):
@@ -545,7 +548,7 @@ MALFORMED_LIFTS = {
     "carrier not transitive": (
         _swap_with_cone(coalgebra=_pqr_coalgebra(
             [["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]], {"p": "p", "q": "q", "r": "r"})),
-        "cone leg 0: carrier is not a V-category"),
+        "cone leg 0 carrier: not a V-category (transitive, witness ('p', 'q', 'r'))"),
     # p <= q, but the structure map sends p to r and q to q
     "structure not a V-functor": (
         _swap_with_cone(coalgebra=_pqr_coalgebra(
@@ -560,7 +563,7 @@ MALFORMED_LIFTS = {
              **_pqr_coalgebra([["1", "1", "0"], ["0", "1", "1"], ["0", "0", "1"]],
                               {"p": [["p"]], "q": [], "r": []}),
              "functor": {"H": {"H": {"id": {}}}}}}]},
-        "cone leg 0: carrier is not a V-category"),
+        "cone leg 0 carrier: not a V-category (transitive, witness ('p', 'q', 'r'))"),
 }
 
 
@@ -763,3 +766,184 @@ def _fresh_python(code):
            "PYTHONPATH": str(Path(quantcat.__file__).resolve().parents[1])}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+# -- the exit-code contract: 0 ok, 1 a law failed, 2 bad input, 3 a cap hit;
+# no input prints a traceback
+
+def _coalgebra_with_functor(functor):
+    return {"schema": "coalgebra/1", "functor": functor,
+            "category": _bool_category(["a"], [["1"]]), "structure": {"a": []}}
+
+
+def _lawvere_point(value):
+    return {"schema": "vcategory/1", "quantale": "lawvere", "states": ["a"],
+            "matrix": [[value]]}
+
+
+_CHAIN2 = _bool_category(["u", "v"], [["1", "1"], ["0", "1"]])
+
+# name -> (CLI arguments, "@name" being the file that holds FILES[name]; error)
+FILES = {
+    "chain2": _CHAIN2,
+    "list_state": _bool_category([["a"], "b"], [["1", "0"], ["0", "1"]]),
+    "no_category": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
+                    "structure": {"a": []}},
+    "prod_int": _coalgebra_with_functor({"prod": 5}),
+    "prod_null": _coalgebra_with_functor({"prod": None}),
+    "null_tensor": {"schema": "quantale/1", "elements": ["0", "1"], "leq": [[1, 1], [0, 1]],
+                    "tensor": [["0", None], ["0", "1"]], "unit": "1"},
+    "lawvere_null": _lawvere_point(None),
+    "lawvere_array": _lawvere_point(["0"]),
+    "lawvere_object": _lawvere_point({"a": "0"}),
+}
+BAD_INPUTS = {
+    # the five malformed calls of the session benchmark
+    "functor not JSON": (["chain", "--functor", "{bad", "--depth", "2"],
+                         "--functor:1:2: Expecting property name enclosed in double quotes"),
+    "phi not JSON": (["cantor", "--category", "@chain2", "--phi", "nope"],
+                     "--phi:1:1: Expecting value"),
+    "negative chain depth": (["chain", "--depth", "-1"], "depth -1 is negative"),
+    "list-valued state": (["check", "@list_state"],
+                          'state ["a"] is not a string, number or null'),
+    "coalgebra without category": (["behave", "--coalgebra", "@no_category", "--depth", "1"],
+                                   "coalgebra missing fields ['category']"),
+    # bodies of prod and sum nodes are arrays
+    "prod body an int": (["check", "@prod_int"], "prod node body must be a JSON array"),
+    "prod body null": (["check", "@prod_null"], "prod node body must be a JSON array"),
+    "inline sum body an int": (["chain", "--functor", '{"sum": 3}', "--depth", "1"],
+                               "sum node body must be a JSON array"),
+    # a JSON null is no element id, state id or rational
+    "null tensor value": (["check", "@null_tensor"], "tensor value null is not an element id"),
+    "null phi value": (["cantor", "--category", "@chain2",
+                        "--phi", '{"": null, "v": "v", "u,v": "u"}'],
+                       "phi value null is not a state id"),
+    "null Lawvere value": (["check", "@lawvere_null"], "bad rational None"),
+    "array Lawvere value": (["check", "@lawvere_array"], "bad rational ['0']"),
+    "object Lawvere value": (["check", "@lawvere_object"], "bad rational {'a': '0'}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_a_report_error(runner, tmp_path, name):
+    args, message = BAD_INPUTS[name]
+    args = [_write(tmp_path, f"{a[1:]}.json", FILES[a[1:]]) if a.startswith("@") else a
+            for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.exception
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1", "error": message}
+
+
+@pytest.mark.parametrize("command", ["behave", "equalize", "ana"])
+def test_each_coalgebra_file_is_parsed_and_checked_once(runner, tmp_path, monkeypatch,
+                                                        command):
+    """The carrier is loaded once, and its V-category laws checked once,
+    before the terms are up-closed in it."""
+    from quantcat import coalg, descriptors, vcat
+
+    calls = {"load": 0, "check": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args):
+            calls[kind] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(descriptors, "load_vcategory",
+                        counted("load", descriptors.load_vcategory))
+    check = counted("check", vcat.check_vcategory)
+    monkeypatch.setattr(vcat, "check_vcategory", check)
+    monkeypatch.setattr(coalg, "check_vcategory", check)
+    src = _write(tmp_path, "src.json", {
+        "schema": "coalgebra/1", "functor": {"H": {"id": {}}},
+        "category": _bool_category(["x", "y"], [["1", "0"], ["0", "1"]]),
+        "structure": {"x": ["x"], "y": ["x"]}})
+    args = {"behave": ["behave", "--coalgebra", src, "--depth", "2"],
+            "equalize": ["equalize", "--coalgebra", src, "--target", src,
+                         "--left", "x=x,y=y", "--right", "x=x,y=x"],
+            "ana": ["ana", "--coalgebra", src]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.exception
+    files = 2 if command == "equalize" else 1
+    assert calls == {"load": files, "check": files}
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats()
+            | st.sampled_from(["", "a", "u", "0", "1", "inf", "H", "bool", "lawvere",
+                               "vcategory/1", "coalgebra/1", "quantale/1"]))
+_KEYS = st.sampled_from(["schema", "id", "H", "prod", "sum", "const", "states", "matrix",
+                         "quantale", "category", "functor", "structure", "branch", "term",
+                         "cone", "mapping", "coalgebra", "a"])
+_JSON = st.recursive(_SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                                              | st.dictionaries(_KEYS, inner, max_size=3)),
+                     max_leaves=6)
+# argparse reads a value such as -Infinity as an option, a usage error
+_TEXT = (st.sampled_from(["H", "{bad", "nope", "", "[]", '{"id": {}}', '{"prod": 5}',
+                          '{"H": {"H": {"id": {}}}}', '{"": "c0"}'])
+         | _JSON.map(json.dumps).filter(lambda text: not text.startswith("-")))
+_OPTIONS = {"--depth": st.integers(-2, 3).map(str), "--cap": st.integers(-1, 30).map(str),
+            "--functor": _TEXT, "--phi": _TEXT}
+# the JSON reports of the golden cases, less the seeded sweep
+_FUZZ_CASES = sorted(name for name, args in GOLDEN_CASES.items()
+                     if name.endswith(".json") and args[0] != "selfcheck")
+
+
+_DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    """``doc`` with the node at ``path`` replaced by ``value``, or deleted
+    when ``value`` is _DELETE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.data())
+def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, data):
+    """Mutate a golden input and the option values of its case: the exit
+    code is 0 to 3, a refusal comes with a report/1 error, a failed law
+    with "ok": false, and nothing raises."""
+    args = list(GOLDEN_CASES[data.draw(st.sampled_from(_FUZZ_CASES))])
+    if args[0] == "cantor" and data.draw(st.booleans()):
+        args += ["--phi", "{}"]
+    work = tmp_path_factory.mktemp("fuzz")
+    for i, arg in enumerate(args):
+        if arg in _OPTIONS and data.draw(st.booleans()):
+            args[i + 1] = data.draw(_OPTIONS[arg])
+        elif arg.startswith("@"):
+            doc = GOLDEN_INPUTS[arg[1:]]
+            if data.draw(st.booleans()):
+                path = data.draw(st.sampled_from(list(_paths(doc))))
+                doc = _mutated(doc, path, data.draw(_JSON | st.just(_DELETE)) if path
+                               else data.draw(_JSON))
+            args[i] = _write(work, f"{arg[1:]}.json", doc)
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, (SystemExit, type(None))), result.exception
+    assert result.exit_code in (0, 1, 2, 3)
+    if result.exit_code in (2, 3):
+        assert result.stdout == ""
+        err = json.loads(result.stderr)
+        assert err["schema"] == "report/1" and err["error"]
+    else:
+        assert json.loads(result.stdout)["ok"] is (result.exit_code == 0)

@@ -162,7 +162,7 @@ def test_final_chain_builds_only_the_levels_it_returns(q2, hid, monkeypatch, dep
 
 
 def test_final_chain_rejects_a_negative_depth(q2, hid):
-    with pytest.raises(ValueError, match="depth -1 is negative"):
+    with pytest.raises(ConsistencyError, match="depth -1 is negative"):
         final_chain(hid, -1, quantale=q2)
 
 
@@ -344,7 +344,8 @@ def test_initial_lift_checks_cone_legs(q2, c2):
     # V-category, so the leg is refused before the descent
     chain = from_order(q2, ["p", "q", "r"], [("p", "q"), ("q", "r")])
     leg = Coalgebra(Id(), chain, {"p": "p", "q": "q", "r": "r"})
-    with pytest.raises(ConsistencyError, match=r"^cone leg 0: carrier is not a V-category$"):
+    with pytest.raises(ConsistencyError, match=r"^cone leg 0 carrier: not a V-category "
+                       r"\(transitive, witness \('p', 'q', 'r'\)\)$"):
         initial_lift_coalgebra(Id(), q2, ["a", "b", "c"], {"a": "a", "b": "b", "c": "c"},
                                cone=[(["p", "q", "r"], leg)])
     swap = Coalgebra(Id(), c2, {"u": "v", "v": "u"})
