@@ -28,6 +28,8 @@ def _decode(text, where):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorError(f"{where}:{e.lineno}:{e.colno}: {e.msg}")
+    except RecursionError:
+        raise DescriptorError(f"{where}: JSON nests too deeply to decode")
 
 
 def load_file(path, schema=None):

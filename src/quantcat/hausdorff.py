@@ -22,7 +22,13 @@ def _mask(x, subset):
 
 
 def _ids(x, mask):
-    return frozenset(s for i, s in enumerate(x.states) if mask >> i & 1)
+    states = x.states
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(states[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
 
 
 def _up_mask(x, mask):
@@ -100,9 +106,10 @@ def _order_upset_masks(x, count_cap):
 def hausdorff_distance(x, a_set, b_set):
     """The lifted structure value between two arbitrary subsets."""
     q = x.quantale
-    ai = [x.index(s) for s in a_set]
+    join_all, index = q.join_all, x.index
+    rows = [x.matrix[index(s)] for s in a_set]
     return q.meet_all(
-        q.join_all(x.matrix[i][x.index(t)] for i in ai) for t in b_set
+        join_all([row[j] for row in rows]) for j in map(index, b_set)
     )
 
 
@@ -126,14 +133,16 @@ class HObject(Record):
 def hausdorff_object(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP):
     """Increasing subsets of x with the lifted structure matrix."""
     q = x.quantale
+    join_all, meet_all = q.join_all, q.meet_all
     elements = enumerate_increasing(x, cap=cap, count_cap=count_cap)
-    index_sets = [[x.index(s) for s in a] for a in elements]
-    n = len(x.states)
+    index_sets = [list(map(x.index, a)) for a in elements]
+    empty_join = [q.bottom] * len(x.states)
     mat = []
     for ai in index_sets:
         # join row first: one pass per source subset keeps the matrix cheap
-        row_join = [q.join_all(x.matrix[i][j] for i in ai) for j in range(n)]
-        mat.append([q.meet_all(row_join[j] for j in bi) for bi in index_sets])
+        rows = [x.matrix[i] for i in ai]
+        row_join = list(map(join_all, zip(*rows))) if rows else empty_join
+        mat.append([meet_all(map(row_join.__getitem__, bi)) for bi in index_sets])
     return HObject(x, tuple(elements), VCategory(q, elements, mat))
 
 
@@ -170,8 +179,8 @@ def monad_mult(x, hx=None, hhx=None):
 def lax_powerset_extension(r):
     """Extend a V-relation to all subsets by the meet-of-joins formula."""
     q = r.quantale
-    src = list(_subsets(r.source_states))
-    tgt = list(_subsets(r.target_states))
+    src = _subsets(r.source_states)
+    tgt = _subsets(r.target_states)
     ridx = {
         (s, t): r.matrix[i][j]
         for i, s in enumerate(r.source_states)
@@ -185,11 +194,13 @@ def lax_powerset_extension(r):
 
 
 def _subsets(states):
-    """Every subset of ``states`` as a frozenset, by mask m from 0 to
-    2^n - 1, where bit i of m picks the i-th state."""
-    states = tuple(states)
-    for m in range(1 << len(states)):
-        yield frozenset(s for i, s in enumerate(states) if m >> i & 1)
+    """Every subset of ``states`` as a frozenset, listed by mask m from 0 to
+    2^n - 1, where bit i of m picks the i-th state: the subsets with state i
+    are those without it, in order, each joined by state i."""
+    out = [frozenset()]
+    for s in states:
+        out += [a | {s} for a in out]
+    return out
 
 
 def lax_extension_monotone(r, r2):

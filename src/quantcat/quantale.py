@@ -1,10 +1,12 @@
 """Quantales: complete lattices carrying a commutative unital tensor.
 
-Two flavors are supported.  ``finite-table`` quantales are given by explicit
-tables over symbolic element ids and every law can be checked exhaustively.
-The ``lawvere-extended-rational`` flavor is the quantale of extended
-non-negative rationals ordered by >=, with truncated addition as tensor; its
-laws hold analytically and only finitary joins/meets are ever requested.
+Two flavors are supported, each by its own subclass of ``Quantale``.
+``finite-table`` quantales (``TableQuantale``) are given by explicit tables
+over symbolic element ids and every law can be checked exhaustively.  The
+``lawvere-extended-rational`` flavor (``LawvereQuantale``) is the quantale
+of extended non-negative rationals ordered by >=, with truncated addition
+as tensor; its laws hold analytically and only finitary joins/meets are
+ever requested.
 
 Every finite table derives its lattice by one rule, whatever the shape of
 its order.  The order is read once into per-element up-set and down-set
@@ -105,6 +107,9 @@ class AssumptionReport(Record):
 class Quantale:
     """A quantale with computed internal hom.
 
+    ``Quantale(flavor, ...)`` builds an instance of the flavor's subclass,
+    ``TableQuantale`` or ``LawvereQuantale``, and each subclass defines the
+    element operations of its flavor, so no operation tests the flavor.
     Finite-table instances are built through :meth:`finite`; the Lawvere
     quantale through :meth:`lawvere`.  All public operations take and return
     element values: ids (strings) for finite tables, ``Fraction`` or ``INF``
@@ -114,24 +119,12 @@ class Quantale:
     which writes to the instance ``__dict__`` directly.
     """
 
-    def __init__(self, flavor, elements=None, leq_pairs=None, tensor_table=None, unit=None):
+    def __new__(cls, flavor, *tables):
+        return super().__new__(LawvereQuantale if flavor == LAWVERE else TableQuantale)
+
+    def __init__(self, flavor, *tables):
         self.flavor = flavor
-        if flavor == LAWVERE:
-            self._key = (LAWVERE,)
-            return
-        self.elements = tuple(elements)
-        self._ids = frozenset(self.elements)
-        if len(self._ids) != len(self.elements):
-            raise DescriptorError("duplicate element ids")
-        self._leq = frozenset(leq_pairs)
-        self._tensor = dict(tensor_table)
-        self._unit = unit
-        if not self._known(unit):
-            raise DescriptorError(f"unit {unit!r} not among elements")
-        self._derive_lattice()
-        # ids need not be mutually comparable, so the key is unordered
-        self._key = (FINITE_TABLE, self.elements, self._leq,
-                     frozenset(self._tensor.items()), unit)
+        self._key = self._derive(*tables)
 
     # -- construction -------------------------------------------------
 
@@ -189,7 +182,71 @@ class Quantale:
                 return ctor(n)
         raise DescriptorError(f"unknown quantale name {name!r}")
 
-    # -- lattice derivation (finite tables) ---------------------------
+    # -- equality / hashing -------------------------------------------
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, Quantale) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value):
+        if "_key" in self.__dict__:
+            raise AttributeError(f"Quantale is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Quantale is immutable: cannot delete {name!r}")
+
+    # -- the element operations, defined by each flavor ----------------
+    # The folds stop as soon as they reach top (join) or bottom (meet):
+    # callers pass generators whose remaining items need not be computed.
+
+    def leq(self, u, v):
+        """u is below v in the lattice order."""
+        raise NotImplementedError
+
+    def join(self, u, v):
+        """The least upper bound of u and v."""
+        raise NotImplementedError
+
+    def meet(self, u, v):
+        """The greatest lower bound of u and v."""
+        raise NotImplementedError
+
+    def join_all(self, items):
+        """The join of finitely many items; bottom when there are none."""
+        raise NotImplementedError
+
+    def meet_all(self, items):
+        """The meet of finitely many items; top when there are none."""
+        raise NotImplementedError
+
+    def tensor(self, u, v):
+        """The monoid product u (x) v."""
+        raise NotImplementedError
+
+    def hom(self, u, v):
+        """Internal hom: the largest w with u (x) w <= v."""
+        raise NotImplementedError
+
+
+class TableQuantale(Quantale):
+    """A quantale given by finite tables over symbolic element ids."""
+
+    def _derive(self, elements, leq_pairs, tensor_table, unit):
+        self.elements = tuple(elements)
+        self._ids = frozenset(self.elements)
+        if len(self._ids) != len(self.elements):
+            raise DescriptorError("duplicate element ids")
+        self._leq = frozenset(leq_pairs)
+        self._tensor = dict(tensor_table)
+        self.unit = unit
+        if not self._known(unit):
+            raise DescriptorError(f"unit {unit!r} not among elements")
+        self._derive_lattice()
+        # ids need not be mutually comparable, so the key is unordered
+        return (FINITE_TABLE, self.elements, self._leq, frozenset(self._tensor.items()), unit)
 
     def _derive_lattice(self):
         els = self.elements
@@ -225,7 +282,7 @@ class Quantale:
         bot, top = single(everything, up), single(everything, down)
         if bot is None or top is None:
             raise DescriptorError("lattice lacks a unique bottom or top")
-        self._bot, self._top = els[bot], els[top]
+        self.bottom, self.top = els[bot], els[top]
         missing = [p for p in ((u, v) for u in els for v in els) if p not in self._tensor]
         if missing:
             raise DescriptorError(f"tensor table missing entries: {missing[:3]}")
@@ -238,26 +295,8 @@ class Quantale:
         return {(u, v): self.join_all(w for w in els if (tensor[u, w], v) in leq)
                 for u in els for v in els}
 
-    # -- equality / hashing -------------------------------------------
-
-    def __eq__(self, other):
-        return self is other or isinstance(other, Quantale) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __setattr__(self, name, value):
-        if "_key" in self.__dict__:
-            raise AttributeError(f"Quantale is immutable: cannot set {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Quantale is immutable: cannot delete {name!r}")
-
     def __repr__(self):
-        if self.flavor == LAWVERE:
-            return "Quantale(lawvere)"
-        return f"Quantale({len(self.elements)} elements, unit={self._unit!r})"
+        return f"Quantale({len(self.elements)} elements, unit={self.unit!r})"
 
     # -- element parsing / formatting ----------------------------------
 
@@ -267,10 +306,92 @@ class Quantale:
         except TypeError:  # an unhashable value is no element id
             return False
 
+    def _check(self, el):
+        if not self._known(el):
+            raise DescriptorError(f"unknown element id {el!r}")
+
     def parse(self, text):
-        if self.flavor == FINITE_TABLE:
-            self._check(text)
-            return text
+        self._check(text)
+        return text
+
+    def format(self, el):
+        self._check(el)
+        return el
+
+    # -- order and lattice operations ----------------------------------
+
+    def leq(self, u, v):
+        return (u, v) in self._leq
+
+    def join(self, u, v):
+        return self._join[u, v]
+
+    def meet(self, u, v):
+        return self._meet[u, v]
+
+    def join_all(self, items):
+        join, top = self._join, self.top
+        out = self.bottom
+        for x in items:
+            out = join[out, x]
+            if out == top:
+                break
+        return out
+
+    def meet_all(self, items):
+        meet, bot = self._meet, self.bottom
+        out = self.top
+        for x in items:
+            out = meet[out, x]
+            if out == bot:
+                break
+        return out
+
+    def tensor(self, u, v):
+        return self._tensor[u, v]
+
+    def hom(self, u, v):
+        self._check(u)
+        self._check(v)
+        return self._hom[u, v]
+
+    @property
+    def trivial(self):
+        """True when unit = bottom, i.e. the one-element quantale."""
+        return self.unit == self.bottom
+
+    @cached_property
+    def unit_join_prime(self):
+        """True when k <= join(S) holds exactly when k <= s for some s in S:
+        k is totally below itself, the relation of ``totally_below`` at
+        (k, k).  On a finite table every S is finite, so this is k not
+        below bottom and k <= join(u, v) implying k <= u or k <= v.  It
+        holds on every chain of two or more elements."""
+        return not self.leq(self.unit, _join_not_above(self, self.unit))
+
+
+class LawvereQuantale(Quantale):
+    """Extended non-negative rationals ordered by >=, with truncated
+    addition as tensor.  The order is reversed numeric order: ``INF`` is
+    the bottom and 0 the top and the unit."""
+
+    unit = top = _ZERO
+    bottom = INF
+    trivial = False
+    # k = 0 <= min(u, v) means u = 0 or v = 0
+    unit_join_prime = True
+
+    def _derive(self):
+        return (LAWVERE,)
+
+    def __repr__(self):
+        return "Quantale(lawvere)"
+
+    def _check(self, el):
+        if el is not INF and not isinstance(el, Fraction):
+            raise DescriptorError(f"bad Lawvere element {el!r}")
+
+    def parse(self, text):
         if text == "inf":
             return INF
         try:
@@ -283,35 +404,9 @@ class Quantale:
 
     def format(self, el):
         self._check(el)
-        if self.flavor == FINITE_TABLE:
-            return el
         return "inf" if el is INF else str(el)
 
-    def _check(self, el):
-        if self.flavor == FINITE_TABLE:
-            if not self._known(el):
-                raise DescriptorError(f"unknown element id {el!r}")
-        elif el is not INF and not isinstance(el, Fraction):
-            raise DescriptorError(f"bad Lawvere element {el!r}")
-
-    # -- order and lattice operations ----------------------------------
-
-    @property
-    def unit(self):
-        return self._unit if self.flavor == FINITE_TABLE else _ZERO
-
-    @property
-    def bottom(self):
-        return self._bot if self.flavor == FINITE_TABLE else INF
-
-    @property
-    def top(self):
-        return self._top if self.flavor == FINITE_TABLE else _ZERO
-
     def leq(self, u, v):
-        if self.flavor == FINITE_TABLE:
-            return (u, v) in self._leq
-        # Lawvere order is reversed numeric order; INF is the bottom.
         if u is INF:
             return True
         if v is INF:
@@ -319,8 +414,6 @@ class Quantale:
         return u >= v
 
     def join(self, u, v):
-        if self.flavor == FINITE_TABLE:
-            return self._join[u, v]
         if u is INF:
             return v
         if v is INF:
@@ -328,84 +421,39 @@ class Quantale:
         return min(u, v)
 
     def meet(self, u, v):
-        if self.flavor == FINITE_TABLE:
-            return self._meet[u, v]
         if u is INF or v is INF:
             return INF
         return max(u, v)
 
-    # The folds stop as soon as they reach top (join) or bottom (meet):
-    # callers pass generators whose remaining items need not be computed.
-
     def join_all(self, items):
-        if self.flavor == LAWVERE:
-            out = INF
-            for x in items:
-                if x is not INF and (out is INF or x < out):
-                    out = x
-                    if out == 0:
-                        break
-            return out
-        out = self._bot
-        top = self._top
+        out = INF
         for x in items:
-            out = self._join[out, x]
-            if out == top:
-                break
+            if x is not INF and (out is INF or x < out):
+                out = x
+                if out == 0:
+                    break
         return out
 
     def meet_all(self, items):
-        if self.flavor == LAWVERE:
-            out = _ZERO
-            for x in items:
-                if x is INF:
-                    return INF
-                if x > out:
-                    out = x
-            return out
-        out = self._top
-        bot = self._bot
+        out = _ZERO
         for x in items:
-            out = self._meet[out, x]
-            if out == bot:
-                break
+            if x is INF:
+                return INF
+            if x > out:
+                out = x
         return out
 
     def tensor(self, u, v):
-        if self.flavor == FINITE_TABLE:
-            return self._tensor[u, v]
         if u is INF or v is INF:
             return INF
         return u + v
 
     def hom(self, u, v):
-        """Internal hom: the largest w with u (x) w <= v."""
-        if self.flavor == FINITE_TABLE:
-            self._check(u)
-            self._check(v)
-            return self._hom[u, v]
         if u is INF:
             return _ZERO
         if v is INF:
             return INF
         return max(v - u, _ZERO)
-
-    @property
-    def trivial(self):
-        """True when unit = bottom, i.e. the one-element quantale."""
-        return self.unit == self.bottom if self.flavor == FINITE_TABLE else False
-
-    @cached_property
-    def unit_join_prime(self):
-        """True when k <= join(S) holds exactly when k <= s for some s in S:
-        k is totally below itself, the relation of ``totally_below`` at
-        (k, k).  On a finite table every S is finite, so this is k not
-        below bottom and k <= join(u, v) implying k <= u or k <= v.  It
-        holds on every chain of two or more elements.  On ``lawvere``
-        k = 0 <= min(u, v) means u = 0 or v = 0."""
-        if self.flavor == LAWVERE:
-            return True
-        return not self.leq(self._unit, _join_not_above(self, self._unit))
 
 
 @lru_cache(maxsize=BUILTIN_MEMO_SIZE)

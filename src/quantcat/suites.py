@@ -3,14 +3,19 @@
 Each suite draws its cases from one ``random.Random`` stream, so a fixed
 seed reproduces the exact same instances and the exact same report bytes.
 The sweeps back both the acceptance gate and the ``selfcheck`` command.
+Since the suites share no state, ``run_law_suites`` runs them side by side
+in forked workers.
 """
 
+import json
+import os
 import random
 from fractions import Fraction
 
+from . import errors
 from . import hausdorff as hd
 from .coalg import Const, Id, Prod, Sum, eval_mor, eval_obj
-from .errors import ConsistencyError
+from .errors import ConsistencyError, QuantcatError
 from .quantale import FINITE_TABLE, INF, Quantale
 from .vcat import (
     VCategory,
@@ -176,13 +181,12 @@ def suite_hausdorff_identities(rng):
     k = q.unit
     member_ok = True
     closure_ok = True
-    for a in hd._subsets(x.states):
-        ua = hd.up_closure(x, a)
-        for b in hd._subsets(x.states):
+    closed = [(a, hd.up_closure(x, a)) for a in hd._subsets(x.states)]
+    for a, ua in closed:
+        for b, ub in closed:
             v = hd.hausdorff_distance(x, a, b)
             if q.leq(k, v) != (b <= ua):
                 member_ok = False
-            ub = hd.up_closure(x, b)
             if hd.hausdorff_distance(x, a, ub) != v:
                 closure_ok = False
             if hd.hausdorff_distance(x, ua, b) != v:
@@ -199,13 +203,10 @@ def suite_closures(rng):
     f = rand_vfunctor(rng, q)
     x, y = f.source, f.target
     checks = []
-    ok = all(
-        a <= hd.up_closure(x, a)
-        and hd.up_closure(x, hd.up_closure(x, a)) == hd.up_closure(x, a)
-        for a in hd._subsets(x.states)
-    )
+    closed = [(a, hd.up_closure(x, a)) for a in hd._subsets(x.states)]
+    ok = all(a <= ua and hd.up_closure(x, ua) == ua for a, ua in closed)
     checks.append(("up-closure-is-closure", ok))
-    incr = [a for a in hd._subsets(x.states) if hd.up_closure(x, a) == a]
+    incr = [a for a, ua in closed if ua == a]
     checks.append((
         "intersections-stay-increasing",
         all(hd.up_closure(x, a & b) == a & b for a in incr for b in incr),
@@ -213,9 +214,8 @@ def suite_closures(rng):
     checks.append((
         "image-of-closure-inside-closure-of-image",
         all(
-            frozenset(f(s) for s in hd.up_closure(x, a))
-            <= hd.up_closure(y, frozenset(f(s) for s in a))
-            for a in hd._subsets(x.states)
+            frozenset(f(s) for s in ua) <= hd.up_closure(y, frozenset(f(s) for s in a))
+            for a, ua in closed
         ),
     ))
     incr_y = [b for b in hd._subsets(y.states) if hd.up_closure(y, b) == b]
@@ -295,13 +295,92 @@ def run_suite(name, fn, seed, cases):
 def run_law_suites(seed, cases=1000):
     """All suites in a fixed order; the returned structure is reproducible
     byte for byte under a fixed seed.  A negative case count raises
-    ConsistencyError."""
+    ConsistencyError.
+
+    Each suite draws from its own random stream, so where ``os.fork``
+    exists every suite but the first runs in a forked worker of its own,
+    while this process runs the first, the longest.  Each worker sends its
+    ``run_suite`` result back as JSON on its own pipe, and the results are
+    collected in ``SUITES`` order, so the report is byte for byte the one an
+    in-process run gives.  A ``QuantcatError`` raised in a worker is raised
+    here with the same class and message; any other exception in a worker
+    raises RuntimeError with the worker's traceback, as does a worker that
+    exits without a result.  Every worker has exited when this returns or
+    raises.  Without ``os.fork`` the suites run in turn in this process.
+    Forking copies only the calling thread, so call this from a process
+    that runs no other threads.
+    """
     if cases < 0:
         raise ConsistencyError(f"case count {cases} is negative")
-    results = [run_suite(name, fn, seed, cases) for name, fn in SUITES]
+    if hasattr(os, "fork"):
+        results = _run_forked(seed, cases)
+    else:
+        results = [run_suite(name, fn, seed, cases) for name, fn in SUITES]
     return {
         "seed": seed,
         "cases": cases,
         "suites": results,
         "ok": all(r["passed"] for r in results),
     }
+
+
+def _run_forked(seed, cases):
+    (first, first_fn), *rest = SUITES
+    workers = []  # (suite name, pid, read end of its pipe), not yet collected
+    try:
+        for name, fn in rest:
+            workers.append((name, *_fork_suite(name, fn, seed, cases)))
+        results = [run_suite(first, first_fn, seed, cases)]
+        while workers:
+            results.append(_collect(*workers.pop(0)))
+        return results
+    finally:
+        for _, pid, fd in workers:
+            os.close(fd)  # a worker still writing then fails and exits
+            os.waitpid(pid, 0)
+
+
+def _fork_suite(name, fn, seed, cases):
+    """Start ``run_suite`` in a forked worker; returns its pid and the read
+    end of the pipe that carries its message."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:  # the worker never returns into its caller
+        os.close(r)
+        try:
+            msg = {"result": run_suite(name, fn, seed, cases)}
+        except QuantcatError as e:
+            msg = {"error": type(e).__name__, "message": str(e)}
+        except Exception:
+            import traceback
+            msg = {"traceback": traceback.format_exc()}
+        with open(w, "w") as pipe:
+            pipe.write(json.dumps(msg))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(name, pid, fd):
+    """The ``run_suite`` result that the worker of suite ``name`` sent,
+    read once the worker has exited; its error raised here otherwise."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise RuntimeError(f"law suite {name!r}: worker exited with code "
+                           f"{os.waitstatus_to_exitcode(status)} and sent no result")
+    msg = json.loads(data)
+    if "error" in msg:
+        cls = getattr(errors, msg["error"])
+        # __new__ sets the message; __init__ takes arguments that vary by class
+        raise cls.__new__(cls, msg["message"])
+    if "traceback" in msg:
+        raise RuntimeError(f"law suite {name!r} failed in its worker:\n{msg['traceback']}")
+    return msg["result"]

@@ -18,7 +18,9 @@ class VCategory:
 
     ``states`` may be any hashable ids; ``matrix[i][j]`` is the structure
     value from ``states[i]`` to ``states[j]``.  Instances compare and hash
-    structurally, which makes memoization by object identity sound.
+    structurally, which makes memoization by object identity sound; the
+    hash is computed on the first ``__hash__`` call, since most instances
+    are never hashed.
     """
 
     __slots__ = ("quantale", "states", "matrix", "_index", "_hash", "_unit_rows")
@@ -26,15 +28,14 @@ class VCategory:
     def __init__(self, quantale, states, matrix):
         self.quantale = quantale
         self.states = tuple(states)
-        self.matrix = tuple(tuple(row) for row in matrix)
-        if len(self.matrix) != len(self.states) or any(
-            len(row) != len(self.states) for row in self.matrix
-        ):
+        self.matrix = tuple(map(tuple, matrix))
+        n = len(self.states)
+        if len(self.matrix) != n or not set(map(len, self.matrix)) <= {n}:
             raise ConsistencyError("matrix shape does not match carrier")
-        self._index = {s: i for i, s in enumerate(self.states)}
-        if len(self._index) != len(self.states):
+        self._index = dict(zip(self.states, range(n)))
+        if len(self._index) != n:
             raise ConsistencyError("duplicate state ids")
-        self._hash = hash((self.quantale, self.states, self.matrix))
+        self._hash = None
         self._unit_rows = None
 
     def __eq__(self, other):
@@ -46,6 +47,8 @@ class VCategory:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.quantale, self.states, self.matrix))
         return self._hash
 
     def __repr__(self):
@@ -81,7 +84,8 @@ class VFunctor:
     """A carrier map between V-categories over one quantale.
 
     The structure-preservation law is not enforced at construction; use
-    :func:`check_vfunctor`.
+    :func:`check_vfunctor`.  Like a ``VCategory``, it is hashed on the
+    first ``__hash__`` call.
     """
 
     __slots__ = ("source", "target", "mapping", "_hash")
@@ -97,7 +101,7 @@ class VFunctor:
         for y in self.mapping:
             if y not in target._index:
                 raise ConsistencyError(f"mapping hits unknown target state {y!r}")
-        self._hash = hash((self.source, self.target, self.mapping))
+        self._hash = None
 
     @classmethod
     def from_dict(cls, source, target, d):
@@ -115,6 +119,8 @@ class VFunctor:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.source, self.target, self.mapping))
         return self._hash
 
     def __repr__(self):
@@ -208,15 +214,19 @@ def compose(g, f):
 def check_vcategory(x):
     """Report on the two enrichment laws; witnesses are state tuples."""
     q = x.quantale
-    n = len(x.states)
-    w = next(((x.states[i],) for i in range(n) if not q.leq(q.unit, x.matrix[i][i])), None)
+    leq, tensor, k = q.leq, q.tensor, q.unit
+    states, m = x.states, x.matrix
+    n = len(states)
+    w = next(((states[i],) for i in range(n) if not leq(k, m[i][i])), None)
     refl = LawEntry("reflexive", w is None, w)
     w = None
     for i in range(n):
+        row_i = m[i]
         for j in range(n):
+            a, row_j = row_i[j], m[j]
             for l in range(n):
-                if not q.leq(q.tensor(x.matrix[i][j], x.matrix[j][l]), x.matrix[i][l]):
-                    w = (x.states[i], x.states[j], x.states[l])
+                if not leq(tensor(a, row_j[l]), row_i[l]):
+                    w = (states[i], states[j], states[l])
                     break
             if w:
                 break
@@ -232,10 +242,13 @@ def is_vcategory(x):
 
 def check_vfunctor(f):
     """Report whether a(x, y) <= b(f x, f y) holds, with a witness pair."""
-    a, b, q = f.source, f.target, f.source.quantale
+    a, b, leq = f.source, f.target, f.source.quantale.leq
+    am, bm = a.matrix, b.matrix
+    idx = [b.index(y) for y in f.mapping]
+    n = len(idx)
     w = next(
-        ((x, y) for x in a.states for y in a.states
-         if not q.leq(a.a(x, y), b.a(f(x), f(y)))),
+        ((a.states[i], a.states[j]) for i in range(n) for j in range(n)
+         if not leq(am[i][j], bm[idx[i]][idx[j]])),
         None,
     )
     return AssumptionReport((LawEntry("structure-preserving", w is None, w),))
@@ -385,23 +398,24 @@ def fibre_join(structures):
     for s in structures[1:]:
         if s.quantale != q or s.states != states:
             raise ConsistencyError("fibre_join inputs on different carriers")
-    n = len(states)
-    mat = [
-        [q.join_all(s.matrix[i][j] for s in structures) for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
+    join, join_all, tensor, unit, bot = q.join, q.join_all, q.tensor, q.unit, q.bottom
+    if len(structures) == 1:  # the common case, and its join is itself
+        mat = list(map(list, first.matrix))
+    else:
+        mat = [list(map(join_all, zip(*rows)))
+               for rows in zip(*(s.matrix for s in structures))]
+    for k, row_k in enumerate(mat):
         # the star of m[k][k]: least s = unit v s (x) m[k][k]; unit if unit is top
-        star = q.unit
-        while (nxt := q.join(q.unit, q.tensor(star, mat[k][k]))) != star:
+        star = unit
+        while (nxt := join(unit, tensor(star, row_k[k]))) != star:
             star = nxt
-        via = [q.tensor(star, v) for v in mat[k]]
+        via = [tensor(star, v) for v in row_k]
         for row in mat:
             u = row[k]
-            if u != q.bottom:
-                row[:] = [q.join(a, q.tensor(u, b)) for a, b in zip(row, via)]
-    for i in range(n):
-        mat[i][i] = q.join(mat[i][i], q.unit)
+            if u != bot:
+                row[:] = [join(a, tensor(u, b)) for a, b in zip(row, via)]
+    for i, row in enumerate(mat):
+        row[i] = join(row[i], unit)
     return VCategory(q, states, mat)
 
 

@@ -17,8 +17,12 @@ from test_golden import CASES as GOLDEN_CASES, INPUTS as GOLDEN_INPUTS
 
 
 def _write(tmp_path, name, payload):
+    """Write ``payload`` as JSON, or as it is when it is bytes."""
     p = tmp_path / name
-    p.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        p.write_bytes(payload)
+    else:
+        p.write_text(json.dumps(payload))
     return str(p)
 
 
@@ -745,10 +749,11 @@ def test_console_entry_reads_sys_argv(monkeypatch, capsys):
 
 def test_import_loads_no_click_dataclasses_or_suites():
     """Start-up pays only for what every command uses: the CLI is stdlib
-    argparse, the value classes are plain, and the law suites are
-    imported by ``selfcheck`` alone."""
+    argparse, the value classes are plain, the law suites are imported by
+    ``selfcheck`` alone, and nothing loads a process-pool module."""
     proc = _fresh_python("import sys, quantcat.cli; print([m for m in "
-                         "('click', 'dataclasses', 'quantcat.suites') if m in sys.modules])")
+                         "('click', 'dataclasses', 'quantcat.suites', 'multiprocessing', "
+                         "'concurrent.futures') if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -796,6 +801,7 @@ FILES = {
     "lawvere_null": _lawvere_point(None),
     "lawvere_array": _lawvere_point(["0"]),
     "lawvere_object": _lawvere_point({"a": "0"}),
+    "deep_arrays": b"[" * 100_000 + b"]" * 100_000,
 }
 BAD_INPUTS = {
     # the five malformed calls of the session benchmark
@@ -821,15 +827,22 @@ BAD_INPUTS = {
     "null Lawvere value": (["check", "@lawvere_null"], "bad rational None"),
     "array Lawvere value": (["check", "@lawvere_array"], "bad rational ['0']"),
     "object Lawvere value": (["check", "@lawvere_object"], "bad rational {'a': '0'}"),
+    # an "@name" in the error stands for the path of that file
+    "deeply nested arrays": (["check", "@deep_arrays"],
+                             "@deep_arrays: JSON nests too deeply to decode"),
+    "deeply nested functor": (["chain", "--functor", "[" * 100_000 + "]" * 100_000,
+                                "--depth", "1"],
+                              "--functor: JSON nests too deeply to decode"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_a_report_error(runner, tmp_path, name):
     args, message = BAD_INPUTS[name]
-    args = [_write(tmp_path, f"{a[1:]}.json", FILES[a[1:]]) if a.startswith("@") else a
-            for a in args]
-    result = runner.invoke(main, args)
+    paths = {a: _write(tmp_path, f"{a[1:]}.json", FILES[a[1:]]) for a in args if a.startswith("@")}
+    for ref, path in paths.items():
+        message = message.replace(ref, path)
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
     assert result.exit_code == 2, result.exception
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.stderr

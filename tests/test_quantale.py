@@ -19,7 +19,8 @@ from quantcat import (
 from quantcat import quantale
 from quantcat.cli import main
 from quantcat.descriptors import load_quantale
-from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_law_suites
+from quantcat.quantale import TableQuantale
+from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_suite
 from quantcat.vcat import as_vcategory
 from oracle_routes import totally_below_by_subsets
 
@@ -621,15 +622,15 @@ def test_derived_homs_leave_the_reports_as_they_were(q):
 
 def test_hom_table_is_derived_only_when_asked(monkeypatch):
     derived = []
-    real = Quantale.__dict__["_hom"].func
+    real = TableQuantale.__dict__["_hom"].func
 
     def counting(self):
         derived.append(self)
         return real(self)
 
     prop = cached_property(counting)
-    prop.__set_name__(Quantale, "_hom")
-    monkeypatch.setattr(Quantale, "_hom", prop)
+    prop.__set_name__(TableQuantale, "_hom")
+    monkeypatch.setattr(TableQuantale, "_hom", prop)
     # fresh copies: the shared built-ins may have derived their homs in an earlier test
     pool = [_unshared(name) for name in ("bool", "godel:3", "godel:4",
                                           "lukasiewicz:3", "lawvere")]
@@ -698,7 +699,9 @@ def test_inline_copy_of_a_builtin_is_equal_but_not_shared():
 
 def test_law_sweeps_build_each_builtin_once(monkeypatch):
     """A sweep resolves one built-in per case, and an empty intern builds
-    each drawn built-in once."""
+    each drawn built-in once.  The suites run in turn in this process, since
+    ``run_law_suites`` runs most of them in forked workers, whose counts
+    would never reach this one."""
     built, looked_up = [], []
     real_init = Quantale.__init__
     intern = lru_cache(maxsize=quantale.BUILTIN_MEMO_SIZE)(quantale._builtin.__wrapped__)
@@ -713,7 +716,8 @@ def test_law_sweeps_build_each_builtin_once(monkeypatch):
 
     monkeypatch.setattr(Quantale, "__init__", counting_init)
     monkeypatch.setattr(quantale, "_builtin", lookup)
-    run_law_suites(3, 50)
+    for name, fn in SUITES:
+        run_suite(name, fn, 3, 50)
     assert len(looked_up) == len(SUITES) * 50
     assert len(built) == len(set(looked_up)) <= len(QUANTALE_NAMES)
 
