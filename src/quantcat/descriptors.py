@@ -12,7 +12,7 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term, require_carrier
-from .errors import DescriptorError, require_fields
+from .errors import DescriptorError, LawFailure, require_fields
 from .quantale import Quantale
 from .vcat import VCategory
 
@@ -21,6 +21,8 @@ VCATEGORY_SCHEMA = "vcategory/1"
 COALGEBRA_SCHEMA = "coalgebra/1"
 SET_COALGEBRA_SCHEMA = "setcoalgebra/1"
 REPORT_SCHEMA = "report/1"
+# Loaded functors are walked by recursion, a few frames per node.
+FUNCTOR_DEPTH_BOUND = 64
 
 
 def _decode(text, where):
@@ -87,6 +89,10 @@ def _structure(spec, states, what):
     raw = spec["structure"]
     if not isinstance(raw, dict):
         raise DescriptorError("structure must be a JSON object")
+    odd = [s for s in states if not isinstance(s, str)]
+    if odd:
+        raise DescriptorError(f"structure keys are JSON strings, so {spec['schema']} needs "
+                              f"string state ids, not {json.dumps(odd[0])}")
     if set(raw) != set(states):
         raise DescriptorError(f"structure keys do not match the {what}")
     return raw
@@ -148,7 +154,34 @@ def load_vcategory(spec):
 
 
 def load_functor(spec, quantale):
-    """Functor AST from nested objects: id, const, prod, sum, H."""
+    """Functor AST from nested objects: id, const, prod, sum, H.  A functor
+    that nests deeper than FUNCTOR_DEPTH_BOUND nodes is refused before it
+    is read, so no walk over a loaded functor nears the recursion limit."""
+    depth = _functor_depth(spec)
+    if depth > FUNCTOR_DEPTH_BOUND:
+        raise DescriptorError(
+            f"functor nests {depth} nodes deep, over the bound of {FUNCTOR_DEPTH_BOUND}")
+    return _functor(spec, quantale, "functor")
+
+
+def _functor_depth(spec):
+    """The number of nodes on the longest path of a functor AST in JSON,
+    counted without recursion; a malformed node counts as a leaf."""
+    deepest, todo = 0, [(spec, 1)]
+    while todo:
+        node, depth = todo.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, dict) and len(node) == 1:
+            (key, body), = node.items()
+            if key == "H":
+                todo.append((body, depth + 1))
+            elif key in ("prod", "sum") and isinstance(body, list):
+                todo.extend((part, depth + 1) for part in body)
+    return deepest
+
+
+def _functor(spec, quantale, where):
+    """The functor node at ``where``, a path such as ``functor.prod[0].H``."""
     require_fields(spec, (), ("id", "const", "prod", "sum", "H"), what="functor")
     if len(spec) != 1:
         raise DescriptorError("functor node must have exactly one key")
@@ -161,12 +194,17 @@ def load_functor(spec, quantale):
         cat = load_vcategory(body)
         if cat.quantale != quantale:
             raise DescriptorError("constant category over a different quantale")
+        try:
+            require_carrier(cat, f"{where}.const")
+        except LawFailure as e:  # bad input, not a law of the object under check
+            raise DescriptorError(str(e)) from None
         return Const(cat)
     if key == "H":
-        return HComp(load_functor(body, quantale))
+        return HComp(_functor(body, quantale, f"{where}.H"))
     if not isinstance(body, list):
         raise DescriptorError(f"{key} node body must be a JSON array")
-    return (Prod if key == "prod" else Sum)([load_functor(p, quantale) for p in body])
+    return (Prod if key == "prod" else Sum)(
+        [_functor(p, quantale, f"{where}.{key}[{i}]") for i, p in enumerate(body)])
 
 
 def load_term(expr, spec, carrier):

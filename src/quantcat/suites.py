@@ -3,8 +3,10 @@
 Each suite draws its cases from one ``random.Random`` stream, so a fixed
 seed reproduces the exact same instances and the exact same report bytes.
 The sweeps back both the acceptance gate and the ``selfcheck`` command.
-Since the suites share no state, ``run_law_suites`` runs them side by side
-in forked workers.
+Since the suites share no state, ``run_law_suites`` runs them side by side:
+the calling process and one forked worker per spare CPU take suites off
+one shared job pipe until it is empty, and the results are placed by
+suite index.
 """
 
 import json
@@ -298,22 +300,28 @@ def run_law_suites(seed, cases=1000):
     ConsistencyError.
 
     Each suite draws from its own random stream, so where ``os.fork``
-    exists every suite but the first runs in a forked worker of its own,
-    while this process runs the first, the longest.  Each worker sends its
-    ``run_suite`` result back as JSON on its own pipe, and the results are
-    collected in ``SUITES`` order, so the report is byte for byte the one an
-    in-process run gives.  A ``QuantcatError`` raised in a worker is raised
-    here with the same class and message; any other exception in a worker
-    raises RuntimeError with the worker's traceback, as does a worker that
-    exits without a result.  Every worker has exited when this returns or
-    raises.  Without ``os.fork`` the suites run in turn in this process.
+    exists and this process may use more than one CPU, the suites run side
+    by side.  This process runs the first suite, the longest, while one
+    forked worker per further CPU (at most one per other suite) takes suite
+    indices off a shared job pipe; once done, this process takes from the
+    same pipe until it is empty.  Each worker sends its ``run_suite``
+    results back as JSON lines on its own pipe, and every result is placed
+    by its index, so the report is byte for byte the one an in-process run
+    gives.  When suites fail, the error raised is that of the first failing
+    suite in ``SUITES`` order, as in a serial run.  A ``QuantcatError``
+    raised in a worker is raised here with the same class and message; any
+    other exception in a worker raises RuntimeError with the worker's
+    traceback, and a worker that exits while running a suite raises
+    RuntimeError naming that suite.  Every worker has exited when this
+    returns or raises.  Otherwise the suites run in turn in this process.
     Forking copies only the calling thread, so call this from a process
     that runs no other threads.
     """
     if cases < 0:
         raise ConsistencyError(f"case count {cases} is negative")
-    if hasattr(os, "fork"):
-        results = _run_forked(seed, cases)
+    workers = _spare_cpus() if hasattr(os, "fork") else 0
+    if workers:
+        results = _run_forked(seed, cases, workers)
     else:
         results = [run_suite(name, fn, seed, cases) for name, fn in SUITES]
     return {
@@ -324,25 +332,79 @@ def run_law_suites(seed, cases=1000):
     }
 
 
-def _run_forked(seed, cases):
-    (first, first_fn), *rest = SUITES
-    workers = []  # (suite name, pid, read end of its pipe), not yet collected
+def _spare_cpus():
+    """The CPUs this process may use beyond its own, one per other suite
+    at most."""
     try:
-        for name, fn in rest:
-            workers.append((name, *_fork_suite(name, fn, seed, cases)))
-        results = [run_suite(first, first_fn, seed, cases)]
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus - 1, len(SUITES) - 1)
+
+
+def _run_forked(seed, cases, count):
+    jobs, w = os.pipe()
+    os.write(w, bytes(range(1, len(SUITES))))  # one byte per suite index
+    os.close(w)
+    workers = []  # (pid, read end of its result pipe), not yet collected
+    outcomes = {}  # suite index -> its run_suite result or its exception
+    try:
+        for _ in range(count):
+            workers.append(_fork_worker(jobs, workers, seed, cases))
+        for index in _jobs(jobs, 0):
+            outcomes[index] = _attempt(index, seed, cases)
+            if isinstance(outcomes[index], Exception):
+                _drain(jobs)
+                break
         while workers:
-            results.append(_collect(*workers.pop(0)))
-        return results
+            _collect(*workers.pop(0), outcomes)
     finally:
-        for _, pid, fd in workers:
+        os.close(jobs)
+        for _, fd in workers:
             os.close(fd)  # a worker still writing then fails and exits
+        for pid, _ in workers:
             os.waitpid(pid, 0)
+    results = []
+    for index, (name, _) in enumerate(SUITES):  # fail as a serial run would
+        outcome = outcomes.get(index)
+        if outcome is None:
+            raise RuntimeError(f"law suite {name!r}: no worker sent its result")
+        if isinstance(outcome, Exception):
+            raise outcome
+        results.append(outcome)
+    return results
 
 
-def _fork_suite(name, fn, seed, cases):
-    """Start ``run_suite`` in a forked worker; returns its pid and the read
-    end of the pipe that carries its message."""
+def _jobs(fd, *first):
+    """The indices ``first``, then suite indices read off the job pipe, one
+    byte per read, until it is empty.  A pipe read of one byte is atomic,
+    so each index goes to exactly one reader."""
+    yield from first
+    while byte := os.read(fd, 1):
+        yield byte[0]
+
+
+def _drain(fd):
+    """Empty the job pipe after a failed suite: every index left there
+    belongs to a later suite, which a serial run would not reach."""
+    while os.read(fd, 64):
+        pass
+
+
+def _attempt(index, seed, cases):
+    """The ``run_suite`` result of suite ``index``, or the exception it raised."""
+    name, fn = SUITES[index]
+    try:
+        return run_suite(name, fn, seed, cases)
+    except Exception as e:
+        return e
+
+
+def _fork_worker(jobs, siblings, seed, cases):
+    """Start a worker that runs suites off the job pipe until it is empty,
+    or until one fails; returns its pid and the read end of the pipe that
+    carries its messages.  Before each suite the worker sends its index,
+    and after it the outcome, each as one JSON line."""
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -350,37 +412,56 @@ def _fork_suite(name, fn, seed, cases):
         return pid, r
     code = 1
     try:  # the worker never returns into its caller
-        os.close(r)
-        try:
-            msg = {"result": run_suite(name, fn, seed, cases)}
-        except QuantcatError as e:
-            msg = {"error": type(e).__name__, "message": str(e)}
-        except Exception:
-            import traceback
-            msg = {"traceback": traceback.format_exc()}
+        for fd in (r, *(fd for _, fd in siblings)):
+            os.close(fd)
         with open(w, "w") as pipe:
-            pipe.write(json.dumps(msg))
+            for index in _jobs(jobs):
+                pipe.write(f"{index}\n")
+                pipe.flush()  # so that a worker that dies is known to be in this suite
+                outcome = _attempt(index, seed, cases)
+                pipe.write(json.dumps(_encode(outcome)) + "\n")
+                if isinstance(outcome, Exception):
+                    _drain(jobs)
+                    break
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(name, pid, fd):
-    """The ``run_suite`` result that the worker of suite ``name`` sent,
-    read once the worker has exited; its error raised here otherwise."""
+def _encode(outcome):
+    """A suite's outcome as a JSON message, for ``_decode`` in the caller."""
+    if isinstance(outcome, QuantcatError):
+        return {"error": type(outcome).__name__, "message": str(outcome)}
+    if isinstance(outcome, Exception):
+        import traceback
+        return {"traceback": "".join(traceback.format_exception(outcome))}
+    return {"result": outcome}
+
+
+def _collect(pid, fd, outcomes):
+    """Place the outcome of every suite that the worker ``pid`` ran, read
+    off its pipe ``fd`` once the worker has exited."""
     try:
         with open(fd, "rb") as pipe:
-            data = pipe.read()
+            lines = pipe.read().splitlines()
     finally:
         _, status = os.waitpid(pid, 0)
-    if status:
-        raise RuntimeError(f"law suite {name!r}: worker exited with code "
-                           f"{os.waitstatus_to_exitcode(status)} and sent no result")
-    msg = json.loads(data)
+    for index, line in zip(lines[::2], lines[1::2]):
+        outcomes[int(index)] = _decode(SUITES[int(index)][0], json.loads(line))
+    if status and len(lines) % 2:  # it exited in the suite it sent last
+        index = int(lines[-1])
+        outcomes[index] = RuntimeError(
+            f"law suite {SUITES[index][0]!r}: worker exited with code "
+            f"{os.waitstatus_to_exitcode(status)} and sent no result")
+
+
+def _decode(name, msg):
+    """The outcome of suite ``name`` that ``_encode`` sent: its result, or
+    the exception to raise for it."""
     if "error" in msg:
         cls = getattr(errors, msg["error"])
         # __new__ sets the message; __init__ takes arguments that vary by class
-        raise cls.__new__(cls, msg["message"])
+        return cls.__new__(cls, msg["message"])
     if "traceback" in msg:
-        raise RuntimeError(f"law suite {name!r} failed in its worker:\n{msg['traceback']}")
+        return RuntimeError(f"law suite {name!r} failed in its worker:\n{msg['traceback']}")
     return msg["result"]

@@ -85,9 +85,10 @@ def test_check_reports_law_failure(runner, tmp_path):
 
 
 def test_check_witness_bytes_do_not_depend_on_the_hash_seed(tmp_path):
-    """The constant category p -> q -> r is not transitive, so the term
-    loaded as the up-closure of {p} is {p, q}, a set of strings that is
-    not up-closed; its witness prints the same under every hash seed."""
+    """The constant category p -> q -> r is not transitive, so the file is
+    refused with the witness of that law, which prints the same under every
+    hash seed.  (A lawful constant up-closes each loaded term, so no loaded
+    structure falls outside the functor.)"""
     path = _write(tmp_path, "hconst.json", {
         "schema": "coalgebra/1",
         "functor": {"H": {"const": {"schema": "vcategory/1", "quantale": "bool",
@@ -104,12 +105,12 @@ def test_check_witness_bytes_do_not_depend_on_the_hash_seed(tmp_path):
                    PYTHONPATH=str(Path(quantcat.__file__).resolve().parents[1]))
         proc = subprocess.run([sys.executable, "-m", "quantcat", "check", path],
                               capture_output=True, env=env, check=False)
-        assert proc.returncode == 1, proc.stderr
-        outputs.add(proc.stdout)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
+        outputs.add(proc.stderr)
     assert len(outputs) == 1
-    rep = json.loads(outputs.pop())
-    assert rep["files"][0]["laws"][0]["witness"] == [
-        "mapping hits unknown target state frozenset({'p', 'q'})"]
+    assert json.loads(outputs.pop())["error"] == (
+        "functor.H.const: not a V-category (transitive, witness ('p', 'q', 'r'))")
 
 
 def test_check_quantale_with_mixed_id_types(tmp_path):
@@ -788,6 +789,18 @@ def _lawvere_point(value):
 
 _CHAIN2 = _bool_category(["u", "v"], [["1", "1"], ["0", "1"]])
 
+
+def _nested_h(depth):
+    functor = {"id": {}}
+    for _ in range(depth):
+        functor = {"H": functor}
+    return functor
+
+
+# p -> q -> r with no p -> r: not transitive
+_NOT_TRANSITIVE = _bool_category(["p", "q", "r"], [["1", "1", "0"], ["0", "1", "1"],
+                                                  ["0", "0", "1"]])
+
 # name -> (CLI arguments, "@name" being the file that holds FILES[name]; error)
 FILES = {
     "chain2": _CHAIN2,
@@ -802,6 +815,13 @@ FILES = {
     "lawvere_array": _lawvere_point(["0"]),
     "lawvere_object": _lawvere_point({"a": "0"}),
     "deep_arrays": b"[" * 100_000 + b"]" * 100_000,
+    "deep_h": _coalgebra_with_functor(_nested_h(600)),
+    "bad_const": {"schema": "coalgebra/1",
+                  "functor": {"prod": [{"const": _NOT_TRANSITIVE}, {"id": {}}]},
+                  "category": _bool_category(["a"], [["1"]]), "structure": {"a": ["p", "a"]}},
+    "numeric_ids": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
+                    "category": _bool_category([0, 1], [["1", "0"], ["0", "1"]]),
+                    "structure": {"0": [], "1": ["0"]}},
 }
 BAD_INPUTS = {
     # the five malformed calls of the session benchmark
@@ -833,6 +853,20 @@ BAD_INPUTS = {
     "deeply nested functor": (["chain", "--functor", "[" * 100_000 + "]" * 100_000,
                                 "--depth", "1"],
                               "--functor: JSON nests too deeply to decode"),
+    # a functor nested past the depth bound is refused before it is read
+    "functor nested past the bound": (["chain", "--functor", json.dumps(_nested_h(600)),
+                                       "--depth", "1"],
+                                      "functor nests 601 nodes deep, over the bound of 64"),
+    "coalgebra functor nested past the bound": (
+        ["check", "@deep_h"], "functor nests 601 nodes deep, over the bound of 64"),
+    # a constant leaf must be a V-category
+    "constant not transitive": (["check", "@bad_const"],
+                                "functor.prod[0].const: not a V-category "
+                                "(transitive, witness ('p', 'q', 'r'))"),
+    # structure keys are JSON strings
+    "numeric coalgebra state ids": (["behave", "--coalgebra", "@numeric_ids", "--depth", "1"],
+                                    "structure keys are JSON strings, so coalgebra/1 needs "
+                                    "string state ids, not 0"),
 }
 
 
