@@ -14,11 +14,10 @@ Behaviour maps and homomorphism checks apply it to the structure terms,
 so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
 reads ``dist`` off the structure terms: ``lift_descent`` iterates it,
 ``distance_table`` returns its iterates from the empty cone, and
-``check_coalgebra`` asks whether one step fixes the carrier.  Values of F
-on objects are memoized process-wide in an LRU of OBJ_MEMO_SIZE entries.
-Each coalgebra keeps the behaviour approximants of its last
-``behavior_map`` call, so per-pair ``behavioral_distance`` calls walk the
-cone once.
+``check_coalgebra`` asks whether one step fixes the carrier;
+``behavioral_distance`` reads that table, so it builds no chain level.
+Nothing is memoized at module level: F(x) is kept on x and freed with it,
+and a coalgebra keeps the tables of its last ``distance_table`` call.
 """
 
 import functools
@@ -41,7 +40,6 @@ from .vcat import (
 from . import hausdorff as hd
 
 DEFAULT_SIZE_CAP = 4096
-OBJ_MEMO_SIZE = 256
 
 
 # -- functor expressions -------------------------------------------------
@@ -83,7 +81,7 @@ def _misshapen(expr, term):
 
 # A functor AST node is a value: equal to a node of exactly its own type
 # with equal children, so Prod(p) != Sum(p).  Each node computes its hash
-# once, since nodes are keys of the eval_obj memo.
+# once, since nodes key the functor values kept on a V-category.
 
 
 class Id:
@@ -347,13 +345,18 @@ def _in_functor(expr, cat, term, cap):
 
 
 def eval_obj(expr, x, cap=DEFAULT_SIZE_CAP):
-    """The value of a polynomial functor on a V-category."""
-    return _eval_obj(expr, x, cap)
-
-
-@functools.lru_cache(maxsize=OBJ_MEMO_SIZE)
-def _eval_obj(expr, x, cap):
-    return expr.obj(x, cap)
+    """The value of a polynomial functor on a V-category.  A Prod, Sum or
+    HComp value is kept on x under (node, cap) and freed with x; leaves are
+    not kept, as they cost nothing and keeping Id would make x hold itself."""
+    if not expr.parts:
+        return expr.obj(x, cap)
+    values = x._functor_values
+    if values is None:
+        values = x._functor_values = {}
+    key = (expr, cap)
+    if key not in values:
+        values[key] = expr.obj(x, cap)
+    return values[key]
 
 
 def _fmap(expr, f, term, cap):
@@ -375,10 +378,10 @@ def eval_mor(expr, f, cap=DEFAULT_SIZE_CAP):
 class Coalgebra:
     """A carrier V-category with a structure map into the functor value.
 
-    The hash is computed at construction and ``behavior_map`` keeps its
+    The hash is computed at construction and ``distance_table`` keeps its
     last result on the coalgebra, so ``structure`` must not be mutated."""
 
-    __slots__ = ("functor", "carrier", "structure", "_hash", "_behaviour")
+    __slots__ = ("functor", "carrier", "structure", "_hash", "_tables")
 
     def __init__(self, functor, carrier, structure):
         self.functor = functor
@@ -389,8 +392,8 @@ class Coalgebra:
         self._hash = hash(
             (functor, carrier, tuple(self.structure[s] for s in carrier.states))
         )
-        # (depth, approximants) of the last behavior_map; not compared
-        self._behaviour = None
+        # (depth, distinct tables) of the last distance_table; not compared
+        self._tables = None
 
     def __eq__(self, other):
         return (
@@ -532,21 +535,15 @@ def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
 
 
 def behavior_map(c, depth):
-    """Depth-indexed behaviour approximants beh_0 .. beh_depth.
+    """Depth-indexed behaviour approximants beh_0 .. beh_depth: the cone
+    from the coalgebra into its final chain.
 
     beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
-    Every object built is bounded by DEFAULT_SIZE_CAP.
-
-    The coalgebra keeps the approximants of its last call, keyed by depth
-    alone, and a call with the same depth returns a new list of them
-    without walking the cone again; a call that raises leaves the memo as
-    it was.  The memo is one entry on the coalgebra and is freed with it.
+    Every object built is bounded by DEFAULT_SIZE_CAP.  No distance is read
+    off this cone; the tests compare it with ``distance_table``.
     """
-    memo = c._behaviour
-    if memo is not None and memo[0] == depth:
-        return list(memo[1])
     terms = _structure_terms(c, depth, DEFAULT_SIZE_CAP)
     x, expr = c.carrier, c.functor
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
@@ -554,26 +551,23 @@ def behavior_map(c, depth):
         beh = behs[-1]
         level = eval_obj(expr, beh.target)
         behs.append(VFunctor(x, level, [_fmap(expr, beh, t, DEFAULT_SIZE_CAP) for t in terms]))
-    c._behaviour = (depth, tuple(behs))
     return behs
 
 
 def behavioral_distance(c, x, y, depth, symmetric=False):
-    """Chain-level distances between the behaviours of two states,
-    one value per depth 0..depth; antitone along the chain."""
-    out = []
-    for beh in behavior_map(c, depth):
-        level = beh.target
-        d = level.a(beh(x), beh(y))
-        if symmetric:
-            d = level.quantale.meet(d, level.a(beh(y), beh(x)))
-        out.append(d)
-    return out
+    """The entries at (x, y) of ``distance_table(c, depth)``: the distances
+    between the behaviours of two states, one value per depth 0..depth,
+    antitone along the chain.  With ``symmetric`` each value is met with
+    the entry at (y, x)."""
+    meet = c.carrier.quantale.meet
+    return [meet(d.a(x, y), d.a(y, x)) if symmetric else d.a(x, y)
+            for d in distance_table(c, depth)]
 
 
 def distance_table(c, depth):
-    """The chain-level distances of behavior_map pulled back to the carrier:
-    d_0 .. d_depth with d_k(s, t) = level_k(beh_k(s), beh_k(t)).
+    """The chain-level distances pulled back to the carrier: d_0 .. d_depth
+    with d_k(s, t) = level_k(beh_k(s), beh_k(t)) for the cone of
+    ``behavior_map``.
 
     These are the first iterates of ``lift_descent`` from the empty cone:
     d_0 is top and d_{k+1} cuts d_k with the F-distance of the structure
@@ -581,42 +575,40 @@ def distance_table(c, depth):
     descent stops at the initial lift of the empty cone, the greatest
     structure the structure map preserves (coalgebras over V-Cat are
     topological over coalgebras over Set), and the remaining tables repeat
-    it.
+    it.  The coalgebra keeps the distinct tables of its last call, keyed
+    by depth, and a repeat returns a new list of them without running the
+    descent; a call that raises leaves them as they were.
     """
-    _structure_terms(c, depth, DEFAULT_SIZE_CAP)
-    x = c.carrier
-    tables = list(islice(lift_descent(c.functor, x.quantale, x.states, c.structure), depth + 1))
+    kept = c._tables
+    if kept is None or kept[0] != depth:
+        _structure_terms(c, depth, DEFAULT_SIZE_CAP)
+        x = c.carrier
+        descent = lift_descent(c.functor, x.quantale, x.states, c.structure)
+        kept = c._tables = (depth, tuple(islice(descent, depth + 1)))
+    tables = list(kept[1])
     return tables + tables[-1:] * (depth + 1 - len(tables))
 
 
 # -- equalizers ------------------------------------------------------------
 
 
-def term_in_restriction(expr, term, allowed, ambient):
-    """Does a term of F(ambient) lie in F of the full subcategory on
-    ``allowed``?  Normalizing there rejects every Id leaf outside it."""
-    return _in_functor(expr, restrict(ambient, allowed), term, DEFAULT_SIZE_CAP)
-
-
 def equalizer(cx, f, g):
     """The largest sub-coalgebra on which two homomorphisms agree.
 
-    Starts from the plain agreement set and strips states whose structure
-    mentions a removed state, until a fixpoint.  Returns the sub-coalgebra
-    and its inclusion.
+    Starts from the plain agreement set and strips states whose term is
+    not in F of the full subcategory on the states kept, built once a
+    round, until a fixpoint.  Returns the sub-coalgebra, carried by the
+    last subcategory, and its inclusion.
     """
     x = cx.carrier
     current = [s for s in x.states if f(s) == g(s)]
     while True:
-        kept = set(current)
-        nxt = [
-            s for s in current
-            if term_in_restriction(cx.functor, cx.structure[s], kept, x)
-        ]
+        sub = restrict(x, current)
+        nxt = [s for s in current
+               if _in_functor(cx.functor, sub, cx.structure[s], DEFAULT_SIZE_CAP)]
         if nxt == current:
             break
         current = nxt
-    sub = restrict(x, current)
     ec = Coalgebra(cx.functor, sub, {s: cx.structure[s] for s in current})
     return ec, VFunctor(sub, x, current)
 

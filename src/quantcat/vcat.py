@@ -18,12 +18,13 @@ class VCategory:
 
     ``states`` may be any hashable ids; ``matrix[i][j]`` is the structure
     value from ``states[i]`` to ``states[j]``.  Instances compare and hash
-    structurally, which makes memoization by object identity sound; the
-    hash is computed on the first ``__hash__`` call, since most instances
-    are never hashed.
+    structurally; the hash is computed on the first ``__hash__`` call.
+    Derived values, ``unit_rows`` and the functor values of
+    ``coalg.eval_obj``, are kept on the instance and freed with it.
     """
 
-    __slots__ = ("quantale", "states", "matrix", "_index", "_hash", "_unit_rows")
+    __slots__ = ("quantale", "states", "matrix", "_index", "_hash", "_unit_rows",
+                 "_functor_values")
 
     def __init__(self, quantale, states, matrix):
         self.quantale = quantale
@@ -35,8 +36,7 @@ class VCategory:
         self._index = dict(zip(self.states, range(n)))
         if len(self._index) != n:
             raise ConsistencyError("duplicate state ids")
-        self._hash = None
-        self._unit_rows = None
+        self._hash = self._unit_rows = self._functor_values = None
 
     def __eq__(self, other):
         return (

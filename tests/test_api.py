@@ -100,3 +100,30 @@ def test_the_command_line_handles_only_loaded_objects():
                 for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 for name in ast.walk(node) if isinstance(name, (ast.Name, ast.Attribute))}
     assert not [name for name in compared if name.endswith("_SCHEMA")]
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def _named(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_the_only_module_level_memo_interns_the_builtin_quantales():
+    """Derived values are kept on the object they derive from and freed with
+    it, so the one process-wide memo is the bounded interning of built-in
+    quantales."""
+    decorated, mentions = set(), 0
+    for path in Path(quantcat.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        mentions += sum(_named(node) in MEMO_DECORATORS for node in ast.walk(tree))
+        decorated |= {
+            f"{path.stem}.{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for dec in node.decorator_list
+            if _named(dec.func if isinstance(dec, ast.Call) else dec) in MEMO_DECORATORS
+        }
+    assert decorated == {"quantale._builtin"}
+    # and no memo is made by calling the decorator on a function
+    assert mentions == 1

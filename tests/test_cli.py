@@ -933,12 +933,29 @@ _TEXT = (st.sampled_from(["H", "{bad", "nope", "", "[]", '{"id": {}}', '{"prod":
          | _JSON.map(json.dumps).filter(lambda text: not text.startswith("-")))
 _OPTIONS = {"--depth": st.integers(-2, 3).map(str), "--cap": st.integers(-1, 30).map(str),
             "--functor": _TEXT, "--phi": _TEXT}
+# H nested around id on both sides of the functor depth bound; past chain
+# level 1 the terms of 63 nested H nodes grow too large to walk
+_DEEP_H = st.sampled_from([63, 64, 65, 600]).map(lambda n: json.dumps(_nested_h(n)))
+_BAD_CONST = json.dumps({"prod": [{"const": _NOT_TRANSITIVE}, {"H": {"id": {}}}]})
 # the JSON reports of the golden cases, less the seeded sweep
 _FUZZ_CASES = sorted(name for name, args in GOLDEN_CASES.items()
                      if name.endswith(".json") and args[0] != "selfcheck")
 
 
 _DELETE = object()
+
+
+def _numeric_ids(doc):
+    """A coalgebra/1 document with each state id replaced by its position."""
+    states = doc["category"]["states"]
+    return dict(doc, category=dict(doc["category"], states=list(range(len(states)))),
+                structure={str(states.index(s)): t for s, t in doc["structure"].items()})
+
+
+def _with_bad_const(doc):
+    """A coalgebra/1 document whose functor pairs a non-transitive constant
+    with its own."""
+    return dict(doc, functor={"prod": [{"const": _NOT_TRANSITIVE}, doc["functor"]]})
 
 
 def _paths(doc, prefix=()):
@@ -980,11 +997,17 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, data):
             args[i + 1] = data.draw(_OPTIONS[arg])
         elif arg.startswith("@"):
             doc = GOLDEN_INPUTS[arg[1:]]
+            if isinstance(doc, dict) and doc.get("schema") == "coalgebra/1" \
+                    and data.draw(st.booleans()):
+                doc = data.draw(st.sampled_from([_numeric_ids, _with_bad_const]))(doc)
             if data.draw(st.booleans()):
                 path = data.draw(st.sampled_from(list(_paths(doc))))
                 doc = _mutated(doc, path, data.draw(_JSON | st.just(_DELETE)) if path
                                else data.draw(_JSON))
             args[i] = _write(work, f"{arg[1:]}.json", doc)
+    if "--functor" in args and data.draw(st.booleans()):
+        args[args.index("--functor") + 1] = data.draw(_DEEP_H | st.just(_BAD_CONST))
+        args[args.index("--depth") + 1] = data.draw(st.sampled_from(["0", "1"]))
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, (SystemExit, type(None))), result.exception
     assert result.exit_code in (0, 1, 2, 3)

@@ -44,8 +44,8 @@ from quantcat import (
     terminal,
     up_closure,
 )
-from quantcat import coalg
-from quantcat.coalg import OBJ_MEMO_SIZE, _term_text, term_in_restriction
+from quantcat import coalg, hausdorff
+from quantcat.coalg import _in_functor, _term_text
 from quantcat.descriptors import dump_term, load_term
 
 
@@ -240,11 +240,21 @@ def _agreement_equalizer_instance(q2):
     return cx, cy, f, g
 
 
-def test_equalizer_shrinks_agreement_set(q2):
+def test_equalizer_shrinks_agreement_set(q2, monkeypatch):
     cx, cy, f, g = _agreement_equalizer_instance(q2)
     assert is_coalg_hom(f, cx, cy)
     assert is_coalg_hom(g, cx, cy)
+    built = []
+
+    def counted(x, keep):
+        built.append(restrict(x, keep))
+        return built[-1]
+
+    monkeypatch.setattr(coalg, "restrict", counted)
     sub, incl = equalizer(cx, f, g)
+    # one subcategory a round: {x, y} drops y, {x} is the fixpoint and the carrier
+    assert [r.states for r in built] == [("x", "y"), ("x",)]
+    assert sub.carrier is built[-1]
     assert sub.carrier.states == ("x",)
     assert sub.structure == {"x": frozenset({"x"})}
     assert incl.mapping == ("x",)
@@ -541,7 +551,9 @@ def _three_state_carriers(q2, godel3):
     ]
 
 
-def test_term_in_restriction_is_membership_in_the_restricted_functor(q2, godel3):
+def test_normal_form_on_a_restriction_is_membership_in_its_functor_value(q2, godel3):
+    """The equalizer's test: a term of F(x) is its own normal form in the
+    full subcategory on ``allowed`` exactly when it lies in F of it."""
     for x in _three_state_carriers(q2, godel3):
         assert is_vcategory(x)
         labels = from_order(x.quantale, ["l0", "l1"], [("l0", "l1")])
@@ -552,19 +564,20 @@ def test_term_in_restriction_is_membership_in_the_restricted_functor(q2, godel3)
         for expr in exprs:
             for allowed in subsets:
                 members = set(eval_obj(expr, restrict(x, allowed)).states)
+                sub = restrict(x, allowed)
                 for t in eval_obj(expr, x).states:
-                    assert term_in_restriction(expr, t, set(allowed), x) == (t in members), \
+                    assert _in_functor(expr, sub, t, 4096) == (t in members), \
                         (expr, allowed, t)
 
 
-def test_term_in_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
+def test_normal_form_on_a_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
     x = from_order(q2, ["a", "b"], [("a", "b")])
     expr = Prod([Id(), HComp(Id())])
-    assert term_in_restriction(expr, ("a", frozenset({"b"})), {"a", "b"}, x)
-    assert not term_in_restriction(expr, ("a", frozenset({"b"})), {"a"}, x)
+    assert _in_functor(expr, restrict(x, {"a", "b"}), ("a", frozenset({"b"})), 4096)
+    assert not _in_functor(expr, restrict(x, {"a"}), ("a", frozenset({"b"})), 4096)
     for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
                  ("a", ["b"]), ("a", frozenset({"a"}))]:
-        assert not term_in_restriction(expr, term, {"a", "b"}, x), term
+        assert not _in_functor(expr, restrict(x, {"a", "b"}), term, 4096), term
 
 
 def test_term_text_is_the_repr_with_sorted_set_payloads():
@@ -649,27 +662,28 @@ def test_behavior_map_never_builds_the_functor_value(q2, hid, size):
         assert compose(chain[k + 1].connecting, behs[k + 1]) == behs[k]
 
 
-def test_object_memo_stays_bounded(q2):
-    def chains(lo, hi):
-        for i in range(lo, hi):
-            final_chain(Prod([Const(discrete(q2, [f"c{i}"])), Id()]), 2)
-
-    n = OBJ_MEMO_SIZE
+def test_functor_values_are_freed_with_their_carrier(q2, hid):
+    """F(x) is kept on x, not in a process-wide memo: twelve lifts of fresh
+    7-state carriers, 128 subsets each, leave nothing behind once the
+    carriers are dropped."""
     tracemalloc.start()
     try:
-        chains(0, n)  # each chain fills several memo entries, so this evicts the rest
         gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        chains(n, 3 * n)
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(12):
+            x = discrete(q2, [f"s{i}.{k}" for k in range(7)])
+            assert eval_obj(hid, x) is eval_obj(hid, x)
+            assert len(eval_obj(hid, x).states) == 128
+        del x
         gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
+        left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # an unbounded memo keeps every one of the 2n chains' objects alive
-    assert grown < 64 * 1024, grown
+    # a memo that outlives its carriers keeps about 190 kB a lift
+    assert left < 64 * 1024, left
 
 
-# -- the behaviour memo ---------------------------------------------------------
+# -- the distance-table memo ----------------------------------------------------
 
 
 def _three_state_hid(q2):
@@ -678,53 +692,73 @@ def _three_state_hid(q2):
                      {"a": frozenset({"b"}), "b": frozenset({"a", "c"}), "c": frozenset()})
 
 
-def _count_eval_obj(monkeypatch):
-    calls = []
-    real = coalg.eval_obj
+def test_behavioral_distance_builds_no_chain_level(q2, monkeypatch):
+    c = _three_state_hid(q2)
+    behs = behavior_map(c, 4)
+    want = {(s, t): [beh.target.a(beh(s), beh(t)) for beh in behs]
+            for s, t in iproduct(c.carrier.states, repeat=2)}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chain level was built")
 
-    monkeypatch.setattr(coalg, "eval_obj", counted)
-    return calls
+    monkeypatch.setattr(hausdorff, "hausdorff_object", refuse)
+    with pytest.raises(AssertionError, match="chain level"):
+        behavior_map(Coalgebra(c.functor, c.carrier, c.structure), 1)
+    fresh = Coalgebra(c.functor, c.carrier, c.structure)
+    for (s, t), values in want.items():
+        assert behavioral_distance(fresh, s, t, 4) == values, (s, t)
 
 
 def test_per_pair_distances_walk_the_cone_once(q2, monkeypatch):
+    """Per-pair calls run the descent from the empty cone once for each
+    coalgebra and depth."""
     c = _three_state_hid(q2)
-    calls = _count_eval_obj(monkeypatch)
+    calls = []
+    real = coalg.lift_descent
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coalg, "lift_descent", counted)
     pairs = list(iproduct(c.carrier.states, repeat=2))
-    first = behavioral_distance(c, *pairs[0], 3)
-    once = len(calls)
-    assert once > 0
     table = [behavioral_distance(c, s, t, 3) for s, t in pairs]
-    assert len(calls) == once
-    assert table[0] == first
+    assert len(calls) == 1
+    for (s, t), values in zip(pairs, table):
+        converse = behavioral_distance(c, t, s, 3)
+        assert behavioral_distance(c, s, t, 3, symmetric=True) == list(map(q2.meet, values,
+                                                                          converse))
+    assert len(calls) == 1
+    assert [behavioral_distance(c, s, t, 2) for s, t in pairs] == [v[:3] for v in table]
+    assert len(calls) == 2
     fresh = Coalgebra(c.functor, c.carrier, c.structure)
     assert table == [behavioral_distance(fresh, s, t, 3) for s, t in pairs]
+    assert len(calls) == 3
 
 
 def test_behaviour_memo_hands_out_copies(q2):
     c = _three_state_hid(q2)
-    behs = behavior_map(c, 3)
-    want = list(behs)
-    behs.clear()
-    assert behavior_map(c, 3) == want
-    behavior_map(c, 3).append(None)
-    assert behavior_map(c, 3) == want
-    assert want == behavior_map(Coalgebra(c.functor, c.carrier, c.structure), 3)
+    tables = distance_table(c, 3)
+    want = list(tables)
+    tables.clear()
+    assert distance_table(c, 3) == want
+    distance_table(c, 3).append(None)
+    assert distance_table(c, 3) == want
+    assert want == distance_table(Coalgebra(c.functor, c.carrier, c.structure), 3)
 
 
 def test_behaviour_memo_keeps_the_depth(q2):
     c = _three_state_hid(q2)
-    four = behavior_map(c, 4)
-    two = behavior_map(c, 2)
+    four = distance_table(c, 4)
+    two = distance_table(c, 2)
     assert len(two) == 3
     assert two == four[:3]
-    assert behavior_map(c, 4) == four
+    assert distance_table(c, 4) == four
+    kept = c._tables
     with pytest.raises(ConsistencyError, match="negative"):
-        behavior_map(c, -1)
-    assert behavior_map(c, 4) == four
+        distance_table(c, -1)
+    assert c._tables is kept
+    assert distance_table(c, 4) == four
 
 
 @pytest.mark.parametrize("case", ["unknown state", "not up-closed", "constant outside"])
@@ -732,35 +766,36 @@ def test_behaviour_memo_never_keeps_a_failure(q2, c2, case):
     c = _bad_structures(q2, c2)[case]
     for _ in range(2):
         with pytest.raises(ConsistencyError):
-            behavior_map(c, 2)
+            distance_table(c, 2)
         with pytest.raises(ConsistencyError):
             behavioral_distance(c, *c.carrier.states[:2], 2)
+    assert c._tables is None
 
 
 def test_behaviour_memo_is_freed_with_its_coalgebra(q2, hid):
     states = [f"s{i}" for i in range(40)]
     x = discrete(q2, states)
-    rng = random.Random(7)
 
     def coalgebra():
-        return Coalgebra(hid, x, {s: frozenset(t for t in states if rng.random() < 0.2)
-                                  for s in states})
+        # a path: s_k can make 39 - k steps, so the descent takes 40 steps
+        return Coalgebra(hid, x, {s: frozenset(states[k + 1:k + 2])
+                                  for k, s in enumerate(states)})
 
-    behavior_map(coalgebra(), 6)  # the chain levels go into the object memo
+    distance_table(coalgebra(), 6)
     tracemalloc.start()
     try:
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
         c = coalgebra()
         built = tracemalloc.get_traced_memory()[0]
-        behavior_map(c, 6)
+        distance_table(c, 6)
         memo = tracemalloc.get_traced_memory()[0] - built
         del c
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # the memo holds six levels of 40 up-closed terms each
+    # the memo holds seven distinct 40-state tables
     assert memo > 32 * 1024, memo
     assert left < 4 * 1024, left
 
