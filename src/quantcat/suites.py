@@ -304,18 +304,21 @@ def run_law_suites(seed, cases=1000):
     by side.  This process runs the first suite, the longest, while one
     forked worker per further CPU (at most one per other suite) takes suite
     indices off a shared job pipe; once done, this process takes from the
-    same pipe until it is empty.  Each worker sends its ``run_suite``
-    results back as JSON lines on its own pipe, and every result is placed
-    by its index, so the report is byte for byte the one an in-process run
-    gives.  When suites fail, the error raised is that of the first failing
-    suite in ``SUITES`` order, as in a serial run.  A ``QuantcatError``
-    raised in a worker is raised here with the same class and message; any
-    other exception in a worker raises RuntimeError with the worker's
-    traceback, and a worker that exits while running a suite raises
-    RuntimeError naming that suite.  Every worker has exited when this
-    returns or raises.  Otherwise the suites run in turn in this process.
-    Forking copies only the calling thread, so call this from a process
-    that runs no other threads.
+    same pipe until it is empty.  The pipe holds the other suites longest
+    first, so the suite taken last is a short one and no process idles
+    long at the end.  That order decides only which process runs a suite
+    and when: each worker sends its ``run_suite`` results back as JSON
+    lines on its own pipe, and every result is placed by its index, so the
+    report is byte for byte the one an in-process run gives.  Every suite
+    runs, also after one has failed, and the error raised is that of the
+    first failing suite in ``SUITES`` order, as in a serial run.  A
+    ``QuantcatError`` raised in a worker is raised here with the same class
+    and message; any other exception in a worker raises RuntimeError with
+    the worker's traceback, and a worker that exits while running a suite
+    raises RuntimeError naming that suite.  Every worker has exited when
+    this returns or raises.  Otherwise the suites run in turn in this
+    process.  Forking copies only the calling thread, so call this from a
+    process that runs no other threads.
     """
     if cases < 0:
         raise ConsistencyError(f"case count {cases} is negative")
@@ -342,9 +345,22 @@ def _spare_cpus():
     return min(cpus - 1, len(SUITES) - 1)
 
 
+# The suites after the first, longest first by their serial times at 200
+# cases (27, 26, 23, 16 and 14 ms): taking the longest job first bounds the
+# time the last one runs alone (Graham, SIAM J. Appl. Math. 17(2), 1969).
+_LONGEST_FIRST = ("hausdorff-identities", "monad-laws", "lax-extension-axioms",
+                  "closure-laws", "initiality-preservation")
+
+
+def _queue():
+    """The suite indices that the job pipe holds, longest suite first."""
+    names = [name for name, _ in SUITES]
+    return [names.index(name) for name in _LONGEST_FIRST]
+
+
 def _run_forked(seed, cases, count):
     jobs, w = os.pipe()
-    os.write(w, bytes(range(1, len(SUITES))))  # one byte per suite index
+    os.write(w, bytes(_queue()))  # one byte per suite index
     os.close(w)
     workers = []  # (pid, read end of its result pipe), not yet collected
     outcomes = {}  # suite index -> its run_suite result or its exception
@@ -353,9 +369,6 @@ def _run_forked(seed, cases, count):
             workers.append(_fork_worker(jobs, workers, seed, cases))
         for index in _jobs(jobs, 0):
             outcomes[index] = _attempt(index, seed, cases)
-            if isinstance(outcomes[index], Exception):
-                _drain(jobs)
-                break
         while workers:
             _collect(*workers.pop(0), outcomes)
     finally:
@@ -384,13 +397,6 @@ def _jobs(fd, *first):
         yield byte[0]
 
 
-def _drain(fd):
-    """Empty the job pipe after a failed suite: every index left there
-    belongs to a later suite, which a serial run would not reach."""
-    while os.read(fd, 64):
-        pass
-
-
 def _attempt(index, seed, cases):
     """The ``run_suite`` result of suite ``index``, or the exception it raised."""
     name, fn = SUITES[index]
@@ -401,10 +407,10 @@ def _attempt(index, seed, cases):
 
 
 def _fork_worker(jobs, siblings, seed, cases):
-    """Start a worker that runs suites off the job pipe until it is empty,
-    or until one fails; returns its pid and the read end of the pipe that
-    carries its messages.  Before each suite the worker sends its index,
-    and after it the outcome, each as one JSON line."""
+    """Start a worker that runs suites off the job pipe until it is empty;
+    returns its pid and the read end of the pipe that carries its
+    messages.  Before each suite the worker sends its index, and after it
+    the outcome, each as one JSON line."""
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -420,9 +426,6 @@ def _fork_worker(jobs, siblings, seed, cases):
                 pipe.flush()  # so that a worker that dies is known to be in this suite
                 outcome = _attempt(index, seed, cases)
                 pipe.write(json.dumps(_encode(outcome)) + "\n")
-                if isinstance(outcome, Exception):
-                    _drain(jobs)
-                    break
         code = 0
     finally:
         os._exit(code)

@@ -9,8 +9,10 @@ computed here cell by cell rather than by ``vcat.initial_structure``, which
 is the library route it checks; the least V-category structure above
 a matrix by repeated squaring, against ``vcat.fibre_join``'s single pass;
 the totally-below relation by a search over all subsets, against
-``quantale.totally_below``'s closed form; and the cone of all V-functors
-into ``V^op``, against ``vcat.is_separated``.
+``quantale.totally_below``'s closed form; the cone of all V-functors
+into ``V^op``, against ``vcat.is_separated``; and the Lawvere order and
+lattice operations in ``Fraction``'s own operators, against
+``quantale.LawvereQuantale``'s cross-multiplied comparisons.
 """
 
 from quantcat.errors import ConsistencyError
@@ -21,6 +23,7 @@ from quantcat.hausdorff import (
     hausdorff_distance,
     up_closure,
 )
+from quantcat.quantale import INF, LawvereQuantale
 from quantcat.vcat import VCategory, as_vcategory, dual, vfunctors_between
 
 
@@ -147,3 +150,58 @@ def priestley_cone(x):
                   for s in x.states for t in x.states)
     return separating and initial, {"maps": len(cone), "separating": separating,
                                     "initial": initial}
+
+
+class FractionLawvere:
+    """The Lawvere quantale's order, lattice operations and tensor through
+    ``Fraction``'s operators: ``>=``, ``min``, ``max``, ``<``, ``>`` and ``+``.
+    Ties keep the first operand, as ``min`` and ``max`` do, and the folds
+    stop at top (join) and bottom (meet)."""
+
+    @staticmethod
+    def leq(u, v):
+        if u is INF:
+            return True
+        if v is INF:
+            return False
+        return u >= v
+
+    @staticmethod
+    def join(u, v):
+        if u is INF:
+            return v
+        if v is INF:
+            return u
+        return min(u, v)
+
+    @staticmethod
+    def meet(u, v):
+        if u is INF or v is INF:
+            return INF
+        return max(u, v)
+
+    @staticmethod
+    def join_all(items):
+        out = INF
+        for x in items:
+            if x is not INF and (out is INF or x < out):
+                out = x
+                if out == 0:
+                    break
+        return out
+
+    @staticmethod
+    def meet_all(items):
+        out = LawvereQuantale.top
+        for x in items:
+            if x is INF:
+                return INF
+            if x > out:
+                out = x
+        return out
+
+    @staticmethod
+    def tensor(u, v):
+        if u is INF or v is INF:
+            return INF
+        return u + v

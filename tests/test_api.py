@@ -2,7 +2,8 @@
 function of the library modules (all but the command line) and the
 parameters of its signature whose names contain ``cap``.  A new cap is a
 new knob, so it is added here on purpose or not at all.  And its functor
-dispatch: only the node classes in ``coalg`` look at a node's type."""
+dispatch: only the node classes in ``coalg`` look at a node's type.  And
+its arithmetic: no module reads the private fields of a ``Fraction``."""
 
 import ast
 import importlib
@@ -127,3 +128,17 @@ def test_the_only_module_level_memo_interns_the_builtin_quantales():
     assert decorated == {"quantale._builtin"}
     # and no memo is made by calling the decorator on a function
     assert mentions == 1
+
+
+def test_no_module_reads_the_private_fields_of_a_fraction():
+    """The Lawvere kernel compares through ``numerator`` and ``denominator``,
+    the public API of every Python version the package supports; the
+    private ``_numerator`` and ``_denominator`` slots are not part of it."""
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in Path(quantcat.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None))
+        in ("_numerator", "_denominator")
+    }
+    assert found == set()

@@ -814,6 +814,8 @@ FILES = {
     "lawvere_null": _lawvere_point(None),
     "lawvere_array": _lawvere_point(["0"]),
     "lawvere_object": _lawvere_point({"a": "0"}),
+    "lawvere_true": _lawvere_point(True),
+    "lawvere_float": _lawvere_point(0.1),
     "deep_arrays": b"[" * 100_000 + b"]" * 100_000,
     "deep_h": _coalgebra_with_functor(_nested_h(600)),
     "bad_const": {"schema": "coalgebra/1",
@@ -847,6 +849,14 @@ BAD_INPUTS = {
     "null Lawvere value": (["check", "@lawvere_null"], "bad rational None"),
     "array Lawvere value": (["check", "@lawvere_array"], "bad rational ['0']"),
     "object Lawvere value": (["check", "@lawvere_object"], "bad rational {'a': '0'}"),
+    # a JSON boolean is no number, and a JSON float is inexact
+    "boolean Lawvere value": (["check", "@lawvere_true"], "bad rational True"),
+    "float Lawvere value": (["check", "@lawvere_float"],
+                            'bad rational 0.1: a JSON float is inexact, so give the '
+                            'rational as a string such as "1/10"'),
+    # a built-in chain past the length bound is refused before it is built
+    "chain past the length bound": (["chain", "--quantale", "godel:50000", "--depth", "1"],
+                                    "chain of 50000 elements is over the bound of 128"),
     # an "@name" in the error stands for the path of that file
     "deeply nested arrays": (["check", "@deep_arrays"],
                              "@deep_arrays: JSON nests too deeply to decode"),

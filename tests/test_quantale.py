@@ -22,7 +22,7 @@ from quantcat.descriptors import load_quantale
 from quantcat.quantale import TableQuantale
 from quantcat.suites import QUANTALE_NAMES, SUITES, rand_category, run_suite
 from quantcat.vcat import as_vcategory
-from oracle_routes import totally_below_by_subsets
+from oracle_routes import FractionLawvere, totally_below_by_subsets
 
 FINITE_FIXTURES = [
     Quantale.boolean(),
@@ -211,6 +211,47 @@ def test_lawvere_lattice_reversed(lawvere):
     assert lawvere.join_all([]) is INF
     assert lawvere.meet_all([]) == Fraction(0)
     assert lawvere.tensor(INF, Fraction(0)) is INF
+
+
+def _copy(u):
+    """A value equal to ``u`` that is another object (``INF`` stays itself)."""
+    return u if u is INF else Fraction(u.numerator, u.denominator)
+
+
+lawvere_values = st.one_of(
+    st.just(INF),
+    st.just(Fraction(0)),
+    st.fractions(min_value=0, max_value=10),
+    st.builds(Fraction, st.integers(0, 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(lawvere_values, lawvere_values, st.lists(lawvere_values, max_size=8))
+def test_lawvere_operations_match_the_fraction_operators(u, v, items):
+    """Cross-multiplied comparisons return the very object that Fraction's
+    operators pick, equal values and the stops at top and bottom included;
+    the tensor returns an equal Fraction."""
+    q, oracle = Quantale.lawvere(), FractionLawvere
+    for a, b in [(u, v), (v, u), (u, _copy(u)), (u, u)]:
+        assert q.leq(a, b) == oracle.leq(a, b), (a, b)
+        assert q.join(a, b) is oracle.join(a, b), (a, b)
+        assert q.meet(a, b) is oracle.meet(a, b), (a, b)
+        got, want = q.tensor(a, b), oracle.tensor(a, b)
+        assert got == want and type(got) is type(want), (a, b)
+    for seq in (items, items[::-1], items + [_copy(x) for x in items]):
+        assert q.join_all(seq) is oracle.join_all(seq), seq
+        assert q.meet_all(seq) is oracle.meet_all(seq), seq
+
+
+def test_chains_past_the_length_bound_are_refused_before_any_table(monkeypatch):
+    bound = quantale.CHAIN_LENGTH_BOUND
+    assert len(Quantale.chain(bound, min).elements) == bound
+    monkeypatch.setattr(Quantale, "finite", classmethod(lambda cls, *tables: pytest.fail()))
+    for name, n in [(f"godel:{bound + 1}", bound + 1), ("lukasiewicz:50000", 50000)]:
+        with pytest.raises(DescriptorError,
+                           match=f"^chain of {n} elements is over the bound of {bound}$"):
+            Quantale.by_name(name)
 
 
 # -- brute-force oracles read off the leq pairs and the tensor ------------------

@@ -53,6 +53,14 @@ def _wait(fd):
         os.read(fd, 1)
 
 
+def _written(fd):
+    """The bytes written so far to pipe end ``fd``, read without waiting."""
+    out = b""
+    while select.select([fd], [], [], 0)[0] and (chunk := os.read(fd, 64)):
+        out += chunk
+    return out
+
+
 @pytest.fixture()
 def pipes():
     """Pipes by which one process tells another that it got somewhere;
@@ -194,4 +202,58 @@ def test_the_first_failing_suite_wins_across_processes(monkeypatch, pipes):
     _with_suite(monkeypatch, 5, fifth)
     with pytest.raises(LawFailure, match="^suite 1 failed$"):
         run_law_suites(0, 1)
+    _no_child_left()
+
+
+def test_the_queue_holds_every_suite_but_the_first_once():
+    assert sorted(suites._queue()) == list(range(1, len(SUITES)))
+
+
+def _marked(monkeypatch, fd, before):
+    """Make every suite call ``before`` with its index, write the index to
+    pipe end ``fd`` and then run as it did."""
+    for index, (_, fn) in enumerate(SUITES):
+        def marked(rng, index=index, fn=fn):
+            before(index)
+            os.write(fd, bytes([index]))
+            return fn(rng)
+        _with_suite(monkeypatch, index, marked)
+
+
+def test_one_worker_takes_the_suites_longest_first(monkeypatch, pipes):
+    """The caller waits in its first suite until the one worker has started
+    the last queued suite, so the worker runs every queued suite in turn."""
+    _cpus(monkeypatch, 2)
+    started_r, started_w = pipes()
+    last_r, last_w = pipes()
+    queue = suites._queue()
+
+    def before(index):
+        if index == 0:
+            _wait(last_r)
+        elif index == queue[-1]:
+            os.write(last_w, b"l")
+
+    _marked(monkeypatch, started_w, before)
+    run_law_suites(0, 1)
+    assert [index for index in _written(started_r) if index] == queue
+    _no_child_left()
+
+
+def test_every_suite_runs_after_a_failure(monkeypatch, pipes):
+    """Suite 0 and the first queued suite fail at once; the job pipe is
+    not emptied, so every other suite still runs, and suite 0's error is
+    raised, as in a serial run."""
+    _cpus(monkeypatch, 2)
+    started_r, started_w = pipes()
+    failing = (0, suites._queue()[0])
+
+    def before(index):
+        if index in failing:
+            raise LawFailure(f"suite {index} failed", report=None)
+
+    _marked(monkeypatch, started_w, before)
+    with pytest.raises(LawFailure, match="^suite 0 failed$"):
+        run_law_suites(0, 1)
+    assert sorted(_written(started_r)) == [i for i in range(len(SUITES)) if i not in failing]
     _no_child_left()
