@@ -12,7 +12,6 @@ import time
 from . import __version__
 from . import descriptors as ds
 from .coalg import (
-    DEFAULT_SIZE_CAP,
     check_coalgebra,
     distance_table,
     equalizer,
@@ -23,8 +22,8 @@ from .coalg import (
     require_coalgebra,
 )
 from .errors import CapExceeded, DescriptorError, LawFailure, QuantcatError
-from .hausdorff import (cantor_check, enumerate_increasing, hausdorff_distance,
-                        hausdorff_object, up_closure)
+from .hausdorff import (DEFAULT_COUNT_CAP, cantor_check, enumerate_increasing,
+                        hausdorff_distance, hausdorff_object, up_closure)
 from .omega import anamorphism, is_omega_hom, verify_chain_commutation
 from .quantale import Quantale, check_assumptions, check_quantale_laws
 from .vcat import VCategory, VFunctor, check_vcategory, symmetrize
@@ -175,8 +174,8 @@ def check(paths, fmt, timings):
 
 
 @_command(_option("--category", dest="category_path", required=True),
-          _option("--left", "-a", default="", help="Comma-separated state ids."),
-          _option("--right", "-b", default="", help="Comma-separated state ids."),
+          _option("--left", "-a", default="", help="Comma-separated state ids, as printed."),
+          _option("--right", "-b", default="", help="Comma-separated state ids, as printed."),
           _FMT)
 def hausdorff(category_path, left, right, fmt):
     """Lifted distances and up-closures for two subsets."""
@@ -184,10 +183,13 @@ def hausdorff(category_path, left, right, fmt):
     q = cat.quantale
 
     def parse_subset(text):
-        ids = [s for s in text.split(",") if s]
-        for s in ids:
-            if s not in cat.states:
-                raise DescriptorError(f"unknown state {s!r}")
+        ids = []
+        for entry in filter(None, text.split(",")):
+            named = [s for s in cat.states if str(s) == entry]
+            if len(named) != 1:
+                raise DescriptorError(f"state {entry!r} names both {named[0]!r} and {named[1]!r}"
+                                      if named else f"unknown state {entry!r}")
+            ids += named
         return frozenset(ids)
 
     a, b = parse_subset(left), parse_subset(right)
@@ -210,7 +212,7 @@ def hausdorff(category_path, left, right, fmt):
           _option("--quantale", dest="quantale_name", default="bool",
                   help="Built-in quantale name (default: %(default)s)."),
           _option("--depth", type=int, required=True),
-          _option("--cap", type=int, default=DEFAULT_SIZE_CAP, help="(default: %(default)s)"),
+          _option("--cap", type=int, default=DEFAULT_COUNT_CAP, help="(default: %(default)s)"),
           _FMT)
 def chain(functor_text, quantale_name, depth, cap, fmt):
     """Level sizes of the final chain of a polynomial functor."""

@@ -16,8 +16,9 @@ reads ``dist`` off the structure terms: ``lift_descent`` iterates it,
 ``distance_table`` returns its iterates from the empty cone, and
 ``check_coalgebra`` asks whether one step fixes the carrier;
 ``behavioral_distance`` reads that table, so it builds no chain level.
-Nothing is memoized at module level: F(x) is kept on x and freed with it,
-and a coalgebra keeps the tables of its last ``distance_table`` call.
+Nothing is memoized at module level: F(x) is kept on x, keyed by node,
+and freed with it, and a coalgebra keeps the tables of its last
+``distance_table`` call.  A cap bounds only what a call builds.
 """
 
 import functools
@@ -38,8 +39,6 @@ from .vcat import (
     terminal,
 )
 from . import hausdorff as hd
-
-DEFAULT_SIZE_CAP = 4096
 
 
 # -- functor expressions -------------------------------------------------
@@ -108,7 +107,7 @@ class Id:
     def map(self, fn, term):
         return fn(term)
 
-    def normalize(self, cat, term, cap):
+    def normalize(self, cat, term):
         return _leaf(cat, term)
 
     def load(self, spec, home):
@@ -148,7 +147,7 @@ class Const:
     def map(self, fn, term):
         return term
 
-    def normalize(self, cat, term, cap):
+    def normalize(self, cat, term):
         return _leaf(self.category, term)
 
     def load(self, spec, home):
@@ -194,10 +193,10 @@ class Prod:
     def map(self, fn, term):
         return tuple(p.map(fn, u) for p, u in zip(self.parts, term))
 
-    def normalize(self, cat, term, cap):
+    def normalize(self, cat, term):
         if not (isinstance(term, tuple) and len(term) == len(self.parts)):
             raise _misshapen(self, term)
-        return tuple(p.normalize(cat, u, cap) for p, u in zip(self.parts, term))
+        return tuple(p.normalize(cat, u) for p, u in zip(self.parts, term))
 
     def load(self, spec, home):
         if not isinstance(spec, list) or len(spec) != len(self.parts):
@@ -247,11 +246,11 @@ class Sum:
     def map(self, fn, term):
         return (term[0], self.parts[term[0]].map(fn, term[1]))
 
-    def normalize(self, cat, term, cap):
+    def normalize(self, cat, term):
         if not (isinstance(term, tuple) and len(term) == 2
                 and term[0] in range(len(self.parts))):
             raise _misshapen(self, term)
-        return (term[0], self.parts[term[0]].normalize(cat, term[1], cap))
+        return (term[0], self.parts[term[0]].normalize(cat, term[1]))
 
     def load(self, spec, home):
         require_fields(spec, ("branch", "term"), what="sum term")
@@ -286,7 +285,7 @@ class HComp:
 
     def obj(self, x, cap):
         inner = eval_obj(self.inner, x, cap)
-        return hd.hausdorff_object(inner, cap=cap, count_cap=cap).category
+        return hd.hausdorff_object(inner, count_cap=cap).category
 
     def dist(self, cat, s, t):
         """The full powerset reading, so the carrier never depends on the
@@ -297,11 +296,11 @@ class HComp:
     def map(self, fn, term):
         return frozenset(self.inner.map(fn, t) for t in term)
 
-    def normalize(self, cat, term, cap):
+    def normalize(self, cat, term):
         if not isinstance(term, frozenset):
             raise _misshapen(self, term)
-        inner = eval_obj(self.inner, cat, cap)
-        return hd.up_closure(inner, {self.inner.normalize(cat, t, cap) for t in term})
+        inner = eval_obj(self.inner, cat)
+        return hd.up_closure(inner, {self.inner.normalize(cat, t) for t in term})
 
     def load(self, spec, home):
         if not isinstance(spec, list):
@@ -320,23 +319,18 @@ def _leaf_quantales(expr):
         yield from _leaf_quantales(p)
 
 
-def functor_quantale(expr):
-    """The quantale fixed by the constant leaves, or None when free."""
-    return next(_leaf_quantales(expr), None)
-
-
-def normalize_term(expr, cat, term, cap=DEFAULT_SIZE_CAP):
+def normalize_term(expr, cat, term):
     """Canonical form of a set-level term as an element of eval_obj:
     set payloads are up-closed in the inner object.  A leaf that is not a
     state of its category, or a term not shaped like the functor, raises
     ConsistencyError."""
-    return expr.normalize(cat, term, cap)
+    return expr.normalize(cat, term)
 
 
-def _in_functor(expr, cat, term, cap):
+def _in_functor(expr, cat, term):
     """Is the term its own normal form, that is, an element of F(cat)?"""
     try:
-        return normalize_term(expr, cat, term, cap) == term
+        return normalize_term(expr, cat, term) == term
     except ConsistencyError:
         return False
 
@@ -344,32 +338,31 @@ def _in_functor(expr, cat, term, cap):
 # -- evaluation on objects and morphisms ---------------------------------
 
 
-def eval_obj(expr, x, cap=DEFAULT_SIZE_CAP):
+def eval_obj(expr, x, cap=hd.DEFAULT_COUNT_CAP):
     """The value of a polynomial functor on a V-category.  A Prod, Sum or
-    HComp value is kept on x under (node, cap) and freed with x; leaves are
-    not kept, as they cost nothing and keeping Id would make x hold itself."""
+    HComp value is kept on x under its node, whatever cap built it, and freed
+    with x; leaves are not kept: they cost nothing, and Id would make x hold itself."""
     if not expr.parts:
         return expr.obj(x, cap)
     values = x._functor_values
     if values is None:
         values = x._functor_values = {}
-    key = (expr, cap)
-    if key not in values:
-        values[key] = expr.obj(x, cap)
-    return values[key]
+    if expr not in values:
+        values[expr] = expr.obj(x, cap)
+    return values[expr]
 
 
-def _fmap(expr, f, term, cap):
+def _fmap(expr, f, term):
     """F(f) at one element of F(f.source): the image with its set payloads
     up-closed.  This is the only definition of F on maps."""
-    return normalize_term(expr, f.target, expr.map(f, term), cap)
+    return normalize_term(expr, f.target, expr.map(f, term))
 
 
-def eval_mor(expr, f, cap=DEFAULT_SIZE_CAP):
+def eval_mor(expr, f):
     """The value of a polynomial functor on a V-functor."""
-    src = eval_obj(expr, f.source, cap)
-    tgt = eval_obj(expr, f.target, cap)
-    return VFunctor(src, tgt, [_fmap(expr, f, t, cap) for t in src.states])
+    src = eval_obj(expr, f.source)
+    tgt = eval_obj(expr, f.target)
+    return VFunctor(src, tgt, [_fmap(expr, f, t) for t in src.states])
 
 
 # -- coalgebras -----------------------------------------------------------
@@ -410,7 +403,7 @@ class Coalgebra:
         return f"Coalgebra({self.functor!r}, {len(self.carrier.states)} states)"
 
 
-def _structure_fault(c, cap):
+def _structure_fault(c):
     """Why the structure map does not land in F(X), or None.
 
     The membership walk builds only the inner objects that up-closure
@@ -420,17 +413,17 @@ def _structure_fault(c, cap):
         return "constant category over a different quantale"
     for s in x.states:
         t = c.structure[s]
-        if not _in_functor(c.functor, x, t, cap):
+        if not _in_functor(c.functor, x, t):
             return f"mapping hits unknown target state {_term_text(t)}"
     return None
 
 
-def _structure_terms(c, depth, cap):
+def _structure_terms(c, depth):
     """The structure terms in carrier order, for a walk to ``depth``; a
     negative depth or a structure outside F(X) raises ConsistencyError."""
     if depth < 0:
         raise ConsistencyError(f"depth {depth} is negative")
-    fault = _structure_fault(c, cap)
+    fault = _structure_fault(c)
     if fault is not None:
         raise ConsistencyError(fault)
     return [c.structure[s] for s in c.carrier.states]
@@ -443,7 +436,7 @@ def check_coalgebra(c):
     from the carrier returns the carrier; the witness is the first pair,
     in row-major order, that the step lowers.  The step reads set-level
     F-distances, which up-closure does not change, so F(X) is never built."""
-    fault = _structure_fault(c, DEFAULT_SIZE_CAP)
+    fault = _structure_fault(c)
     if fault is not None:
         return AssumptionReport((LawEntry("structure-in-functor", False, (fault,)),))
     x = c.carrier
@@ -488,7 +481,7 @@ def is_coalg_hom(h, cx, cy):
     if not is_vfunctor(h):
         return False
     return all(
-        _fmap(cx.functor, h, cx.structure[s], DEFAULT_SIZE_CAP) == cy.structure[h(s)]
+        _fmap(cx.functor, h, cx.structure[s]) == cy.structure[h(s)]
         for s in cx.carrier.states
     )
 
@@ -509,16 +502,16 @@ class ChainLevel(Record):
         self.connecting = connecting
 
 
-def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
+def final_chain(expr, depth, quantale=None, cap=hd.DEFAULT_COUNT_CAP):
     """Levels 0..depth of the chain 1 <- F(1) <- F(F(1)) <- ...
 
     Level n holds F^n(1) and p_n: F^n(1) -> F^(n-1)(1), with p_1 the map to
     the point and p_(n+1) = F(p_n).  Nothing above F^depth(1) is built, so
-    ``cap`` bounds exactly the returned levels.  A negative depth raises
-    ConsistencyError."""
+    ``cap`` bounds exactly the returned levels, which F(p_n) only reads.
+    A negative depth raises ConsistencyError."""
     if depth < 0:
         raise ConsistencyError(f"depth {depth} is negative")
-    q = functor_quantale(expr) or quantale
+    q = next(_leaf_quantales(expr), None) or quantale
     if q is None:
         raise ConsistencyError("functor fixes no quantale; pass one explicitly")
     one = terminal(q)
@@ -529,7 +522,7 @@ def final_chain(expr, depth, quantale=None, cap=DEFAULT_SIZE_CAP):
         if below.connecting is None:
             p = VFunctor(obj, one, ["*"] * len(obj.states))
         else:
-            p = eval_mor(expr, below.connecting, cap)
+            p = eval_mor(expr, below.connecting)
         levels.append(ChainLevel(n, obj, p))
     return levels
 
@@ -541,16 +534,16 @@ def behavior_map(c, depth):
     beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
     structure map.  Each approximant is a V-functor into its chain level.
     F(beh_n) is applied to the structure terms only, so F(X) is never built.
-    Every object built is bounded by DEFAULT_SIZE_CAP.  No distance is read
-    off this cone; the tests compare it with ``distance_table``.
+    No distance is read off this cone; the tests compare it with
+    ``distance_table``.
     """
-    terms = _structure_terms(c, depth, DEFAULT_SIZE_CAP)
+    terms = _structure_terms(c, depth)
     x, expr = c.carrier, c.functor
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
     for _ in range(depth):
         beh = behs[-1]
         level = eval_obj(expr, beh.target)
-        behs.append(VFunctor(x, level, [_fmap(expr, beh, t, DEFAULT_SIZE_CAP) for t in terms]))
+        behs.append(VFunctor(x, level, [_fmap(expr, beh, t) for t in terms]))
     return behs
 
 
@@ -581,7 +574,7 @@ def distance_table(c, depth):
     """
     kept = c._tables
     if kept is None or kept[0] != depth:
-        _structure_terms(c, depth, DEFAULT_SIZE_CAP)
+        _structure_terms(c, depth)
         x = c.carrier
         descent = lift_descent(c.functor, x.quantale, x.states, c.structure)
         kept = c._tables = (depth, tuple(islice(descent, depth + 1)))
@@ -605,7 +598,7 @@ def equalizer(cx, f, g):
     while True:
         sub = restrict(x, current)
         nxt = [s for s in current
-               if _in_functor(cx.functor, sub, cx.structure[s], DEFAULT_SIZE_CAP)]
+               if _in_functor(cx.functor, sub, cx.structure[s])]
         if nxt == current:
             break
         current = nxt

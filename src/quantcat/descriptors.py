@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term, require_carrier
 from .errors import DescriptorError, LawFailure, require_fields
-from .quantale import Quantale
+from .quantale import CHAIN_LENGTH_BOUND, Quantale
 from .vcat import VCategory
 
 QUANTALE_SCHEMA = "quantale/1"
@@ -111,6 +111,9 @@ def load_quantale(spec):
     tensor_rows = spec["tensor"]
     if not all(isinstance(v, list) for v in (els, leq_rows, tensor_rows)):
         raise DescriptorError("elements, leq and tensor must be JSON arrays")
+    if len(els) > CHAIN_LENGTH_BOUND:
+        raise DescriptorError(
+            f"quantale of {len(els)} elements is over the bound of {CHAIN_LENGTH_BOUND}")
     if len(leq_rows) != len(els) or len(tensor_rows) != len(els):
         raise DescriptorError("leq/tensor tables do not match the element list")
     if any(not isinstance(row, list) or len(row) > len(els)

@@ -10,7 +10,6 @@ from .errors import CapExceeded, ConsistencyError, DescriptorError, IterationGua
 from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import VCategory, VFunctor, VRelation
 
-DEFAULT_CARRIER_CAP = 12
 DEFAULT_COUNT_CAP = 4096
 
 
@@ -55,22 +54,17 @@ def up_closure(x, subset):
     return _ids(x, _up_mask(x, _mask(x, subset)))
 
 
-def _guard_carrier(x, cap):
-    if len(x.states) > cap:
-        raise CapExceeded("subset enumeration carrier", len(x.states), cap)
-
-
-def enumerate_increasing(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP):
+def enumerate_increasing(x, count_cap=DEFAULT_COUNT_CAP):
     """All fixed points of the up-closure, in ascending bitmask order.
 
     Every fixed point is an up-set of the underlying order, so the order
     up-sets are enumerated and the fixed points among them kept.  The
-    count cap bounds the order up-sets examined: more than ``count_cap``
-    of them raises CapExceeded.  Over a totally ordered quantale with
-    more than one element every order up-set is a fixed point, so this is
-    also the number of fixed points; over other quantales it can be larger.
+    count cap is the one bound, whatever the carrier's size: more than
+    ``count_cap`` order up-sets raise CapExceeded.  Over a totally ordered
+    quantale with more than one element every order up-set is a fixed
+    point, so this is also the number of fixed points; over other
+    quantales it can be larger.
     """
-    _guard_carrier(x, cap)
     masks = sorted(_order_upset_masks(x, count_cap))
     return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
 
@@ -126,15 +120,13 @@ class HObject(Record):
     def __len__(self):
         return len(self.elements)
 
-    def index(self, subset):
-        return self.category.index(frozenset(subset))
 
-
-def hausdorff_object(x, cap=DEFAULT_CARRIER_CAP, count_cap=DEFAULT_COUNT_CAP):
-    """Increasing subsets of x with the lifted structure matrix."""
+def hausdorff_object(x, count_cap=DEFAULT_COUNT_CAP):
+    """Increasing subsets of x with the lifted structure matrix; the
+    enumeration's ``count_cap`` is the one bound on its size."""
     q = x.quantale
     join_all, meet_all = q.join_all, q.meet_all
-    elements = enumerate_increasing(x, cap=cap, count_cap=count_cap)
+    elements = enumerate_increasing(x, count_cap=count_cap)
     index_sets = [list(map(x.index, a)) for a in elements]
     empty_join = [q.bottom] * len(x.states)
     mat = []

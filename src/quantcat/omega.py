@@ -151,8 +151,8 @@ def canonical_chain_coding(obj):
 
 def verify_chain_commutation(depth):
     """Check that the truncation legs form a commuting cone matching the
-    final chain of the Hausdorff lifting over the Boolean quantale.  A
-    negative depth raises ConsistencyError."""
+    final chain of the Hausdorff lifting over the Boolean quantale, whose
+    level n has n + 1 states.  A negative depth raises ConsistencyError."""
     if depth < 0:
         raise ConsistencyError(f"depth {depth} is negative")
     entries = []
@@ -185,7 +185,7 @@ def verify_chain_commutation(depth):
     entries.append(LawEntry("truncation-legs-monotone-surjective", w is None, w))
 
     q2 = Quantale.boolean()
-    chain = final_chain(HComp(Id()), depth, quantale=q2, cap=8192)
+    chain = final_chain(HComp(Id()), depth, quantale=q2)
     w = None
     below = None  # the coding of the level under this one
     for level in chain:

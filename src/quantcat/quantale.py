@@ -34,9 +34,9 @@ FINITE_TABLE = "finite-table"
 LAWVERE = "lawvere-extended-rational"
 BUILTIN_MEMO_SIZE = 32
 # The longest chain ``Quantale.chain`` builds (so also godel:n and
-# lukasiewicz:n).  Deriving a chain's lattice is cubic in its length: 128
-# elements take about 0.13 s and 12 MiB of tables, 256 take 0.9 s and
-# 60 MiB, and the cubic law checks of ``check`` take 4.5 s at 128.
+# lukasiewicz:n), and the most elements of an inline ``quantale/1`` table.
+# Deriving a lattice is cubic in its size: 128 elements take about 0.13 s
+# and 12 MiB of tables, 256 take 0.9 s and 60 MiB, and ``check`` 4.5 s at 128.
 CHAIN_LENGTH_BOUND = 128
 
 

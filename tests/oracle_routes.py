@@ -15,14 +15,8 @@ lattice operations in ``Fraction``'s own operators, against
 ``quantale.LawvereQuantale``'s cross-multiplied comparisons.
 """
 
-from quantcat.errors import ConsistencyError
-from quantcat.hausdorff import (
-    DEFAULT_CARRIER_CAP,
-    _guard_carrier,
-    _ids,
-    hausdorff_distance,
-    up_closure,
-)
+from quantcat.errors import CapExceeded, ConsistencyError
+from quantcat.hausdorff import _ids, hausdorff_distance, up_closure
 from quantcat.quantale import INF, LawvereQuantale
 from quantcat.vcat import VCategory, as_vcategory, dual, vfunctors_between
 
@@ -39,22 +33,32 @@ def symmetric_hausdorff(x, a_set, b_set):
     )
 
 
-def powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
+# The full powerset has 2^n members and its lifted matrix 4^n cells, so the
+# oracles refuse carriers past this size.
+POWERSET_CARRIER_CAP = 12
+
+
+def _guard_powerset(x):
+    if len(x.states) > POWERSET_CARRIER_CAP:
+        raise CapExceeded("powerset oracle carrier", len(x.states), POWERSET_CARRIER_CAP)
+
+
+def powerset_lift(x):
     """The lifted structure on the full powerset, in ascending mask order."""
-    _guard_carrier(x, cap)
+    _guard_powerset(x)
     subsets = [_ids(x, m) for m in range(1 << len(x.states))]
     mat = [[hausdorff_distance(x, a, b) for b in subsets] for a in subsets]
     return VCategory(x.quantale, subsets, mat)
 
 
-def generic_powerset_lift(x, cap=DEFAULT_CARRIER_CAP):
+def generic_powerset_lift(x):
     """Powerset structure computed as the initial lift of the meet-composite
     cone over all V-functors into the quantale: the oracle route.
 
     Pa(A, B) = meet over psi of hom(meet psi(A), meet psi(B)).
     """
     q = x.quantale
-    _guard_carrier(x, cap)
+    _guard_powerset(x)
     psis = vfunctors_between(x, as_vcategory(q))
     subsets = [_ids(x, m) for m in range(1 << len(x.states))]
     meets = [

@@ -14,13 +14,9 @@ from pathlib import Path
 import quantcat
 
 SETTABLE_CAPS = {
-    "hausdorff.enumerate_increasing.cap",
     "hausdorff.enumerate_increasing.count_cap",
-    "hausdorff.hausdorff_object.cap",
     "hausdorff.hausdorff_object.count_cap",
-    "coalg.normalize_term.cap",
     "coalg.eval_obj.cap",
-    "coalg.eval_mor.cap",
     "coalg.final_chain.cap",
 }
 

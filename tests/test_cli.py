@@ -257,6 +257,24 @@ def test_hausdorff_command(runner, line_file):
     assert rep["up_left"] == ["0", "1"]
 
 
+def test_hausdorff_names_numeric_state_ids_by_their_printed_text(runner, tmp_path):
+    path = _write(tmp_path, "numeric.json", _bool_category([0, 1], [["1", "1"], ["0", "1"]]))
+    result = runner.invoke(main, ["hausdorff", "--category", path, "-a", "0", "-b", "1"])
+    assert result.exit_code == 0, result.stderr
+    rep = json.loads(result.stdout)
+    assert (rep["left"], rep["right"], rep["up_left"]) == (["0"], ["1"], ["0", "1"])
+    assert (rep["distance"], rep["reverse"]) == ("1", "0")
+
+
+def test_hausdorff_refuses_an_entry_that_names_two_states(runner, tmp_path):
+    path = _write(tmp_path, "twins.json", _bool_category([0, "0"], [["1", "0"], ["0", "1"]]))
+    result = runner.invoke(main, ["hausdorff", "--category", path, "-a", "0"])
+    assert result.exit_code == 2, result.exception
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1",
+                                         "error": "state '0' names both 0 and '0'"}
+
+
 def test_hausdorff_unknown_state(runner, line_file):
     result = runner.invoke(main, ["hausdorff", "--category", line_file,
                                   "--left", "9"])
@@ -417,6 +435,20 @@ def test_cantor_rejects_a_phi_value_that_is_not_a_state_id(runner, c2_file, valu
     assert result.stdout == ""
     assert json.loads(result.stderr) == {"schema": "report/1",
                                          "error": f"phi value {text} is not a state id"}
+
+
+def test_cantor_phi_on_a_thirteen_state_chain(runner, tmp_path):
+    """13 states in a chain have 14 increasing subsets, the tails; the
+    lifted object is built and phi, which cannot be injective, checked."""
+    states = [f"c{i:02d}" for i in range(13)]
+    path = _write(tmp_path, "c13.json", _bool_category(
+        states, [["1" if i <= j else "0" for j in range(13)] for i in range(13)]))
+    phi = {",".join(states[i:]): states[min(i, 12)] for i in range(14)}
+    result = runner.invoke(main, ["cantor", "--category", path, "--phi", json.dumps(phi)])
+    assert result.exit_code == 0, result.stderr
+    verdict = json.loads(result.stdout)["verdicts"][0]
+    assert verdict["kind"] == "not-injective"
+    assert verdict["subsets"] == [[], ["c12"]]
 
 
 def test_cantor_cap(runner, c2_file):
@@ -801,6 +833,16 @@ def _nested_h(depth):
 _NOT_TRANSITIVE = _bool_category(["p", "q", "r"], [["1", "1", "0"], ["0", "1", "1"],
                                                   ["0", "0", "1"]])
 
+
+def _chain_table(n):
+    """An inline quantale/1 chain of n elements with min as its tensor."""
+    els = [str(i) for i in range(n)]
+    return {"schema": "quantale/1", "elements": els,
+            "leq": [[int(i <= j) for j in range(n)] for i in range(n)],
+            "tensor": [[els[min(i, j)] for j in range(n)] for i in range(n)],
+            "unit": els[-1]}
+
+
 # name -> (CLI arguments, "@name" being the file that holds FILES[name]; error)
 FILES = {
     "chain2": _CHAIN2,
@@ -821,6 +863,7 @@ FILES = {
     "bad_const": {"schema": "coalgebra/1",
                   "functor": {"prod": [{"const": _NOT_TRANSITIVE}, {"id": {}}]},
                   "category": _bool_category(["a"], [["1"]]), "structure": {"a": ["p", "a"]}},
+    "long_table": _chain_table(140),
     "numeric_ids": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
                     "category": _bool_category([0, 1], [["1", "0"], ["0", "1"]]),
                     "structure": {"0": [], "1": ["0"]}},
@@ -857,6 +900,9 @@ BAD_INPUTS = {
     # a built-in chain past the length bound is refused before it is built
     "chain past the length bound": (["chain", "--quantale", "godel:50000", "--depth", "1"],
                                     "chain of 50000 elements is over the bound of 128"),
+    # so is an inline table past that bound
+    "inline table past the length bound": (["check", "@long_table"],
+                                           "quantale of 140 elements is over the bound of 128"),
     # an "@name" in the error stands for the path of that file
     "deeply nested arrays": (["check", "@deep_arrays"],
                              "@deep_arrays: JSON nests too deeply to decode"),

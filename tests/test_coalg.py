@@ -173,6 +173,27 @@ def test_deep_final_chain_over_boolean(q2):
     assert [len(l.obj.states) for l in chain] == list(range(1, 26))
 
 
+@pytest.mark.parametrize("expr", [HComp(Id()), HComp(HComp(Id()))], ids=["H", "HH"])
+def test_a_larger_cap_lifts_each_chain_level_once(q2, monkeypatch, expr):
+    """``eval_mor`` reads the levels that ``final_chain`` kept, whatever cap
+    built them, so a cap above the default lifts as often as the default:
+    once per H node and level."""
+    lifted = []
+    real = hausdorff.hausdorff_object
+
+    def counted(x, *args, **kwargs):
+        lifted.append(len(x.states))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(hausdorff, "hausdorff_object", counted)
+    final_chain(expr, 12, quantale=q2)
+    at_default = list(lifted)
+    lifted.clear()
+    final_chain(expr, 12, quantale=q2, cap=8192)
+    assert lifted == at_default
+    assert len(at_default) == 12 * repr(expr).count("H")
+
+
 def test_final_chain_lawvere_level_two(lawvere, hid):
     """Level sizes 1, 2, 3 with the hand-computed level-two structure."""
     chain = final_chain(hid, 2, quantale=lawvere)
@@ -479,10 +500,10 @@ def test_size_caps(q2, hid):
         eval_obj(Prod([Id(), Id(), Id()]), big, cap=100)
     with pytest.raises(CapExceeded):
         final_chain(hid, 3, quantale=q2, cap=3)
-    # H over a constant larger than the cap: hausdorff_object refuses it
+    # H over a constant with more up-sets than the cap: the count cap refuses it
     with pytest.raises(CapExceeded) as err:
         eval_obj(HComp(Const(discrete(q2, ["p", "q", "r"]))), big, cap=2)
-    assert (err.value.what, err.value.size, err.value.cap) == ("subset enumeration carrier", 3, 2)
+    assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 3, 2)
 
 
 def test_labeled_lawvere_functor_chain(lawvere):
@@ -566,18 +587,18 @@ def test_normal_form_on_a_restriction_is_membership_in_its_functor_value(q2, god
                 members = set(eval_obj(expr, restrict(x, allowed)).states)
                 sub = restrict(x, allowed)
                 for t in eval_obj(expr, x).states:
-                    assert _in_functor(expr, sub, t, 4096) == (t in members), \
+                    assert _in_functor(expr, sub, t) == (t in members), \
                         (expr, allowed, t)
 
 
 def test_normal_form_on_a_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
     x = from_order(q2, ["a", "b"], [("a", "b")])
     expr = Prod([Id(), HComp(Id())])
-    assert _in_functor(expr, restrict(x, {"a", "b"}), ("a", frozenset({"b"})), 4096)
-    assert not _in_functor(expr, restrict(x, {"a"}), ("a", frozenset({"b"})), 4096)
+    assert _in_functor(expr, restrict(x, {"a", "b"}), ("a", frozenset({"b"})))
+    assert not _in_functor(expr, restrict(x, {"a"}), ("a", frozenset({"b"})))
     for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
                  ("a", ["b"]), ("a", frozenset({"a"}))]:
-        assert not _in_functor(expr, restrict(x, {"a", "b"}), term, 4096), term
+        assert not _in_functor(expr, restrict(x, {"a", "b"}), term), term
 
 
 def test_term_text_is_the_repr_with_sorted_set_payloads():
@@ -588,9 +609,9 @@ def test_term_text_is_the_repr_with_sorted_set_payloads():
     assert _term_text((1, frozenset({"y", "x"}))) == "(1, frozenset({'x', 'y'}))"
 
 
-def _structure_functor(c, cap=4096):
+def _structure_functor(c):
     """The structure map as a V-functor into the built F(X)."""
-    fx = eval_obj(c.functor, c.carrier, cap)
+    fx = eval_obj(c.functor, c.carrier)
     return VFunctor(c.carrier, fx, [c.structure[s] for s in c.carrier.states])
 
 
@@ -651,7 +672,7 @@ def test_behavior_map_never_builds_the_functor_value(q2, hid, size):
     rng = random.Random(3)
     c = Coalgebra(hid, discrete(q2, states),
                   {s: frozenset(t for t in states if rng.random() < 0.35) for s in states})
-    # F(X) has 2^size elements, above the default size cap of 4096, so
+    # F(X) has 2^size elements, above the default cap of 4096, so
     # building it raises; the chain levels stay below it
     with pytest.raises(CapExceeded):
         eval_obj(hid, c.carrier)
@@ -947,11 +968,11 @@ def test_distance_table_rejects_structure_outside_the_functor(q2, c2):
             distance_table(c, 2)
 
 
-def _check_coalgebra_via_fx(c, cap=4096):
+def _check_coalgebra_via_fx(c):
     """Independent oracle: the structure map as a V-functor into the built
     F(X), and the structure law read off its matrix."""
     try:
-        sf = _structure_functor(c, cap)
+        sf = _structure_functor(c)
     except ConsistencyError as e:
         return AssumptionReport((LawEntry("structure-in-functor", False, (str(e),)),))
     q = c.carrier.quantale

@@ -136,11 +136,16 @@ def test_enumeration_respects_the_count_cap(q2):
     # the walk is not recursive, so a carrier far above the recursion limit
     # meets the count cap too
     with pytest.raises(CapExceeded) as err:
-        enumerate_increasing(discrete(q2, [f"s{i}" for i in range(1100)]), cap=4096, count_cap=64)
+        enumerate_increasing(discrete(q2, [f"s{i}" for i in range(1100)]), count_cap=64)
     assert (err.value.what, err.value.size, err.value.cap) == ("increasing-subset count", 65, 64)
     with pytest.raises(CapExceeded):
         enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=7)
     assert len(enumerate_increasing(discrete(q2, ["a", "b", "c"]), count_cap=8)) == 8
+
+
+def _chain(q, n):
+    states = [f"c{i:02d}" for i in range(n)]
+    return from_order(q, states, [(s, t) for i, s in enumerate(states) for t in states[i + 1:]])
 
 
 def test_chain_enumeration_closes_one_subset_per_upset(q2, monkeypatch):
@@ -153,10 +158,33 @@ def test_chain_enumeration_closes_one_subset_per_upset(q2, monkeypatch):
         return real(x, mask)
 
     monkeypatch.setattr(hausdorff, "_up_mask", counting)
-    states = [f"c{i:02d}" for i in range(14)]
-    x = from_order(q2, states, [(s, t) for i, s in enumerate(states) for t in states[i + 1:]])
-    assert len(enumerate_increasing(x, cap=14)) == 15
+    assert len(enumerate_increasing(_chain(q2, 14))) == 15
     assert len(calls) <= 15
+
+
+def _v_shape(q, n):
+    """A point below two chains that share nothing else: n states."""
+    arms = [[f"{side}{i:02d}" for i in range(k)]
+            for side, k in (("l", (n - 1) // 2), ("r", n - 1 - (n - 1) // 2))]
+    pairs = [("v", s) for arm in arms for s in arm]
+    pairs += [(s, t) for arm in arms for i, s in enumerate(arm) for t in arm[i + 1:]]
+    return from_order(q, ["v"] + arms[0] + arms[1], pairs)
+
+
+@pytest.mark.parametrize("n", [13, 14, 17, 20])
+@pytest.mark.parametrize("shape, size", [
+    (_chain, lambda n: n + 1),
+    # the up-sets without v pair an up-set of each arm; with v, all states
+    (_v_shape, lambda n: ((n - 1) // 2 + 1) * (n - (n - 1) // 2) + 1),
+], ids=["chain", "v-shape"])
+def test_hausdorff_object_is_the_value_of_h(q2, godel3, shape, size, n):
+    """One bound decides whether Hx is built, so the lifted object and the
+    value of H(Id) agree on carriers of any number of states."""
+    for q in (q2, godel3):
+        x = shape(q, n)
+        hx = hausdorff_object(x)
+        assert len(hx) == size(n)
+        assert hx.category == eval_obj(HComp(Id()), x)
 
 
 def test_hausdorff_object_boundary_values(q2, c2, line013):

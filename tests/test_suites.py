@@ -141,13 +141,13 @@ def _in_a_worker(monkeypatch, pipes, index, fn):
 
 def test_a_cap_hit_in_a_worker_exits_3_as_in_process(runner, monkeypatch, pipes):
     _in_a_worker(monkeypatch, pipes, 3,
-                 _raising(CapExceeded("subset enumeration carrier", 13, 12)))
+                 _raising(CapExceeded("increasing-subset count", 4097, 4096)))
     result = runner.invoke(main, ["selfcheck", "--cases", "2"])
     assert result.exit_code == 3, result.exception
     assert "Traceback" not in result.output
     assert result.stdout == ""
     assert json.loads(result.stderr) == {
-        "schema": "report/1", "error": "subset enumeration carrier: size 13 exceeds cap 12"}
+        "schema": "report/1", "error": "increasing-subset count: size 4097 exceeds cap 4096"}
     _no_child_left()
     monkeypatch.delattr(os, "fork")  # the suites then run in turn in this process
     assert runner.invoke(main, ["selfcheck", "--cases", "2"]).output == result.output
