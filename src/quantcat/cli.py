@@ -321,18 +321,18 @@ def cantor(category_path, phi_text, cap, fmt):
         return out
 
     # phi is checked against the increasing subsets before the lifted
-    # object, quadratic in their number, is built
+    # object, quadratic in their number, is built from them
     subsets = enumerate_increasing(cat)
     if phi_text is not None:
         phi = ds.parse_phi(phi_text, cat, subsets)
-        v = cantor_check(cat, phi, hx=hausdorff_object(cat))
+        v = cantor_check(cat, phi, hx=hausdorff_object(cat, elements=subsets))
         return _report("cantor", {"verdicts": [verdict_json(v)]},
                        v.kind != "contradiction-witness", fmt)
 
     n, k = len(cat.states), len(subsets)
     if n ** k > cap:
         raise CapExceeded("candidate maps from the lifted object", f"{n}^{k}", cap)
-    hx = hausdorff_object(cat)
+    hx = hausdorff_object(cat, elements=subsets)
     from itertools import product as iproduct
 
     tallies = {}

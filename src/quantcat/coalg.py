@@ -7,11 +7,15 @@ carrier states for Id, constant points for Const, tuples for Prod, tagged
 pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
 
 Each node class says what F does there: ``obj`` on V-categories, ``dist``
-on set-level terms, ``map`` on state maps and ``normalize`` into ``obj``;
+on set-level terms, ``image`` on maps and ``normalize`` into ``obj``;
 ``load`` reads a term from its JSON form and ``dump`` writes it back.
-F(f) is ``normalize_term(F, f.target, F.map(f, t))`` at each term t.
-Behaviour maps and homomorphism checks apply it to the structure terms,
-so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
+F(f) is built node by node: a node maps a term through its parts' maps,
+a node with parts keeps the images it has made in a table for the call,
+and an H node up-closes the image under its inner map by
+``hausdorff.hausdorff_image``, the one definition of H on maps.
+So a term shared by many sets is mapped once, and no term is walked as a
+tree.  Behaviour maps and homomorphism checks apply F(f) to the structure
+terms, so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
 reads ``dist`` off the structure terms: ``lift_descent`` iterates it,
 ``distance_table`` returns its iterates from the empty cone, and
 ``check_coalgebra`` asks whether one step fixes the carrier;
@@ -104,8 +108,8 @@ class Id:
     def dist(self, cat, s, t):
         return cat.a(s, t)
 
-    def map(self, fn, term):
-        return fn(term)
+    def image(self, fn, target, tables):
+        return fn
 
     def normalize(self, cat, term):
         return _leaf(cat, term)
@@ -144,8 +148,8 @@ class Const:
     def dist(self, cat, s, t):
         return self.category.a(s, t)
 
-    def map(self, fn, term):
-        return term
+    def image(self, fn, target, tables):
+        return _same
 
     def normalize(self, cat, term):
         return _leaf(self.category, term)
@@ -190,8 +194,9 @@ class Prod:
             p.dist(cat, a, b) for p, a, b in zip(self.parts, s, t)
         )
 
-    def map(self, fn, term):
-        return tuple(p.map(fn, u) for p, u in zip(self.parts, term))
+    def image(self, fn, target, tables):
+        parts = [_table(p, fn, target, tables) for p in self.parts]
+        return lambda term: tuple([t(u) for t, u in zip(parts, term)])
 
     def normalize(self, cat, term):
         if not (isinstance(term, tuple) and len(term) == len(self.parts)):
@@ -243,8 +248,9 @@ class Sum:
             return cat.quantale.bottom
         return self.parts[s[0]].dist(cat, s[1], t[1])
 
-    def map(self, fn, term):
-        return (term[0], self.parts[term[0]].map(fn, term[1]))
+    def image(self, fn, target, tables):
+        parts = [_table(p, fn, target, tables) for p in self.parts]
+        return lambda term: (term[0], parts[term[0]](term[1]))
 
     def normalize(self, cat, term):
         if not (isinstance(term, tuple) and len(term) == 2
@@ -293,8 +299,11 @@ class HComp:
         q = cat.quantale
         return q.meet_all(q.join_all(self.inner.dist(cat, a, b) for a in s) for b in t)
 
-    def map(self, fn, term):
-        return frozenset(self.inner.map(fn, t) for t in term)
+    def image(self, fn, target, tables):
+        """The up-closed image under the inner node's map; the inner
+        value at the target is read when a set is first mapped."""
+        inner = _table(self.inner, fn, target, tables)
+        return lambda term: hd.hausdorff_image(eval_obj(self.inner, target), inner, term)
 
     def normalize(self, cat, term):
         if not isinstance(term, frozenset):
@@ -352,17 +361,51 @@ def eval_obj(expr, x, cap=hd.DEFAULT_COUNT_CAP):
     return values[expr]
 
 
-def _fmap(expr, f, term):
-    """F(f) at one element of F(f.source): the image with its set payloads
-    up-closed.  This is the only definition of F on maps."""
-    return normalize_term(expr, f.target, expr.map(f, term))
+def _same(term):
+    return term
+
+
+class _Table(dict):
+    """F(f) at one functor node, filled on demand: a term asked for keys its
+    image, so a term that many sets share is mapped once."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image):
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, term):
+        out = self[term] = self.image(term)
+        return out
+
+
+def _table(expr, fn, target, tables):
+    """F(f) at the node ``expr`` as a function on terms, for f the map
+    ``fn`` into ``target``.  A node with parts looks its images up in its
+    table, one per node for the call, kept in ``tables``; a leaf's image
+    costs no more than a lookup."""
+    if not expr.parts:
+        return expr.image(fn, target, tables)
+    table = tables.get(expr)
+    if table is None:
+        table = tables[expr] = _Table(expr.image(fn, target, tables)).__getitem__
+    return table
+
+
+def _fmap(expr, fn, target, terms):
+    """F(f) at the given terms, for f the map ``fn`` into ``target``: the
+    only definition of F on maps.  Each node maps a term through its parts'
+    maps, so no term is walked as a tree, and no value of F is built
+    but the inner ones at ``target`` that up-closing an image reads."""
+    return list(map(_table(expr, fn, target, {}), terms))
 
 
 def eval_mor(expr, f):
     """The value of a polynomial functor on a V-functor."""
     src = eval_obj(expr, f.source)
     tgt = eval_obj(expr, f.target)
-    return VFunctor(src, tgt, [_fmap(expr, f, t) for t in src.states])
+    return VFunctor(src, tgt, _fmap(expr, f, f.target, src.states))
 
 
 # -- coalgebras -----------------------------------------------------------
@@ -407,7 +450,13 @@ def _structure_fault(c):
     """Why the structure map does not land in F(X), or None.
 
     The membership walk builds only the inner objects that up-closure
-    reads."""
+    reads.  It runs on every check, not once in ``Coalgebra.__init__``:
+    a coalgebra built in code may hold terms outside F(X), and
+    ``check_coalgebra`` reports that as the failed law
+    ``structure-in-functor`` with its reason, where a refusal at
+    construction would leave nothing to report.  A loaded coalgebra always
+    passes, since its terms are up-closed at load, and the walk costs one
+    normalization per structure term."""
     x = c.carrier
     if any(q != x.quantale for q in _leaf_quantales(c.functor)):
         return "constant category over a different quantale"
@@ -480,10 +529,9 @@ def is_coalg_hom(h, cx, cy):
         raise ConsistencyError("homomorphism endpoints do not match")
     if not is_vfunctor(h):
         return False
-    return all(
-        _fmap(cx.functor, h, cx.structure[s]) == cy.structure[h(s)]
-        for s in cx.carrier.states
-    )
+    states = cx.carrier.states
+    images = _fmap(cx.functor, h, h.target, [cx.structure[s] for s in states])
+    return all(image == cy.structure[t] for image, t in zip(images, h.mapping))
 
 
 # -- the final chain ------------------------------------------------------
@@ -543,7 +591,7 @@ def behavior_map(c, depth):
     for _ in range(depth):
         beh = behs[-1]
         level = eval_obj(expr, beh.target)
-        behs.append(VFunctor(x, level, [_fmap(expr, beh, t) for t in terms]))
+        behs.append(VFunctor(x, level, _fmap(expr, beh, beh.target, terms)))
     return behs
 
 
@@ -624,10 +672,10 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
     for k, (mapping, leg) in enumerate(cone):
         require_carrier(leg.carrier, f"cone leg {k} carrier")
         require_coalgebra(leg, f"cone leg {k}")
-        image = dict(zip(states, mapping))
-        for s in states:
-            expect = normalize_term(expr, leg.carrier, expr.map(image.__getitem__, structure[s]))
-            if expect != leg.structure[image[s]]:
+        image = {s: _leaf(leg.carrier, t) for s, t in zip(states, mapping)}
+        expect = _fmap(expr, image.__getitem__, leg.carrier, [structure[s] for s in states])
+        for s, term in zip(states, expect):
+            if term != leg.structure[image[s]]:
                 raise ConsistencyError(f"cone leg is not a set-level coalgebra morphism at {s!r}")
     for carrier in lift_descent(expr, quantale, states, structure, cone):
         pass

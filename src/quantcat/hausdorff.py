@@ -20,6 +20,16 @@ def _mask(x, subset):
     return m
 
 
+def _bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _ids(x, mask):
     states = x.states
     out = []
@@ -121,29 +131,75 @@ class HObject(Record):
         return len(self.elements)
 
 
-def hausdorff_object(x, count_cap=DEFAULT_COUNT_CAP):
+def hausdorff_object(x, count_cap=DEFAULT_COUNT_CAP, elements=None):
     """Increasing subsets of x with the lifted structure matrix; the
-    enumeration's ``count_cap`` is the one bound on its size."""
+    enumeration's ``count_cap`` is the one bound on its size.  ``elements``,
+    when given, are the increasing subsets as ``enumerate_increasing``
+    returned them, and are not enumerated again."""
+    if elements is None:
+        elements = enumerate_increasing(x, count_cap=count_cap)
+    mat = _lifted_matrix(x, [_mask(x, a) for a in elements])
+    return HObject(x, tuple(elements), VCategory(x.quantale, elements, mat))
+
+
+def _lifted_matrix(x, masks):
+    """The meet-of-joins matrix on the given up-sets, each entry grown from
+    a smaller up-set's entry.
+
+    A non-empty up-set A is A' with a minimal class c of equivalent states
+    added, and A' is again an up-set.  In a V-category equivalent states
+    have equal rows and columns, since a(i, b) <= a(i, b) (x) a(b, b') <=
+    a(i, b').  So the row join of A, the join over a in A of row a, is that
+    of A' joined with the row of any state s of c; and for an up-set B = B'
+    with c added, the meet of a row join over B is its meet over B' met
+    with its entry at s.  The s taken is the first state of A whose up-set
+    is largest, and the parents of the given up-sets are filled first, so
+    N up-sets over n states cost O(N n + N^2) lattice operations, not
+    O(N^2 n).  Every parent is an order up-set, so there are at most as
+    many as the enumeration walked."""
     q = x.quantale
-    join_all, meet_all = q.join_all, q.meet_all
-    elements = enumerate_increasing(x, count_cap=count_cap)
-    index_sets = [list(map(x.index, a)) for a in elements]
-    empty_join = [q.bottom] * len(x.states)
-    mat = []
-    for ai in index_sets:
-        # join row first: one pass per source subset keeps the matrix cheap
-        rows = [x.matrix[i] for i in ai]
-        row_join = list(map(join_all, zip(*rows))) if rows else empty_join
-        mat.append([meet_all(map(row_join.__getitem__, bi)) for bi in index_sets])
-    return HObject(x, tuple(elements), VCategory(q, elements, mat))
+    up = x.unit_rows()
+    size = [row.bit_count() for row in up]
+    classes = {}
+    for i, row in enumerate(up):
+        classes[row] = classes.get(row, 0) | 1 << i
+    # each up-set to fill: its parent and the state whose class it adds
+    grown = {}
+    todo = list(masks)
+    while todo:
+        m = todo.pop()
+        if m and m not in grown:
+            s = max(_bits(m), key=size.__getitem__)
+            grown[m] = (m & ~classes[up[s]], s)
+            todo.append(grown[m][0])
+    # a parent is a subset, so a smaller number: ascending order fills it first
+    order = sorted(grown)
+    joins = {0: (q.bottom,) * len(up)}
+    for m in order:
+        parent, s = grown[m]
+        joins[m] = list(map(q.join, joins[parent], x.matrix[s]))
+    # one column of the lifted matrix per up-set, all rows at once
+    at_state = list(zip(*map(joins.__getitem__, masks)))
+    columns = {0: (q.top,) * len(masks)}
+    for m in order:
+        parent, s = grown[m]
+        columns[m] = list(map(q.meet, columns[parent], at_state[s]))
+    return list(zip(*map(columns.__getitem__, masks)))
 
 
 def hausdorff_map(f, hx=None, hy=None):
     """The lifted map: an increasing subset goes to the up-closed image."""
     hx = hx or hausdorff_object(f.source)
     hy = hy or hausdorff_object(f.target)
-    mapping = [up_closure(f.target, {f(s) for s in a}) for a in hx.elements]
-    return VFunctor(hx.category, hy.category, mapping)
+    return VFunctor(hx.category, hy.category,
+                    [hausdorff_image(f.target, f, a) for a in hx.elements])
+
+
+def hausdorff_image(y, f, subset):
+    """H on maps at one subset: the up-closure in y of its image under the
+    callable f.  ``hausdorff_map`` and the ``HComp`` node of ``coalg`` both
+    map through it, so H acts on maps by this one definition."""
+    return up_closure(y, map(f, subset))
 
 
 def monad_unit(x, hx=None):

@@ -456,6 +456,26 @@ def test_cantor_cap(runner, c2_file):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("phi", [[], ["--phi", json.dumps({"": "u", "v": "v", "u,v": "u"})]],
+                         ids=["sweep", "phi"])
+def test_cantor_walks_the_up_sets_once(runner, c2_file, monkeypatch, phi):
+    """The lifted object is built from the subsets that were checked
+    against phi and the cap, not from a second enumeration."""
+    from quantcat import hausdorff
+
+    walks = []
+    real = hausdorff._order_upset_masks
+
+    def counted(x, count_cap):
+        walks.append(len(x))
+        return real(x, count_cap)
+
+    monkeypatch.setattr(hausdorff, "_order_upset_masks", counted)
+    result = runner.invoke(main, ["cantor", "--category", c2_file] + phi)
+    assert result.exit_code == 0, result.exception
+    assert walks == [2]
+
+
 def test_cantor_refuses_the_sweep_before_building_the_lifted_object(runner, tmp_path,
                                                                     monkeypatch):
     """12 discrete states have 4096 increasing subsets, so 12^4096 maps;
@@ -989,9 +1009,12 @@ _TEXT = (st.sampled_from(["H", "{bad", "nope", "", "[]", '{"id": {}}', '{"prod":
          | _JSON.map(json.dumps).filter(lambda text: not text.startswith("-")))
 _OPTIONS = {"--depth": st.integers(-2, 3).map(str), "--cap": st.integers(-1, 30).map(str),
             "--functor": _TEXT, "--phi": _TEXT}
-# H nested around id on both sides of the functor depth bound; past chain
-# level 1 the terms of 63 nested H nodes grow too large to walk
-_DEEP_H = st.sampled_from([63, 64, 65, 600]).map(lambda n: json.dumps(_nested_h(n)))
+# (functor, depth): H nested around id on both sides of the functor depth
+# bound at depth 0 or 1, and up to 20 deep at depth 2, where a level holds
+# up to 41 states
+_DEEP_H = (st.tuples(st.sampled_from([63, 64, 65, 600]), st.sampled_from(["0", "1"]))
+           | st.tuples(st.integers(2, 20), st.just("2"))).map(
+    lambda pair: (json.dumps(_nested_h(pair[0])), pair[1]))
 _BAD_CONST = json.dumps({"prod": [{"const": _NOT_TRANSITIVE}, {"H": {"id": {}}}]})
 # the JSON reports of the golden cases, less the seeded sweep
 _FUZZ_CASES = sorted(name for name, args in GOLDEN_CASES.items()
@@ -1062,8 +1085,10 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, data):
                                else data.draw(_JSON))
             args[i] = _write(work, f"{arg[1:]}.json", doc)
     if "--functor" in args and data.draw(st.booleans()):
-        args[args.index("--functor") + 1] = data.draw(_DEEP_H | st.just(_BAD_CONST))
-        args[args.index("--depth") + 1] = data.draw(st.sampled_from(["0", "1"]))
+        functor, depth = data.draw(
+            _DEEP_H | st.tuples(st.just(_BAD_CONST), st.sampled_from(["0", "1", "2"])))
+        args[args.index("--functor") + 1] = functor
+        args[args.index("--depth") + 1] = depth
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, (SystemExit, type(None))), result.exception
     assert result.exit_code in (0, 1, 2, 3)

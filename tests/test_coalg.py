@@ -194,6 +194,26 @@ def test_a_larger_cap_lifts_each_chain_level_once(q2, monkeypatch, expr):
     assert len(at_default) == 12 * repr(expr).count("H")
 
 
+def test_nested_lifting_maps_each_element_once_per_node(q2, monkeypatch):
+    """F on maps keeps one table per node, so with H nested 10 deep the
+    connecting map up-closes at most one image per H node and element of
+    a level, not one per occurrence of a nested term."""
+    calls = []
+    real = hausdorff.up_closure
+
+    def counted(x, subset):
+        calls.append(len(x))
+        return real(x, subset)
+
+    monkeypatch.setattr(hausdorff, "up_closure", counted)
+    expr = Id()
+    for _ in range(10):
+        expr = HComp(expr)
+    chain = final_chain(expr, 2, quantale=q2)
+    assert [len(level.obj) for level in chain] == [1, 11, 21]
+    assert 0 < len(calls) <= 10 * len(chain[-1].obj)
+
+
 def test_final_chain_lawvere_level_two(lawvere, hid):
     """Level sizes 1, 2, 3 with the hand-computed level-two structure."""
     chain = final_chain(hid, 2, quantale=lawvere)

@@ -2,7 +2,8 @@
 coalgebras, read distance tables, lifted distances, chain levels (among
 them a two-point labelled chain), equalizers, initial lifts (one of them
 along a one-leg cone), Cantor sweeps and anamorphisms, verify the
-truncation cone, and run the seeded law sweeps.
+truncation cone, and run the seeded law sweeps; the seeded sweep at 1000
+cases is pinned by the digest of its report.
 
 The inputs are defined here; each report is compared with its file under
 ``tests/golden/``.  Rewrite those files only when a report is meant to
@@ -11,6 +12,7 @@ change:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -214,6 +216,7 @@ CASES = {
     "ana_h.json": ["ana", "--coalgebra", "@hcoalg"],
     "omega_verify_depth13.json": ["omega-verify", "--depth", "13"],
     "omega_verify_depth13.txt": ["omega-verify", "--depth", "13", "--format", "text"],
+    "omega_verify_depth32.json": ["omega-verify", "--depth", "32"],
 }
 
 # the cases whose report says a law failed
@@ -243,6 +246,19 @@ def _render(name, workdir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path):
     assert _render(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+# The seeded sweep at 1000 cases, pinned by the SHA-256 of its report bytes.
+# Change the digest only when the report is meant to change.
+SELFCHECK_SEED7_CASES1000_SHA256 = \
+    "9ab5b318234b452174eecf6b007ea375fe91fe124446786d4c70d4afaaad41c6"
+
+
+def test_selfcheck_seed7_at_1000_cases_matches_its_digest():
+    result = CliRunner().invoke(main, ["selfcheck", "--seed", "7", "--cases", "1000"])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == \
+        SELFCHECK_SEED7_CASES1000_SHA256
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from quantcat import (
     CapExceeded,
+    Const,
     DescriptorError,
     HComp,
     Id,
+    Prod,
     Quantale,
     VCategory,
     VFunctor,
@@ -19,6 +21,8 @@ from quantcat import (
     discrete,
     enumerate_increasing,
     eval_obj,
+    fibre_join,
+    final_chain,
     from_order,
     hausdorff_distance,
     hausdorff_map,
@@ -29,6 +33,7 @@ from quantcat import (
     is_separated,
     is_vfunctor,
     lax_powerset_extension,
+    metric_line,
     monad_mult,
     monad_unit,
     strict_less,
@@ -185,6 +190,68 @@ def test_hausdorff_object_is_the_value_of_h(q2, godel3, shape, size, n):
         hx = hausdorff_object(x)
         assert len(hx) == size(n)
         assert hx.category == eval_obj(HComp(Id()), x)
+
+
+# -- the incremental fill against the meet of joins ---------------------------
+
+
+def _with_equivalent_states(q):
+    """a and b above each other and below c; d and e above each other and
+    apart from the rest: a preorder with two classes of two states."""
+    x = fibre_join([from_order(q, list("abcde"),
+                               [("a", "b"), ("b", "a"), ("b", "c"), ("d", "e"), ("e", "d")])])
+    assert check_vcategory(x).ok and not is_separated(x)
+    return x
+
+
+def _assert_meet_of_joins(x, lifted):
+    """``lifted`` is on the increasing subsets of x, and each of its entries
+    is ``hausdorff_distance`` of its pair."""
+    assert list(lifted.states) == enumerate_increasing(x)
+    for a, row in zip(lifted.states, lifted.matrix):
+        for b, v in zip(lifted.states, row):
+            assert v == hausdorff_distance(x, a, b), (x.quantale, x.matrix, a, b)
+
+
+def test_lifted_matrix_is_the_meet_of_joins_on_seeded_carriers():
+    """Each entry grown from a smaller up-set's entry equals the direct
+    meet of joins: over the five built-ins, godel:1, the diamond lattice,
+    preorders with equivalent states and the empty carrier."""
+    rng = random.Random(26)
+    diamond = _diamond_quantale()
+    quantales = [Quantale.by_name(name) for name in QUANTALE_NAMES] + [Quantale.godel(1), diamond]
+    carriers = [_diamond_fork()]
+    for q in quantales:
+        carriers += [discrete(q, []), _with_equivalent_states(q)]
+        carriers += [rand_category(rng, q, min_size=1, max_size=6) for _ in range(15)]
+    for x in carriers:
+        _assert_meet_of_joins(x, hausdorff_object(x).category)
+
+
+def test_final_chain_levels_are_the_meet_of_joins_to_depth_24(q2, lawvere):
+    chains = [final_chain(HComp(Id()), 24, quantale=q2),
+              final_chain(Prod([Const(metric_line([0, 1])), HComp(Id())]), 2, quantale=lawvere)]
+    assert [len(level.obj) for level in chains[0]] == list(range(1, 26))
+    for chain in chains:
+        for level in chain[:-1]:
+            # kept on the level when the level above was built
+            _assert_meet_of_joins(level.obj, eval_obj(HComp(Id()), level.obj))
+    assert all(above.obj is eval_obj(HComp(Id()), level.obj)
+               for level, above in zip(chains[0], chains[0][1:]))
+
+
+def test_hausdorff_object_reads_the_elements_it_is_given(q2, c2, line013, monkeypatch):
+    """Given the enumeration, the same lifted object is built without
+    walking the up-sets again."""
+    carriers = [c2, line013, _diamond_fork(), _with_equivalent_states(q2)]
+    enumerated = [(x, enumerate_increasing(x), hausdorff_object(x)) for x in carriers]
+
+    def refuse(*args):
+        raise AssertionError("the up-sets were walked again")
+
+    monkeypatch.setattr(hausdorff, "_order_upset_masks", refuse)
+    for x, elements, want in enumerated:
+        assert hausdorff_object(x, elements=elements) == want
 
 
 def test_hausdorff_object_boundary_values(q2, c2, line013):
