@@ -1,5 +1,6 @@
-"""Up-closures, increasing subsets, the Hausdorff functor and monad, the
-lax powerset extension, and the no-embedding obstruction.
+"""Up-closures, increasing subsets, H on V-relations, the Hausdorff functor
+and monad, the lax powerset extension and its laws, and the no-embedding
+obstruction.
 
 Subsets of a carrier are handled as bitmasks internally and exposed as
 frozensets of state ids; the element order of every lifted object is the
@@ -107,14 +108,19 @@ def _order_upset_masks(x, count_cap):
     return out
 
 
+def hausdorff_lift(q, d):
+    """H on a V-relation d given as a function: (A, B) goes to the meet
+    over b in B of the join over a in A of d(a, b).  The one place this
+    formula is written; ``hausdorff_distance``, ``lax_powerset_extension``
+    and the ``HComp`` node of ``coalg`` read it, and ``_lifted_matrix``
+    is checked against it."""
+    meet_all, join_all = q.meet_all, q.join_all
+    return lambda a_set, b_set: meet_all(join_all(d(a, b) for a in a_set) for b in b_set)
+
+
 def hausdorff_distance(x, a_set, b_set):
     """The lifted structure value between two arbitrary subsets."""
-    q = x.quantale
-    join_all, index = q.join_all, x.index
-    rows = [x.matrix[index(s)] for s in a_set]
-    return q.meet_all(
-        join_all([row[j] for row in rows]) for j in map(index, b_set)
-    )
+    return hausdorff_lift(x.quantale, x.a)(a_set, b_set)
 
 
 class HObject(Record):
@@ -226,19 +232,10 @@ def monad_mult(x, hx=None, hhx=None):
 
 def lax_powerset_extension(r):
     """Extend a V-relation to all subsets by the meet-of-joins formula."""
-    q = r.quantale
     src = _subsets(r.source_states)
     tgt = _subsets(r.target_states)
-    ridx = {
-        (s, t): r.matrix[i][j]
-        for i, s in enumerate(r.source_states)
-        for j, t in enumerate(r.target_states)
-    }
-    mat = [
-        [q.meet_all(q.join_all(ridx[s, t] for s in a) for t in b) for b in tgt]
-        for a in src
-    ]
-    return VRelation(q, src, tgt, mat)
+    lift = hausdorff_lift(r.quantale, r.r)
+    return VRelation(r.quantale, src, tgt, [[lift(a, b) for b in tgt] for a in src])
 
 
 def _subsets(states):
@@ -264,37 +261,34 @@ def lax_extension_monotone(r, r2):
     return LawEntry("lax-monotone", w is None, w)
 
 
-def lax_extension_composition(r, s):
-    """Extension of the composite bounds the composite of extensions."""
+def _converse(r):
+    """The V-relation read backwards: its matrix is the transpose of r's."""
+    return VRelation(r.quantale, r.target_states, r.source_states,
+                     [[row[j] for row in r.matrix] for j in range(len(r.target_states))])
+
+
+def _composite(r, s):
+    """The V-relation r;s: (x, z) goes to the join over y of r(x, y) (x) s(y, z)."""
     q = r.quantale
     if r.target_states != s.source_states:
         raise ConsistencyError("relations do not compose")
-    comp = VRelation(
-        q, r.source_states, s.target_states,
-        [
-            [
-                q.join_all(
-                    q.tensor(r.matrix[i][l], s.matrix[l][j])
-                    for l in range(len(r.target_states))
-                )
-                for j in range(len(s.target_states))
-            ]
-            for i in range(len(r.source_states))
-        ],
+    columns = _converse(s).matrix
+    return VRelation(q, r.source_states, s.target_states, [
+        [q.join_all(map(q.tensor, row, col)) for col in columns] for row in r.matrix
+    ])
+
+
+def lax_extension_composition(r, s):
+    """Extension of the composite bounds the composite of extensions; the
+    witness is the first failing pair in row-major order."""
+    q = r.quantale
+    er, es, ec = map(lax_powerset_extension, (r, s, _composite(r, s)))
+    via = _composite(er, es)
+    w = next(
+        ((a, c) for a, row, bound in zip(er.source_states, via.matrix, ec.matrix)
+         for c, u, v in zip(es.target_states, row, bound) if not q.leq(u, v)),
+        None,
     )
-    er, es, ec = (lax_powerset_extension(t) for t in (r, s, comp))
-    mids = es.source_states
-    w = None
-    for i, a in enumerate(er.source_states):
-        for j, c in enumerate(es.target_states):
-            via = q.join_all(
-                q.tensor(er.matrix[i][l], es.matrix[l][j]) for l in range(len(mids))
-            )
-            if not q.leq(via, ec.matrix[i][j]):
-                w = (a, c)
-                break
-        if w:
-            break
     return LawEntry("lax-composition", w is None, w)
 
 
@@ -305,11 +299,7 @@ def lax_extension_graph(q, mapping, source_states, target_states):
         q, source_states, target_states,
         [[k if mapping[s] == t else bot for t in target_states] for s in source_states],
     )
-    op = VRelation(
-        q, target_states, source_states,
-        [[k if mapping[s] == t else bot for s in source_states] for t in target_states],
-    )
-    eg, eop = lax_powerset_extension(graph), lax_powerset_extension(op)
+    eg, eop = lax_powerset_extension(graph), lax_powerset_extension(_converse(graph))
     w = None
     for a in eg.source_states:
         image = frozenset(mapping[s] for s in a)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from quantcat import Quantale, from_order, metric_line
+from quantcat import Quantale, VCategory, check_vcategory, from_order, metric_line
 
 
 class _Tee(io.StringIO):
@@ -86,3 +86,27 @@ def c2(q2):
 def line013():
     """Symmetric Lawvere line on the points 0, 1, 3."""
     return metric_line([0, 1, 3])
+
+
+def diamond_quantale():
+    """The four-element lattice 0 < a, b < 1 with tensor meet and unit top."""
+    els = ["0", "a", "b", "1"]
+    leq = [("0", e) for e in els] + [(e, e) for e in els[1:]] + [("a", "1"), ("b", "1")]
+    meet = {}
+    for u in els:
+        for v in els:
+            meet[u, v] = u if (u, v) in leq else v if (v, u) in leq else "0"
+    return Quantale.finite(els, leq, meet, "1")
+
+
+def diamond_fork():
+    """x and y sit below z at the incomparable values a and b, so the
+    underlying order is discrete while {x, y} closes up to everything."""
+    q = diamond_quantale()
+    x = VCategory(q, ["x", "y", "z"], [
+        ["1", "0", "a"],
+        ["0", "1", "b"],
+        ["0", "0", "1"],
+    ])
+    assert check_vcategory(x).ok
+    return x

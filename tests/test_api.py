@@ -12,6 +12,7 @@ import pkgutil
 from pathlib import Path
 
 import quantcat
+from quantcat import coalg
 
 SETTABLE_CAPS = {
     "hausdorff.enumerate_increasing.count_cap",
@@ -138,3 +139,29 @@ def test_no_module_reads_the_private_fields_of_a_fraction():
         in ("_numerator", "_denominator")
     }
     assert found == set()
+
+
+def _meet_of_joins_sites(node, where, found):
+    """Add to ``found`` the qualified name of each function or method that
+    calls ``join_all`` inside the arguments of a ``meet_all`` call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if (isinstance(node, ast.Call) and _named(node.func) == "meet_all"
+            and any(isinstance(inner, ast.Call) and _named(inner.func) == "join_all"
+                    for arg in node.args for inner in ast.walk(arg))):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        _meet_of_joins_sites(child, where, found)
+
+
+def test_the_meet_of_joins_is_written_once():
+    """H's formula on relations lives in ``hausdorff.hausdorff_lift``, which
+    the distance, the powerset extension and the ``HComp`` node read, and a
+    functor node's structure on terms is its lax extension ``lift``."""
+    found = set()
+    for path in Path(quantcat.__file__).parent.glob("*.py"):
+        _meet_of_joins_sites(ast.parse(path.read_text()), path.stem, found)
+    assert found == {"hausdorff.hausdorff_lift"}
+    nodes = [getattr(coalg, name) for name in FUNCTOR_NODES]
+    assert not [node for node in nodes if hasattr(node, "dist")]
+    assert all(callable(node.lift) for node in nodes)

@@ -22,6 +22,7 @@ from quantcat import (
     Sum,
     VCategory,
     VFunctor,
+    VRelation,
     behavior_map,
     behavioral_distance,
     check_coalgebra,
@@ -31,11 +32,13 @@ from quantcat import (
     equalizer,
     eval_mor,
     eval_obj,
+    fibre_join,
     final_chain,
     from_order,
     indiscrete,
     initial_lift_coalgebra,
     is_coalg_hom,
+    is_separated,
     is_vcategory,
     is_vfunctor,
     metric_line,
@@ -47,6 +50,8 @@ from quantcat import (
 from quantcat import coalg, hausdorff
 from quantcat.coalg import _in_functor, _term_text
 from quantcat.descriptors import dump_term, load_term
+from quantcat.suites import QUANTALE_NAMES, rand_category, rand_relation
+from conftest import diamond_fork, diamond_quantale
 
 
 @pytest.fixture()
@@ -875,15 +880,128 @@ def _ordered_carrier(q):
     return from_order(q, ["a", "b", "c"], [("a", "b")])
 
 
+def _equivalent_pair(q):
+    """a and b above each other and both below c: a preorder whose two
+    equivalent states have equal rows and columns."""
+    x = fibre_join([from_order(q, ["a", "b", "c"], [("a", "b"), ("b", "a"), ("b", "c")])])
+    assert not is_separated(x)
+    return x
+
+
 def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
-    for q in (q2, godel3, lawvere):
-        x = _ordered_carrier(q)
-        assert is_vcategory(x)
-        for expr in _seven_functors(_labels(q)):
-            fx = eval_obj(expr, x)
-            for s in fx.states:
-                for t in fx.states:
-                    assert expr.dist(x, s, t) == fx.a(s, t), (expr, s, t)
+    """The lift of the carrier's structure is the structure of the functor
+    value, over three chains, godel:1 and the diamond lattice, on an
+    ordered carrier and on a preorder with two equivalent states."""
+    diamond = diamond_quantale()
+    for q in (q2, godel3, lawvere, Quantale.godel(1), diamond):
+        carriers = [_ordered_carrier(q), _equivalent_pair(q)]
+        if q is diamond:
+            carriers.append(diamond_fork())
+        for x in carriers:
+            assert is_vcategory(x)
+            for expr in _seven_functors(_labels(q)):
+                fx = eval_obj(expr, x)
+                d = expr.lift(q, x.a)
+                for s in fx.states:
+                    for t in fx.states:
+                        assert d(s, t) == fx.a(s, t), (q, x.matrix, expr, s, t)
+
+
+# -- the lax-extension laws for drawn functors ----------------------------------
+
+
+def _draw_functor(rng, q, depth, leaf=True):
+    """A functor AST of depth at most ``depth`` (leaves have depth 0), a
+    node with parts unless ``leaf``; its constants are drawn over q on one
+    or two states."""
+    kind = rng.choice((["id", "const"] if leaf or not depth else [])
+                      + (["prod", "sum", "h"] if depth else []))
+    if kind == "id":
+        return Id()
+    if kind == "const":
+        return Const(rand_category(rng, q, min_size=1, max_size=2))
+    if kind == "h":
+        return HComp(_draw_functor(rng, q, depth - 1))
+    parts = [_draw_functor(rng, q, depth - 1) for _ in range(rng.randint(1, 3))]
+    return (Prod if kind == "prod" else Sum)(parts)
+
+
+def _set_terms(expr, xs):
+    """F(xs) on sets: an H node takes every subset, not only the up-sets."""
+    if isinstance(expr, Id):
+        return list(xs)
+    if isinstance(expr, Const):
+        return list(expr.category.states)
+    if isinstance(expr, Prod):
+        return list(iproduct(*(_set_terms(p, xs) for p in expr.parts)))
+    if isinstance(expr, Sum):
+        return [(b, t) for b, p in enumerate(expr.parts) for t in _set_terms(p, xs)]
+    inner = _set_terms(expr.inner, xs)
+    return [frozenset(t for i, t in enumerate(inner) if m >> i & 1)
+            for m in range(1 << len(inner))]
+
+
+def _set_map(expr, f):
+    """F(f) on sets for a dict f: direct images, with no up-closure."""
+    if isinstance(expr, Id):
+        return f.__getitem__
+    if isinstance(expr, Const):
+        return lambda t: t
+    parts = [_set_map(p, f) for p in expr.parts]
+    if isinstance(expr, Prod):
+        return lambda t: tuple(m(u) for m, u in zip(parts, t))
+    if isinstance(expr, Sum):
+        return lambda t: (t[0], parts[t[0]](t[1]))
+    return lambda t: frozenset(map(parts[0], t))
+
+
+def _lifted(expr, q, r, src, tgt):
+    """The matrix of F r on the given F-terms, r a VRelation."""
+    d = expr.lift(q, r.r)
+    return [[d(u, v) for v in tgt] for u in src]
+
+
+def _then(q, m, n):
+    """The composite of two matrices: a join of tensors over the middle."""
+    return [[q.join_all(q.tensor(row[k], n[k][j]) for k in range(len(n)))
+             for j in range(len(n[0]))] for row in m]
+
+
+def test_every_drawn_functor_lifts_laxly():
+    """Through ``lift``, each drawn functor of depth at most two is a lax
+    extension on relations between sets of one or two elements: monotone,
+    F r;F s <= F(r;s), and the graph of F(f) and its converse lie below F
+    of the graph of f and its converse.  Draws with more than 40,000 term
+    triples are skipped."""
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(300):
+        name = rng.choice(QUANTALE_NAMES)
+        q = Quantale.by_name(name)
+        expr = _draw_functor(rng, q, 2, leaf=False)
+        xs, ys, zs = ([f"{c}{i}" for i in range(rng.randint(1, 2))] for c in "xyz")
+        fx, fy, fz = (_set_terms(expr, s) for s in (xs, ys, zs))
+        if len(fx) * len(fy) * len(fz) > 40_000:
+            continue
+        checked += 1
+        where = (name, expr, xs, ys, zs)
+        r, bump, s = (rand_relation(rng, q, a, b) for a, b in ((xs, ys), (xs, ys), (ys, zs)))
+        r2 = VRelation(q, xs, ys, [list(map(q.join, u, v)) for u, v in zip(r.matrix, bump.matrix)])
+        fr, fs = _lifted(expr, q, r, fx, fy), _lifted(expr, q, s, fy, fz)
+        for u, v in zip(fr, _lifted(expr, q, r2, fx, fy)):
+            assert all(map(q.leq, u, v)), where
+        rs = VRelation(q, xs, zs, _then(q, r.matrix, s.matrix))
+        for u, v in zip(_then(q, fr, fs), _lifted(expr, q, rs, fx, fz)):
+            assert all(map(q.leq, u, v)), where
+        f = {x: rng.choice(ys) for x in xs}
+        ff = _set_map(expr, f)
+        graph = [[q.unit if f[x] == y else q.bottom for y in ys] for x in xs]
+        d = expr.lift(q, VRelation(q, xs, ys, graph).r)
+        back = expr.lift(q, VRelation(q, ys, xs, zip(*graph)).r)
+        for t in fx:
+            assert q.leq(q.unit, d(t, ff(t))), (where, "graph", t)
+            assert q.leq(q.unit, back(ff(t), t)), (where, "converse", t)
+    assert checked >= 250, checked
 
 
 def test_json_terms_round_trip(q2, godel3, lawvere):

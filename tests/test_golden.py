@@ -129,6 +129,21 @@ INPUTS = {
         "schema": "vcategory/1", "quantale": "lawvere", "states": ["0", "1", "3"],
         "matrix": [["0", "1", "3"], ["1", "0", "2"], ["3", "2", "0"]],
     },
+    # Sum(labels, H(Id)) over godel:3, the labels p and q at 1/2 from each
+    # other: s0 and s2 share a branch and are 1 apart at depth 1, and 1/2
+    # from depth 2, where their successors' labels are read
+    "sumgodel": {
+        "schema": "coalgebra/1",
+        "functor": {"sum": [{"const": {"schema": "vcategory/1", "quantale": "godel:3",
+                                       "states": ["p", "q"],
+                                       "matrix": [["1", "1/2"], ["1/2", "1"]]}},
+                            {"H": {"id": {}}}]},
+        "category": _discrete("godel:3", "1", "0", ["s0", "s1", "s2", "s3"]),
+        "structure": {"s0": {"branch": 1, "term": ["s1"]},
+                      "s1": {"branch": 0, "term": "p"},
+                      "s2": {"branch": 1, "term": ["s3"]},
+                      "s3": {"branch": 0, "term": "q"}},
+    },
     # a(x, y) is top, but x has no successor while y has one
     "notmorphism": {
         "schema": "coalgebra/1",
@@ -194,6 +209,8 @@ CASES = {
                            "--format", "csv"],
     "behave_lawvere_symmetric.json": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
                                       "--symmetric"],
+    "behave_sum_godel3.json": ["behave", "--coalgebra", "@sumgodel", "--depth", "3",
+                               "--symmetric"],
     "chain_h_depth4.json": ["chain", "--functor", "H", "--quantale", "bool", "--depth", "4"],
     "chain_h_depth12.json": ["chain", "--functor", "H", "--quantale", "bool", "--depth", "12"],
     # the first witness of each kind depends on the order of the lifted elements

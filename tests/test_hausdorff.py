@@ -45,6 +45,7 @@ from quantcat import (
 from quantcat import hausdorff
 from quantcat.hausdorff import _ids, _up_mask, check_lax_extension_laws
 from quantcat.suites import QUANTALE_NAMES, rand_category
+from conftest import diamond_fork, diamond_quantale
 from oracle_routes import down_closure, generic_powerset_lift, powerset_lift, symmetric_hausdorff
 
 
@@ -69,30 +70,6 @@ def _swept_fixed_points(x):
     return [_ids(x, m) for m in range(1 << len(x.states)) if _up_mask(x, m) == m]
 
 
-def _diamond_quantale():
-    """The four-element lattice 0 < a, b < 1 with tensor meet and unit top."""
-    els = ["0", "a", "b", "1"]
-    leq = [("0", e) for e in els] + [(e, e) for e in els[1:]] + [("a", "1"), ("b", "1")]
-    meet = {}
-    for u in els:
-        for v in els:
-            meet[u, v] = u if (u, v) in leq else v if (v, u) in leq else "0"
-    return Quantale.finite(els, leq, meet, "1")
-
-
-def _diamond_fork():
-    """x and y sit below z at the incomparable values a and b, so the
-    underlying order is discrete while {x, y} closes up to everything."""
-    q = _diamond_quantale()
-    x = VCategory(q, ["x", "y", "z"], [
-        ["1", "0", "a"],
-        ["0", "1", "b"],
-        ["0", "0", "1"],
-    ])
-    assert check_vcategory(x).ok
-    return x
-
-
 def test_order_upset_enumeration_matches_sweep(q2, godel3, c2, line013):
     """The order up-sets, filtered by the closure, are the swept fixed
     points in the swept order."""
@@ -104,7 +81,7 @@ def test_order_upset_enumeration_matches_sweep(q2, godel3, c2, line013):
         from_order(godel3, list("abc"), [("a", "b")]),
         indiscrete(q2, list("abc")),
         discrete(Quantale.godel(1), list("ab")),
-        _diamond_fork(),
+        diamond_fork(),
     ]
     rng = random.Random(5)
     for _ in range(40):
@@ -116,7 +93,7 @@ def test_order_upset_enumeration_matches_sweep(q2, godel3, c2, line013):
 
 def test_closure_filter_rejects_an_order_upset():
     """Over a non-chain quantale an order up-set need not be closed."""
-    x = _diamond_fork()
+    x = diamond_fork()
     upsets = [_ids(x, m) for m in sorted(hausdorff._order_upset_masks(x, 4096))]
     assert len(upsets) == 8
     assert frozenset({"x", "y"}) in upsets
@@ -218,9 +195,9 @@ def test_lifted_matrix_is_the_meet_of_joins_on_seeded_carriers():
     meet of joins: over the five built-ins, godel:1, the diamond lattice,
     preorders with equivalent states and the empty carrier."""
     rng = random.Random(26)
-    diamond = _diamond_quantale()
+    diamond = diamond_quantale()
     quantales = [Quantale.by_name(name) for name in QUANTALE_NAMES] + [Quantale.godel(1), diamond]
-    carriers = [_diamond_fork()]
+    carriers = [diamond_fork()]
     for q in quantales:
         carriers += [discrete(q, []), _with_equivalent_states(q)]
         carriers += [rand_category(rng, q, min_size=1, max_size=6) for _ in range(15)]
@@ -243,7 +220,7 @@ def test_final_chain_levels_are_the_meet_of_joins_to_depth_24(q2, lawvere):
 def test_hausdorff_object_reads_the_elements_it_is_given(q2, c2, line013, monkeypatch):
     """Given the enumeration, the same lifted object is built without
     walking the up-sets again."""
-    carriers = [c2, line013, _diamond_fork(), _with_equivalent_states(q2)]
+    carriers = [c2, line013, diamond_fork(), _with_equivalent_states(q2)]
     enumerated = [(x, enumerate_increasing(x), hausdorff_object(x)) for x in carriers]
 
     def refuse(*args):
@@ -544,7 +521,7 @@ def test_up_closure_folds_when_the_unit_is_not_join_prime():
     assert up_closure(x, set()) == frozenset({"a", "b"})
     assert _up_mask(x, 0) == _folded_up_mask(x, 0) == 0b11
     # the diamond: 1 <= a v b, but 1 is neither below a nor below b
-    fork = _diamond_fork()
+    fork = diamond_fork()
     assert not fork.quantale.unit_join_prime
     assert fork.unit_rows() == (0b001, 0b010, 0b100)
     assert up_closure(fork, {"x", "y"}) == frozenset({"x", "y", "z"})
@@ -553,7 +530,7 @@ def test_up_closure_folds_when_the_unit_is_not_join_prime():
 
 
 def test_unit_rows_are_the_underlying_order(q2, c2, line013):
-    for x in (c2, line013, _diamond_fork(), discrete(Quantale.godel(1), ["a", "b"])):
+    for x in (c2, line013, diamond_fork(), discrete(Quantale.godel(1), ["a", "b"])):
         rows = x.unit_rows()
         assert rows is x.unit_rows()
         q = x.quantale
