@@ -8,23 +8,24 @@ pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
 
 Each node class says what F does there: ``obj`` on V-categories, ``lift``
 on V-relations between sets of terms (its lax extension; a node with
-parts combines its parts' lifts by ``over``), ``image`` on maps and
-``normalize`` into ``obj``; ``load`` reads a term from its JSON form and
-``dump`` writes it back.
-F(f) is built node by node: a node maps a term through its parts' maps,
-a node with parts keeps the images it has made in a table for the call,
-and an H node up-closes the image under its inner map by
-``hausdorff.hausdorff_image``, the one definition of H on maps.
-So a term shared by many sets is mapped once, and no term is walked as a
-tree.  Behaviour maps and homomorphism checks apply F(f) to the structure
-terms, so neither builds F(X).  One initial-lift step, meet(d(s, t), F_d(c s, c t)),
-reads the lift F_d of d off the structure terms: ``lift_descent`` iterates it,
-``distance_table`` returns its iterates from the empty cone, and
-``check_coalgebra`` asks whether one step fixes the carrier;
-``behavioral_distance`` reads that table, so it builds no chain level.
-Nothing is memoized at module level: F(x) is kept on x, keyed by node,
-and freed with it, and a coalgebra keeps the tables of its last
-``distance_table`` call.  A cap bounds only what a call builds.
+parts combines its parts' lifts by ``over``) and ``image`` on maps;
+``load`` reads a term from its JSON form and ``dump`` writes it back.
+F(f) is built node by node: a node with parts checks that a term is
+``shaped`` like its own, maps it through its parts' maps and keeps the
+image in a table for the call; an H node up-closes the image under its
+inner map by ``hausdorff.hausdorff_image``, the one definition of H on
+maps.  So a shared term is mapped once, and no term is walked as a tree.
+A normal form is F(id): the identity checks each leaf, F(id_X) sends a
+set-level term to its normal form, and F(X) holds the terms it fixes.
+Behaviour maps and homomorphism checks apply F(f) to the structure
+terms, so neither builds F(X).  One initial-lift step,
+meet(d(s, t), F_d(c s, c t)), reads the lift F_d of d off the structure
+terms: ``lift_descent`` iterates it, ``distance_table`` returns its
+iterates from the empty cone, and ``check_coalgebra`` asks whether one
+step fixes the carrier; ``behavioral_distance`` reads that table, so it
+builds no chain level.  Nothing is memoized at module level: F(x) is kept
+on x, keyed by node, and freed with it, and a coalgebra keeps the tables
+of its last ``distance_table`` call.  A cap bounds only what a call builds.
 """
 
 import functools
@@ -113,9 +114,6 @@ class Id:
     def image(self, fn, target, tables):
         return fn
 
-    def normalize(self, cat, term):
-        return _leaf(cat, term)
-
     def load(self, spec, home):
         return _known(home, spec, "state")
 
@@ -151,10 +149,7 @@ class Const:
         return self.category.a
 
     def image(self, fn, target, tables):
-        return _same
-
-    def normalize(self, cat, term):
-        return _leaf(self.category, term)
+        return functools.partial(_leaf, self.category)
 
     def load(self, spec, home):
         return _known(self.category, spec, "constant point")
@@ -214,14 +209,12 @@ class Prod(_Node):
         meet_all = q.meet_all
         return lambda s, t: meet_all(d(a, b) for d, a, b in zip(ds, s, t))
 
+    def shaped(self, term):
+        return isinstance(term, tuple) and len(term) == len(self.parts)
+
     def image(self, fn, target, tables):
         parts = [_table(p, fn, target, tables) for p in self.parts]
         return lambda term: tuple([t(u) for t, u in zip(parts, term)])
-
-    def normalize(self, cat, term):
-        if not (isinstance(term, tuple) and len(term) == len(self.parts)):
-            raise _misshapen(self, term)
-        return tuple(p.normalize(cat, u) for p, u in zip(self.parts, term))
 
     def load(self, spec, home):
         if not isinstance(spec, list) or len(spec) != len(self.parts):
@@ -260,15 +253,12 @@ class Sum(_Node):
         bot = q.bottom
         return lambda s, t: ds[s[0]](s[1], t[1]) if s[0] == t[0] else bot
 
+    def shaped(self, term):
+        return isinstance(term, tuple) and len(term) == 2 and term[0] in range(len(self.parts))
+
     def image(self, fn, target, tables):
         parts = [_table(p, fn, target, tables) for p in self.parts]
         return lambda term: (term[0], parts[term[0]](term[1]))
-
-    def normalize(self, cat, term):
-        if not (isinstance(term, tuple) and len(term) == 2
-                and term[0] in range(len(self.parts))):
-            raise _misshapen(self, term)
-        return (term[0], self.parts[term[0]].normalize(cat, term[1]))
 
     def load(self, spec, home):
         require_fields(spec, ("branch", "term"), what="sum term")
@@ -304,17 +294,14 @@ class HComp(_Node):
         structure being refined; up-closure does not change it."""
         return hd.hausdorff_lift(q, ds[0])
 
+    def shaped(self, term):
+        return isinstance(term, frozenset)
+
     def image(self, fn, target, tables):
         """The up-closed image under the inner node's map; the inner
         value at the target is read when a set is first mapped."""
         inner = _table(self.inner, fn, target, tables)
         return lambda term: hd.hausdorff_image(eval_obj(self.inner, target), inner, term)
-
-    def normalize(self, cat, term):
-        if not isinstance(term, frozenset):
-            raise _misshapen(self, term)
-        inner = eval_obj(self.inner, cat)
-        return hd.up_closure(inner, {self.inner.normalize(cat, t) for t in term})
 
     def load(self, spec, home):
         if not isinstance(spec, list):
@@ -331,22 +318,6 @@ def _leaf_quantales(expr):
         yield expr.category.quantale
     for p in expr.parts:
         yield from _leaf_quantales(p)
-
-
-def normalize_term(expr, cat, term):
-    """Canonical form of a set-level term as an element of eval_obj:
-    set payloads are up-closed in the inner object.  A leaf that is not a
-    state of its category, or a term not shaped like the functor, raises
-    ConsistencyError."""
-    return expr.normalize(cat, term)
-
-
-def _in_functor(expr, cat, term):
-    """Is the term its own normal form, that is, an element of F(cat)?"""
-    try:
-        return normalize_term(expr, cat, term) == term
-    except ConsistencyError:
-        return False
 
 
 # -- evaluation on objects and morphisms ---------------------------------
@@ -366,21 +337,20 @@ def eval_obj(expr, x, cap=hd.DEFAULT_COUNT_CAP):
     return values[expr]
 
 
-def _same(term):
-    return term
-
-
 class _Table(dict):
     """F(f) at one functor node, filled on demand: a term asked for keys its
-    image, so a term that many sets share is mapped once."""
+    image, so a term that many sets share is checked and mapped once."""
 
-    __slots__ = ("image",)
+    __slots__ = ("node", "image")
 
-    def __init__(self, image):
+    def __init__(self, node, image):
         super().__init__()
+        self.node = node
         self.image = image
 
     def __missing__(self, term):
+        if not self.node.shaped(term):
+            raise _misshapen(self.node, term)
         out = self[term] = self.image(term)
         return out
 
@@ -394,7 +364,7 @@ def _table(expr, fn, target, tables):
         return expr.image(fn, target, tables)
     table = tables.get(expr)
     if table is None:
-        table = tables[expr] = _Table(expr.image(fn, target, tables)).__getitem__
+        table = tables[expr] = _Table(expr, expr.image(fn, target, tables)).__getitem__
     return table
 
 
@@ -411,6 +381,38 @@ def eval_mor(expr, f):
     src = eval_obj(expr, f.source)
     tgt = eval_obj(expr, f.target)
     return VFunctor(src, tgt, _fmap(expr, f, f.target, src.states))
+
+
+def _normal_form(expr, cat):
+    """F(id_cat) on set-level terms, one table per node for a batch: the normal
+    form in F(cat).  A leaf outside its category or a term not shaped like
+    the functor, an unhashable one included, raises ConsistencyError."""
+    table = _table(expr, functools.partial(_leaf, cat), cat, {})
+
+    def normal(term):
+        try:
+            hash(term)
+        except TypeError:
+            raise _misshapen(expr, term) from None
+        return table(term)
+    return normal
+
+
+def _fixed(normal, term):
+    try:
+        return normal(term) == term
+    except ConsistencyError:
+        return False
+
+
+def normalize_term(expr, cat, term):
+    """The normal form of a set-level term in F(cat), its image under F(id_cat)."""
+    return _normal_form(expr, cat)(term)
+
+
+def _in_functor(expr, cat, term):
+    """Does F(id_cat) fix the term, that is, is it an element of F(cat)?"""
+    return _fixed(_normal_form(expr, cat), term)
 
 
 # -- coalgebras -----------------------------------------------------------
@@ -452,24 +454,17 @@ class Coalgebra:
 
 
 def _structure_fault(c):
-    """Why the structure map does not land in F(X), or None.
-
-    The membership walk builds only the inner objects that up-closure
-    reads.  It runs on every check, not once in ``Coalgebra.__init__``:
-    a coalgebra built in code may hold terms outside F(X), and
-    ``check_coalgebra`` reports that as the failed law
-    ``structure-in-functor`` with its reason, where a refusal at
-    construction would leave nothing to report.  A loaded coalgebra always
-    passes, since its terms are up-closed at load, and the walk costs one
-    normalization per structure term."""
+    """Why the structure map does not land in F(X), or None.  It runs on
+    every check, not once in ``Coalgebra.__init__``: a coalgebra built in
+    code may hold terms outside F(X), which ``check_coalgebra`` reports as
+    a failed law.  One table of normal forms serves all structure terms."""
     x = c.carrier
     if any(q != x.quantale for q in _leaf_quantales(c.functor)):
         return "constant category over a different quantale"
-    for s in x.states:
-        t = c.structure[s]
-        if not _in_functor(c.functor, x, t):
+    normal = _normal_form(c.functor, x)
+    for t in map(c.structure.__getitem__, x.states):
+        if not _fixed(normal, t):
             return f"mapping hits unknown target state {_term_text(t)}"
-    return None
 
 
 def _structure_terms(c, depth):
@@ -651,8 +646,8 @@ def equalizer(cx, f, g):
     current = [s for s in x.states if f(s) == g(s)]
     while True:
         sub = restrict(x, current)
-        nxt = [s for s in current
-               if _in_functor(cx.functor, sub, cx.structure[s])]
+        normal = _normal_form(cx.functor, sub)
+        nxt = [s for s in current if _fixed(normal, cx.structure[s])]
         if nxt == current:
             break
         current = nxt
@@ -669,13 +664,16 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
 
     ``structure`` maps each state to a set-level term of F(states); each
     cone entry is (mapping, target Coalgebra) with ``mapping`` listing
-    target states in carrier order.  Each leg must pass ``require_carrier``
-    and ``require_coalgebra`` and be a set-level coalgebra morphism.  The
-    result structure starts at the pointwise meet of the cone legs and
-    descends by cutting with the functor image until it stabilizes.
+    target states in carrier order.  Each leg must be over ``expr``, pass
+    ``require_carrier`` and ``require_coalgebra``, and be a set-level
+    coalgebra morphism.  The structure starts at the pointwise meet of the
+    legs and descends by cutting with the functor image until it is stable.
     """
     states = tuple(states)
     for k, (mapping, leg) in enumerate(cone):
+        if leg.functor != expr:
+            raise ConsistencyError(
+                f"cone leg {k} is a coalgebra over {leg.functor!r}, not {expr!r}")
         require_carrier(leg.carrier, f"cone leg {k} carrier")
         require_coalgebra(leg, f"cone leg {k}")
         image = {s: _leaf(leg.carrier, t) for s, t in zip(states, mapping)}
@@ -685,8 +683,8 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
                 raise ConsistencyError(f"cone leg is not a set-level coalgebra morphism at {s!r}")
     for carrier in lift_descent(expr, quantale, states, structure, cone):
         pass
-    terms = {s: normalize_term(expr, carrier, structure[s]) for s in states}
-    return Coalgebra(expr, carrier, terms)
+    normal = _normal_form(expr, carrier)
+    return Coalgebra(expr, carrier, {s: normal(structure[s]) for s in states})
 
 
 def _lift_step(expr, current, structure):

@@ -11,7 +11,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
-from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, normalize_term, require_carrier
+from .coalg import Coalgebra, Const, HComp, Id, Prod, Sum, _normal_form, require_carrier
 from .errors import DescriptorError, LawFailure, require_fields
 from .quantale import CHAIN_LENGTH_BOUND, Quantale
 from .vcat import VCategory
@@ -69,6 +69,8 @@ def parse_phi(text, category, subsets):
     if not isinstance(raw, dict):
         raise DescriptorError("phi must be a JSON object")
     key = {",".join(subset_to_json(a)): a for a in subsets}
+    if len(key) < len(subsets):  # {"a", "b"} and {"a,b"} both join to "a,b"
+        raise DescriptorError("phi keys are ambiguous: two subsets join to one key")
     if set(raw) != set(key):
         raise DescriptorError("phi keys do not match the lifted carrier")
     for v in raw.values():
@@ -233,8 +235,8 @@ def _coalgebra(spec, where):
     carrier = require_carrier(load_vcategory(spec["category"]), f"{where} carrier")
     expr = load_functor(spec["functor"], carrier.quantale)
     raw = _structure(spec, carrier.states, "carrier states")
-    structure = {s: normalize_term(expr, carrier, load_term(expr, t, carrier))
-                 for s, t in raw.items()}
+    normal = _normal_form(expr, carrier)
+    structure = {s: normal(load_term(expr, t, carrier)) for s, t in raw.items()}
     return Coalgebra(expr, carrier, structure)
 
 

@@ -124,12 +124,11 @@ def hausdorff_distance(x, a_set, b_set):
 
 
 class HObject(Record):
-    """The lifted category on increasing subsets, together with its base."""
+    """The lifted category on increasing subsets, with those subsets."""
 
-    __slots__ = ("base", "elements", "category")
+    __slots__ = ("elements", "category")
 
-    def __init__(self, base, elements, category):
-        self.base = base
+    def __init__(self, elements, category):
         self.elements = elements
         self.category = category
 
@@ -145,7 +144,7 @@ def hausdorff_object(x, count_cap=DEFAULT_COUNT_CAP, elements=None):
     if elements is None:
         elements = enumerate_increasing(x, count_cap=count_cap)
     mat = _lifted_matrix(x, [_mask(x, a) for a in elements])
-    return HObject(x, tuple(elements), VCategory(x.quantale, elements, mat))
+    return HObject(tuple(elements), VCategory(x.quantale, elements, mat))
 
 
 def _lifted_matrix(x, masks):

@@ -12,9 +12,12 @@ the totally-below relation by a search over all subsets, against
 ``quantale.totally_below``'s closed form; the cone of all V-functors
 into ``V^op``, against ``vcat.is_separated``; and the Lawvere order and
 lattice operations in ``Fraction``'s own operators, against
-``quantale.LawvereQuantale``'s cross-multiplied comparisons.
+``quantale.LawvereQuantale``'s cross-multiplied comparisons; and the
+normal form of a functor term by a walk of the term as a tree, against
+``coalg.normalize_term``, which reads it as F(id) through the node tables.
 """
 
+from quantcat.coalg import Const, Id, Prod, Sum, _misshapen, _term_text, eval_obj
 from quantcat.errors import CapExceeded, ConsistencyError
 from quantcat.hausdorff import _ids, hausdorff_distance, up_closure
 from quantcat.quantale import INF, LawvereQuantale
@@ -209,3 +212,35 @@ class FractionLawvere:
         if u is INF or v is INF:
             return INF
         return u + v
+
+
+def tree_normal_form(expr, cat, term):
+    """The normal form of a set-level term in F(cat), by a walk of the term
+    as a tree.  Each node checks the shape of its term and normalizes the
+    parts where they occur, so a subterm that several sets share is walked
+    once for each; an H node up-closes the set of its normalized members in
+    the inner object.  A leaf that is not a state of its category, an
+    unhashable one included, or a term not shaped like the functor, raises
+    ConsistencyError with the library's text."""
+    if isinstance(expr, (Id, Const)):
+        home = cat if isinstance(expr, Id) else expr.category
+        try:
+            known = term in home
+        except TypeError:
+            known = False
+        if not known:
+            raise ConsistencyError(f"term leaf {_term_text(term)} is not a state of its category")
+        return term
+    if isinstance(expr, Prod):
+        if not (isinstance(term, tuple) and len(term) == len(expr.parts)):
+            raise _misshapen(expr, term)
+        return tuple(tree_normal_form(p, cat, u) for p, u in zip(expr.parts, term))
+    if isinstance(expr, Sum):
+        if not (isinstance(term, tuple) and len(term) == 2
+                and term[0] in range(len(expr.parts))):
+            raise _misshapen(expr, term)
+        return (term[0], tree_normal_form(expr.parts[term[0]], cat, term[1]))
+    if not isinstance(term, frozenset):
+        raise _misshapen(expr, term)
+    return up_closure(eval_obj(expr.inner, cat),
+                      {tree_normal_form(expr.inner, cat, t) for t in term})

@@ -165,3 +165,20 @@ def test_the_meet_of_joins_is_written_once():
     nodes = [getattr(coalg, name) for name in FUNCTOR_NODES]
     assert not [node for node in nodes if hasattr(node, "dist")]
     assert all(callable(node.lift) for node in nodes)
+
+
+def test_normal_forms_are_the_identity_map():
+    """A normal form is F(id), computed through the node tables, so no
+    functor node has a ``normalize`` walk of its own, and no module of the
+    package defines or reads one."""
+    nodes = [getattr(coalg, name) for name in FUNCTOR_NODES]
+    assert not [node for node in nodes if hasattr(node, "normalize")]
+    found = {
+        f"{path.name}:{node.lineno}"
+        for path in Path(quantcat.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (node.name if isinstance(node, ast.FunctionDef)
+            else node.attr if isinstance(node, ast.Attribute) else None) == "normalize"
+    }
+    assert found == set()
+

@@ -621,6 +621,16 @@ MALFORMED_LIFTS = {
                               {"p": [["p"]], "q": [], "r": []}),
              "functor": {"H": {"H": {"id": {}}}}}}]},
         "cone leg 0 carrier: not a V-category (transitive, witness ('p', 'q', 'r'))"),
+    # both sides map every state to the empty set, so only the functors differ
+    "leg over another functor": (
+        {"schema": "setcoalgebra/1", "functor": {"H": {"id": {}}}, "quantale": "bool",
+         "states": ["p", "q"], "structure": {"p": [], "q": []},
+         "cone": [{"mapping": {"p": "u", "q": "u"}, "coalgebra": {
+             "schema": "coalgebra/1", "functor": {"H": {"H": {"id": {}}}},
+             "category": {"schema": "vcategory/1", "quantale": "bool", "states": ["u"],
+                          "matrix": [["1"]]},
+             "structure": {"u": []}}}]},
+        "cone leg 0 is a coalgebra over H(H(Id)), not H(Id)"),
 }
 
 
@@ -884,6 +894,8 @@ FILES = {
                   "functor": {"prod": [{"const": _NOT_TRANSITIVE}, {"id": {}}]},
                   "category": _bool_category(["a"], [["1"]]), "structure": {"a": ["p", "a"]}},
     "long_table": _chain_table(140),
+    "comma_ids": _bool_category(["a", "b", "a,b"], [["1", "0", "0"], ["0", "1", "0"],
+                                                    ["0", "0", "1"]]),
     "numeric_ids": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
                     "category": _bool_category([0, 1], [["1", "0"], ["0", "1"]]),
                     "structure": {"0": [], "1": ["0"]}},
@@ -909,6 +921,11 @@ BAD_INPUTS = {
     "null phi value": (["cantor", "--category", "@chain2",
                         "--phi", '{"": null, "v": "v", "u,v": "u"}'],
                        "phi value null is not a state id"),
+    # a phi key joins a subset's states with commas, so {a, b} and {"a,b"}
+    # both give "a,b": the seven distinct keys cannot name eight subsets
+    "ambiguous phi key": (["cantor", "--category", "@comma_ids", "--phi", json.dumps(
+        dict.fromkeys(["", "a", "b", "a,b", "a,a,b", "a,b,b", "a,a,b,b"], "a"))],
+                          "phi keys are ambiguous: two subsets join to one key"),
     "null Lawvere value": (["check", "@lawvere_null"], "bad rational None"),
     "array Lawvere value": (["check", "@lawvere_array"], "bad rational ['0']"),
     "object Lawvere value": (["check", "@lawvere_object"], "bad rational {'a': '0'}"),

@@ -48,10 +48,11 @@ from quantcat import (
     up_closure,
 )
 from quantcat import coalg, hausdorff
-from quantcat.coalg import _in_functor, _term_text
+from quantcat.coalg import _in_functor, _normal_form, _term_text, normalize_term
 from quantcat.descriptors import dump_term, load_term
 from quantcat.suites import QUANTALE_NAMES, rand_category, rand_relation
 from conftest import diamond_fork, diamond_quantale
+from oracle_routes import tree_normal_form
 
 
 @pytest.fixture()
@@ -409,6 +410,12 @@ def test_initial_lift_checks_cone_legs(q2, c2):
                        r"\(structure-morphism, witness \('u', 'v'\)\)$"):
         initial_lift_coalgebra(Id(), q2, ["a", "b"], {"a": "b", "b": "a"},
                                cone=[(["u", "v"], swap)])
+    # every term is the empty set on both sides, so only the functors differ
+    deeper = Coalgebra(HComp(HComp(Id())), discrete(q2, ["u"]), {"u": frozenset()})
+    with pytest.raises(ConsistencyError, match=r"^cone leg 0 is a coalgebra over "
+                       r"H\(H\(Id\)\), not H\(Id\)$"):
+        initial_lift_coalgebra(HComp(Id()), q2, ["p", "q"],
+                               {"p": frozenset(), "q": frozenset()}, cone=[(["u", "u"], deeper)])
 
 
 def test_lift_of_equalizer_cone_reproduces_equalizer(q2):
@@ -624,6 +631,81 @@ def test_normal_form_on_a_restriction_says_no_to_unknown_leaves_and_misshapen_te
     for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
                  ("a", ["b"]), ("a", frozenset({"a"}))]:
         assert not _in_functor(expr, restrict(x, {"a", "b"}), term), term
+
+
+def _set_level_terms(expr, states):
+    """Every set-level term of ``expr`` over ``states``: an H node takes
+    every set of its inner terms."""
+    if isinstance(expr, Id):
+        return list(states)
+    if isinstance(expr, Const):
+        return list(expr.category.states)
+    if isinstance(expr, Prod):
+        return list(iproduct(*(_set_level_terms(p, states) for p in expr.parts)))
+    if isinstance(expr, Sum):
+        return [(b, t) for b, p in enumerate(expr.parts) for t in _set_level_terms(p, states)]
+    inner = _set_level_terms(expr.inner, states)
+    return [frozenset(t for i, t in enumerate(inner) if mask >> i & 1)
+            for mask in range(1 << len(inner))]
+
+
+# unknown leaves, misshapen terms and unhashable ones, offered to every functor
+_ODD_TERMS = ["z", "a", ("z",), ("a",), (0,), (0, "z"), (1, "z"), (2, "a"), ("a", "z"),
+              ("l0", "a", "b"), ("l0", "z"), ("z", frozenset()), ("a", frozenset({"z"})),
+              ("a", frozenset({"a"})), ("l0", frozenset({"a"})), frozenset({"z"}),
+              frozenset({("a", "z")}), frozenset({frozenset({"z"})}),
+              (1, frozenset({("a", "z")})), ["a"], {"a"}, ("a", ["b"]), (0, ["a"])]
+
+
+def _outcome(normal, term):
+    """("normal", the normal form) or ("refused", the error's text).  The
+    text for an unhashable term names the whole term on one route and the
+    first bad subterm on the other, so there only the refusal is kept."""
+    try:
+        return "normal", normal(term)
+    except ConsistencyError as e:
+        try:
+            hash(term)
+        except TypeError:
+            return "refused", None
+        return "refused", str(e)
+
+
+def test_normal_forms_agree_with_the_tree_walk(q2, godel3):
+    """``normalize_term``, one table of normal forms for a batch of terms,
+    and ``_in_functor`` all agree with the oracle's tree walk: the seven
+    functors and those of the two restriction tests above on every full
+    subcategory of three carriers, for every set-level term over the
+    carrier and for unknown-leaf, misshapen and unhashable terms."""
+    for x in _three_state_carriers(q2, godel3):
+        labels = from_order(x.quantale, ["l0", "l1"], [("l0", "l1")])
+        for expr in _seven_functors(labels) + [Sum([Const(labels), HComp(Id())]),
+                                               Prod([Id(), HComp(Id())])]:
+            terms = _set_level_terms(expr, x.states) + _ODD_TERMS
+            for mask in range(1 << len(x.states)):
+                sub = restrict(x, [s for i, s in enumerate(x.states) if mask >> i & 1])
+                want = [_outcome(lambda u: tree_normal_form(expr, sub, u), t) for t in terms]
+                batch = _normal_form(expr, sub)
+                assert [_outcome(batch, t) for t in terms] == want, (expr, sub.states)
+                for t, w in zip(terms, want):
+                    assert _outcome(lambda u: normalize_term(expr, sub, u), t) == w, (expr, t)
+                    assert _in_functor(expr, sub, t) == (w == ("normal", t)), (expr, t)
+
+
+def test_check_coalgebra_normalizes_a_shared_subterm_once(q2, monkeypatch):
+    """Under H(H(Id)), six chain states all go to one term, the set of all
+    seven up-sets of the chain.  One table of normal forms up-closes each
+    of these eight sets once, where a walk per structure term would make
+    6 * 8 = 48 calls; the structure-morphism step reads no up-closure."""
+    states = [f"s{i}" for i in range(6)]
+    x = from_order(q2, states, [(s, t) for i, s in enumerate(states) for t in states[i + 1:]])
+    whole = frozenset(eval_obj(HComp(Id()), x).states)
+    c = Coalgebra(HComp(HComp(Id())), x, dict.fromkeys(states, whole))
+    calls = []
+    closure = hausdorff.up_closure
+    monkeypatch.setattr(hausdorff, "up_closure", lambda *args: calls.append(0) or closure(*args))
+    assert not check_coalgebra(c).failures()
+    assert len(calls) == 8
 
 
 def test_term_text_is_the_repr_with_sorted_set_payloads():
