@@ -3,29 +3,21 @@ behavioural distances, equalizers, and initial lifts of coalgebra cones.
 
 Functor expressions are ASTs over Id, Const, Prod, Sum and HComp (compose
 with the Hausdorff lifting).  Elements of F(X) are plain structural terms:
-carrier states for Id, constant points for Const, tuples for Prod, tagged
-pairs (branch, term) for Sum, and frozensets of inner terms for HComp.
-
-Each node class says what F does there: ``obj`` on V-categories, ``lift``
-on V-relations between sets of terms (its lax extension; a node with
-parts combines its parts' lifts by ``over``) and ``image`` on maps;
-``load`` reads a term from its JSON form and ``dump`` writes it back.
-F(f) is built node by node: a node with parts checks that a term is
-``shaped`` like its own, maps it through its parts' maps and keeps the
-image in a table for the call; an H node up-closes the image under its
-inner map by ``hausdorff.hausdorff_image``, the one definition of H on
-maps.  So a shared term is mapped once, and no term is walked as a tree.
-A normal form is F(id): the identity checks each leaf, F(id_X) sends a
-set-level term to its normal form, and F(X) holds the terms it fixes.
-Behaviour maps and homomorphism checks apply F(f) to the structure
-terms, so neither builds F(X).  One initial-lift step,
-meet(d(s, t), F_d(c s, c t)), reads the lift F_d of d off the structure
-terms: ``lift_descent`` iterates it, ``distance_table`` returns its
-iterates from the empty cone, and ``check_coalgebra`` asks whether one
-step fixes the carrier; ``behavioral_distance`` reads that table, so it
-builds no chain level.  Nothing is memoized at module level: F(x) is kept
-on x, keyed by node, and freed with it, and a coalgebra keeps the tables
-of its last ``distance_table`` call.  A cap bounds only what a call builds.
+carrier states, constant points, tuples, tagged pairs (branch, term) and
+frozensets of inner terms.  Each node class says what F does there:
+``elements`` lists F's elements on a V-category, ``matrix`` is its lax
+extension of a V-relation as a whole matrix on two lists of terms,
+``image`` maps a term along a map, ``shaped`` tells whether a term has its
+shape, and ``load`` and ``dump`` read and write a term's JSON form.
+F(X) is its elements under the matrix of X's structure, kept on X by node.
+F(f) keeps one table per node for a call, so a shared term is mapped once;
+an H node up-closes by ``hausdorff.hausdorff_image``.  A normal form is
+F(id), and F(X) holds the terms it fixes.  One initial-lift step,
+meet(d(s, t), F_d(c s, c t)), reads the matrix of d on the distinct
+structure terms: ``lift_descent`` iterates it, ``distance_table`` and
+``behavioral_distance`` read its iterates from the empty cone, and
+``check_coalgebra`` asks whether it fixes the carrier, so none of them
+builds F(X) or a chain level.  A cap bounds only what a call builds.
 """
 
 import functools
@@ -85,83 +77,12 @@ def _misshapen(expr, term):
     return ConsistencyError(f"term {_term_text(term)} does not have the shape of {expr!r}")
 
 
-# A functor AST node is a value: equal to a node of exactly its own type
-# with equal children, so Prod(p) != Sum(p).  Each node computes its hash
-# once, since nodes key the functor values kept on a V-category.
-
-
-class Id:
-    __slots__ = ()
-    parts = ()
-
-    def __eq__(self, other):
-        if other.__class__ is Id:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "Id"
-
-    def obj(self, x, cap):
-        return x
-
-    def lift(self, q, r):
-        return r
-
-    def image(self, fn, target, tables):
-        return fn
-
-    def load(self, spec, home):
-        return _known(home, spec, "state")
-
-    def dump(self, term):
-        return term
-
-
-class Const:
-    __slots__ = ("category", "_hash")
-    parts = ()
-
-    def __init__(self, category):
-        self.category = category
-        self._hash = hash((category,))
-
-    def __eq__(self, other):
-        if other.__class__ is Const:
-            return self.category is other.category or self.category == other.category
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Const({len(self.category.states)})"
-
-    def obj(self, x, cap):
-        if self.category.quantale != x.quantale:
-            raise ConsistencyError("constant category over a different quantale")
-        return self.category
-
-    def lift(self, q, r):
-        return self.category.a
-
-    def image(self, fn, target, tables):
-        return functools.partial(_leaf, self.category)
-
-    def load(self, spec, home):
-        return _known(self.category, spec, "constant point")
-
-    def dump(self, term):
-        return term
-
-
 class _Node:
-    """A node with parts.  Its lax extension lifts each part and combines
-    the lifts by the node's own formula, ``over``, which is the one place
-    that formula is written."""
+    """A functor AST node is a value: equal to a node of exactly its own
+    type with equal parts, so Prod(p) != Sum(p).  Each node computes its
+    hash once, since nodes key the functor values kept on a V-category.
+    A node's matrix builds each part's matrix once, on the part terms, and
+    combines them by the node's own formula."""
 
     __slots__ = ("parts", "_hash")
 
@@ -177,37 +98,112 @@ class _Node:
     def __hash__(self):
         return self._hash
 
-    def lift(self, q, r):
-        """F r as a function on F-terms, for r a V-relation given as a
-        function on base terms."""
-        return self.over(q, [p.lift(q, r) for p in self.parts])
+
+class Id(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__(())
+
+    def __repr__(self):
+        return "Id"
+
+    def elements(self, x, cap):
+        return x.states
+
+    def matrix(self, q, a, rows, cols):
+        return [[a(s, t) for t in cols] for s in rows]
+
+    def image(self, fn, target, tables):
+        return fn
+
+    def load(self, spec, home):
+        return _known(home, spec, "state")
+
+    def dump(self, term):
+        return term
+
+
+class Const(_Node):
+    __slots__ = ("category",)
+
+    def __init__(self, category):
+        self.parts, self.category, self._hash = (), category, hash((category,))
+
+    def __eq__(self, other):
+        if other.__class__ is Const:
+            return self.category is other.category or self.category == other.category
+        return NotImplemented
+
+    __hash__ = _Node.__hash__
+
+    def __repr__(self):
+        return f"Const({len(self.category.states)})"
+
+    def elements(self, x, cap):
+        if self.category.quantale != x.quantale:
+            raise ConsistencyError("constant category over a different quantale")
+        return self.category.states
+
+    def matrix(self, q, a, rows, cols):
+        return Id().matrix(q, self.category.a, rows, cols)
+
+    def image(self, fn, target, tables):
+        return functools.partial(_leaf, self.category)
+
+    def load(self, spec, home):
+        return _known(self.category, spec, "constant point")
+
+    def dump(self, term):
+        return term
+
+
+class _Elements(list):
+    """F's elements on the V-category ``carrier`` at a node with parts, with
+    the lists they are built from: each part's elements, or H's up-sets.
+    A node's matrix on its own elements reads each part's matrix on the
+    part's own, so an H node below fills its matrix incrementally."""
+
+    __slots__ = ("carrier", "parts")
+
+    def __init__(self, carrier, terms, parts):
+        super().__init__(terms)
+        self.carrier, self.parts = carrier, parts
+
+
+def _component(terms, k):
+    """The distinct k-th components of the terms, first seen first, or the
+    k-th part's own elements when the terms are their product's; and the
+    position of each term's component among them."""
+    own = terms.parts[k] if isinstance(terms, _Elements) else [*dict.fromkeys(t[k] for t in terms)]
+    index = {u: i for i, u in enumerate(own)}
+    return [index[t[k]] for t in terms], own
 
 
 class Prod(_Node):
-    """The product.  ``obj`` is the initial structure of the projections,
-    not a fill by ``over``: on the 800-state level of
-    Prod(Const(line{0, 1}), H(Id)) over Lawvere, a call of ``over`` per
-    entry takes about three times as long as ``initial_structure`` (2-core
-    Xeon, Python 3.11)."""
-
     __slots__ = ()
 
     def __repr__(self):
         return f"Prod{self.parts}"
 
-    def obj(self, x, cap):
-        parts = [eval_obj(p, x, cap) for p in self.parts]
-        size = math.prod(len(p.states) for p in parts)
+    def elements(self, x, cap):
+        parts = [p.elements(x, cap) for p in self.parts]
+        size = math.prod(map(len, parts))
         if size > cap:
             raise CapExceeded("product carrier", size, cap)
-        states = list(iproduct(*(p.states for p in parts)))
-        return initial_structure(
-            x.quantale, states, [([s[k] for s in states], p) for k, p in enumerate(parts)]
-        )
+        return _Elements(x, iproduct(*parts), parts)
 
-    def over(self, q, ds):
-        meet_all = q.meet_all
-        return lambda s, t: meet_all(d(a, b) for d, a, b in zip(ds, s, t))
+    def matrix(self, q, a, rows, cols):
+        """The meet of the parts' matrices, each read at the components."""
+        out = [[q.top] * len(cols) for _ in rows] if not self.parts else None
+        for k, p in enumerate(self.parts):
+            ri, rs = _component(rows, k)
+            ci, cs = (ri, rs) if cols is rows else _component(cols, k)
+            m = p.matrix(q, a, rs, cs)
+            block = ([row[j] for j in ci] for row in map(m.__getitem__, ri))
+            out = (list(block) if out is None
+                   else [list(map(q.meet, u, v)) for u, v in zip(out, block)])
+        return out
 
     def shaped(self, term):
         return isinstance(term, tuple) and len(term) == len(self.parts)
@@ -226,35 +222,32 @@ class Prod(_Node):
 
 
 class Sum(_Node):
-    """The coproduct.  ``obj`` fills its block matrix inline, not by
-    ``over``: on the 202-state level of Sum(Const(line{0, 1}), H(Id))
-    over Lawvere, a call of ``over`` per entry takes about a third longer
-    (2-core Xeon, Python 3.11)."""
-
     __slots__ = ()
 
     def __repr__(self):
         return f"Sum{self.parts}"
 
-    def obj(self, x, cap):
-        parts = [eval_obj(p, x, cap) for p in self.parts]
-        size = sum(len(p.states) for p in parts)
+    def elements(self, x, cap):
+        parts = [p.elements(x, cap) for p in self.parts]
+        size = sum(map(len, parts))
         if size > cap:
             raise CapExceeded("sum carrier", size, cap)
-        states = [(b, s) for b, p in enumerate(parts) for s in p.states]
-        bot = x.quantale.bottom
-        mat = [
-            [parts[b].a(s, t) if b == c else bot for (c, t) in states]
-            for (b, s) in states
-        ]
-        return VCategory(x.quantale, states, mat)
+        return _Elements(x, ((b, s) for b, p in enumerate(parts) for s in p), parts)
 
-    def over(self, q, ds):
-        bot = q.bottom
-        return lambda s, t: ds[s[0]](s[1], t[1]) if s[0] == t[0] else bot
+    def matrix(self, q, a, rows, cols):
+        """Each branch's matrix on its block, bottom between branches."""
+        out = [[q.bottom] * len(cols) for _ in rows]
+        for b, p in enumerate(self.parts):
+            (ri, rs), (ci, cs) = _branch(rows, b), _branch(cols, b)
+            for i, row in zip(ri, p.matrix(q, a, rs, cs)):
+                for j, v in zip(ci, row):
+                    out[i][j] = v
+        return out
 
     def shaped(self, term):
-        return isinstance(term, tuple) and len(term) == 2 and term[0] in range(len(self.parts))
+        # a bool or a float equals an int branch, so only an int is one
+        return (isinstance(term, tuple) and len(term) == 2 and type(term[0]) is int
+                and 0 <= term[0] < len(self.parts))
 
     def image(self, fn, target, tables):
         parts = [_table(p, fn, target, tables) for p in self.parts]
@@ -272,6 +265,13 @@ class Sum(_Node):
         return {"branch": term[0], "term": self.parts[term[0]].dump(term[1])}
 
 
+def _branch(terms, b):
+    """The positions of the terms on branch b, and their branch terms: the
+    branch's own elements when the terms are their sum's."""
+    at = [i for i, t in enumerate(terms) if t[0] == b]
+    return at, terms.parts[b] if isinstance(terms, _Elements) else [terms[i][1] for i in at]
+
+
 class HComp(_Node):
     __slots__ = ()
 
@@ -285,14 +285,21 @@ class HComp(_Node):
     def __repr__(self):
         return f"H({self.inner!r})"
 
-    def obj(self, x, cap):
-        inner = eval_obj(self.inner, x, cap)
-        return hd.hausdorff_object(inner, count_cap=cap).category
+    def elements(self, x, cap):
+        upsets = hd.enumerate_increasing(eval_obj(self.inner, x, cap), count_cap=cap)
+        return _Elements(x, upsets, (upsets,))
 
-    def over(self, q, ds):
-        """The full powerset reading, so the carrier never depends on the
-        structure being refined; up-closure does not change it."""
-        return hd.hausdorff_lift(q, ds[0])
+    def matrix(self, q, a, rows, cols):
+        """The meet-of-joins over the inner matrix on any sets of inner
+        terms, which up-closure does not change.  On its own elements under
+        their carrier's structure it is filled incrementally from the masks."""
+        if rows is cols and isinstance(rows, _Elements) and rows.carrier.a == a:
+            return hd.lifted_matrix(rows.parts[0])
+        ri, ci = ({u: i for i, u in enumerate(dict.fromkeys(v for t in ts for v in t))}
+                  for ts in (rows, cols))
+        m = self.inner.matrix(q, a, list(ri), list(ci))
+        lift = hd.hausdorff_lift(q, lambda u, v: m[ri[u]][ci[v]])
+        return [[lift(s, t) for t in cols] for s in rows]
 
     def shaped(self, term):
         return isinstance(term, frozenset)
@@ -324,17 +331,18 @@ def _leaf_quantales(expr):
 
 
 def eval_obj(expr, x, cap=hd.DEFAULT_COUNT_CAP):
-    """The value of a polynomial functor on a V-category.  A Prod, Sum or
-    HComp value is kept on x under its node, whatever cap built it, and freed
-    with x; leaves are not kept: they cost nothing, and Id would make x hold itself."""
-    if not expr.parts:
-        return expr.obj(x, cap)
+    """The value of a polynomial functor on a V-category: F's elements on x
+    with the lax extension of x's structure, F_V(X, a) = (FX, F a).  It is
+    kept on x under its node, whatever cap built it, and freed with x."""
     values = x._functor_values
     if values is None:
         values = x._functor_values = {}
-    if expr not in values:
-        values[expr] = expr.obj(x, cap)
-    return values[expr]
+    fx = values.get(expr)
+    if fx is None:
+        q = x.quantale
+        els = expr.elements(x, cap)
+        fx = values[expr] = VCategory(q, els, expr.matrix(q, x.a, els, els))
+    return fx
 
 
 class _Table(dict):
@@ -410,11 +418,6 @@ def normalize_term(expr, cat, term):
     return _normal_form(expr, cat)(term)
 
 
-def _in_functor(expr, cat, term):
-    """Does F(id_cat) fix the term, that is, is it an element of F(cat)?"""
-    return _fixed(_normal_form(expr, cat), term)
-
-
 # -- coalgebras -----------------------------------------------------------
 
 
@@ -484,7 +487,7 @@ def check_coalgebra(c):
     The structure map is a V-functor exactly when one initial-lift step
     from the carrier returns the carrier; the witness is the first pair,
     in row-major order, that the step lowers.  The step reads the lax
-    extension ``lift`` of the carrier on the structure terms, which
+    extension ``matrix`` of the carrier on the structure terms, which
     up-closure does not change, so F(X) is never built."""
     fault = _structure_fault(c)
     if fault is not None:
@@ -577,15 +580,11 @@ def final_chain(expr, depth, quantale=None, cap=hd.DEFAULT_COUNT_CAP):
 
 
 def behavior_map(c, depth):
-    """Depth-indexed behaviour approximants beh_0 .. beh_depth: the cone
-    from the coalgebra into its final chain.
-
-    beh_0 is the unique map to the point; beh_{n+1} = F(beh_n) after the
-    structure map.  Each approximant is a V-functor into its chain level.
-    F(beh_n) is applied to the structure terms only, so F(X) is never built.
-    No distance is read off this cone; the tests compare it with
-    ``distance_table``.
-    """
+    """Depth-indexed behaviour approximants beh_0 .. beh_depth, the cone
+    from the coalgebra into its final chain: beh_0 is the map to the point
+    and beh_{n+1} = F(beh_n) after the structure map, applied to the
+    structure terms only, so F(X) is never built.  No distance is read off
+    this cone; the tests compare it with ``distance_table``."""
     terms = _structure_terms(c, depth)
     x, expr = c.carrier, c.functor
     behs = [VFunctor(x, terminal(x.quantale), ["*"] * len(x.states))]
@@ -600,7 +599,9 @@ def behavioral_distance(c, x, y, depth, symmetric=False):
     """The entries at (x, y) of ``distance_table(c, depth)``: the distances
     between the behaviours of two states, one value per depth 0..depth,
     antitone along the chain.  With ``symmetric`` each value is met with
-    the entry at (y, x)."""
+    the entry at (y, x) after the descent: the mutual-similarity distance,
+    not the bisimulation distance, so two states that simulate each other
+    read the unit though they need not be bisimilar."""
     meet = c.carrier.quantale.meet
     return [meet(d.a(x, y), d.a(y, x)) if symmetric else d.a(x, y)
             for d in distance_table(c, depth)]
@@ -609,18 +610,13 @@ def behavioral_distance(c, x, y, depth, symmetric=False):
 def distance_table(c, depth):
     """The chain-level distances pulled back to the carrier: d_0 .. d_depth
     with d_k(s, t) = level_k(beh_k(s), beh_k(t)) for the cone of
-    ``behavior_map``.
-
-    These are the first iterates of ``lift_descent`` from the empty cone:
-    d_0 is top and d_{k+1} cuts d_k with the lift of d_k on the structure
-    terms, so neither the chain levels nor F(X) are built.  The
-    descent stops at the initial lift of the empty cone, the greatest
-    structure the structure map preserves (coalgebras over V-Cat are
-    topological over coalgebras over Set), and the remaining tables repeat
-    it.  The coalgebra keeps the distinct tables of its last call, keyed
-    by depth, and a repeat returns a new list of them without running the
-    descent; a call that raises leaves them as they were.
-    """
+    ``behavior_map``.  These are the first iterates of ``lift_descent`` from
+    the empty cone, d_0 top, so no chain level is built.  The descent stops
+    at the initial lift of the empty cone, the greatest structure the
+    structure map preserves (coalgebras over V-Cat are topological over
+    coalgebras over Set), and the remaining tables repeat it.  The
+    coalgebra keeps the distinct tables of its last call, keyed by depth;
+    a repeat returns a new list of them, and a call that raises leaves them."""
     kept = c._tables
     if kept is None or kept[0] != depth:
         _structure_terms(c, depth)
@@ -635,13 +631,9 @@ def distance_table(c, depth):
 
 
 def equalizer(cx, f, g):
-    """The largest sub-coalgebra on which two homomorphisms agree.
-
-    Starts from the plain agreement set and strips states whose term is
-    not in F of the full subcategory on the states kept, built once a
-    round, until a fixpoint.  Returns the sub-coalgebra, carried by the
-    last subcategory, and its inclusion.
-    """
+    """The largest sub-coalgebra on which two homomorphisms agree, and its
+    inclusion.  From the agreement set, states whose term is not in F of
+    the full subcategory on the states kept are stripped until none is."""
     x = cx.carrier
     current = [s for s in x.states if f(s) == g(s)]
     while True:
@@ -690,12 +682,16 @@ def initial_lift_coalgebra(expr, quantale, states, structure, cone=()):
 def _lift_step(expr, current, structure):
     """One step of the initial-lift descent, as a matrix in carrier order:
     meet(current(s, t), F_current(c s, c t)), where F_current is the lax
-    extension of F applied to ``current`` and c the structure map."""
-    q, states = current.quantale, current.states
-    d = expr.lift(q, current.a)
+    extension of F applied to ``current`` and c the structure map.  Its
+    matrix is built once on the distinct structure terms."""
+    q = current.quantale
+    index = {}
+    at = [index.setdefault(structure[s], len(index)) for s in current.states]
+    terms = list(index)
+    lifted = expr.matrix(q, current.a, terms, terms)
     return tuple(
-        tuple(q.meet(current.a(s, t), d(structure[s], structure[t])) for t in states)
-        for s in states
+        tuple(map(q.meet, old, map(row.__getitem__, at)))
+        for old, row in zip(current.matrix, map(lifted.__getitem__, at))
     )
 
 

@@ -14,13 +14,6 @@ from .vcat import VCategory, VFunctor, VRelation
 DEFAULT_COUNT_CAP = 4096
 
 
-def _mask(x, subset):
-    m = 0
-    for s in subset:
-        m |= 1 << x.index(s)
-    return m
-
-
 def _bits(mask):
     """The positions of the set bits of ``mask``, lowest first."""
     out = []
@@ -62,22 +55,29 @@ def _up_mask(x, mask):
 
 def up_closure(x, subset):
     """Points whose distance-join from the subset lies above the unit."""
-    return _ids(x, _up_mask(x, _mask(x, subset)))
+    return _ids(x, _up_mask(x, sum({1 << x.index(s) for s in subset})))
+
+
+class UpSets(list):
+    """The increasing subsets of the V-category ``base`` as frozensets, in
+    ascending bitmask order, with their bitmasks ``masks``."""
+
+    __slots__ = ("base", "masks")
+
+    def __init__(self, base, masks):
+        super().__init__(_ids(base, m) for m in masks)
+        self.base, self.masks = base, masks
 
 
 def enumerate_increasing(x, count_cap=DEFAULT_COUNT_CAP):
-    """All fixed points of the up-closure, in ascending bitmask order.
-
-    Every fixed point is an up-set of the underlying order, so the order
-    up-sets are enumerated and the fixed points among them kept.  The
-    count cap is the one bound, whatever the carrier's size: more than
-    ``count_cap`` order up-sets raise CapExceeded.  Over a totally ordered
+    """All fixed points of the up-closure as ``UpSets``.  Each is an up-set
+    of the underlying order, so the order up-sets are enumerated and the
+    fixed points kept; more than ``count_cap`` order up-sets raise
+    CapExceeded, whatever the carrier's size.  Over a totally ordered
     quantale with more than one element every order up-set is a fixed
-    point, so this is also the number of fixed points; over other
-    quantales it can be larger.
-    """
+    point; over other quantales there can be more up-sets than fixed points."""
     masks = sorted(_order_upset_masks(x, count_cap))
-    return [_ids(x, m) for m in masks if _up_mask(x, m) == m]
+    return UpSets(x, [m for m in masks if _up_mask(x, m) == m])
 
 
 def _order_upset_masks(x, count_cap):
@@ -112,7 +112,7 @@ def hausdorff_lift(q, d):
     """H on a V-relation d given as a function: (A, B) goes to the meet
     over b in B of the join over a in A of d(a, b).  The one place this
     formula is written; ``hausdorff_distance``, ``lax_powerset_extension``
-    and the ``HComp`` node of ``coalg`` read it, and ``_lifted_matrix``
+    and the ``HComp`` node of ``coalg`` read it, and ``lifted_matrix``
     is checked against it."""
     meet_all, join_all = q.meet_all, q.join_all
     return lambda a_set, b_set: meet_all(join_all(d(a, b) for a in a_set) for b in b_set)
@@ -140,28 +140,26 @@ def hausdorff_object(x, count_cap=DEFAULT_COUNT_CAP, elements=None):
     """Increasing subsets of x with the lifted structure matrix; the
     enumeration's ``count_cap`` is the one bound on its size.  ``elements``,
     when given, are the increasing subsets as ``enumerate_increasing``
-    returned them, and are not enumerated again."""
+    returned them for x, and are not enumerated again."""
     if elements is None:
         elements = enumerate_increasing(x, count_cap=count_cap)
-    mat = _lifted_matrix(x, [_mask(x, a) for a in elements])
-    return HObject(tuple(elements), VCategory(x.quantale, elements, mat))
+    return HObject(tuple(elements), VCategory(x.quantale, elements, lifted_matrix(elements)))
 
 
-def _lifted_matrix(x, masks):
-    """The meet-of-joins matrix on the given up-sets, each entry grown from
-    a smaller up-set's entry.
-
-    A non-empty up-set A is A' with a minimal class c of equivalent states
-    added, and A' is again an up-set.  In a V-category equivalent states
-    have equal rows and columns, since a(i, b) <= a(i, b) (x) a(b, b') <=
-    a(i, b').  So the row join of A, the join over a in A of row a, is that
-    of A' joined with the row of any state s of c; and for an up-set B = B'
-    with c added, the meet of a row join over B is its meet over B' met
-    with its entry at s.  The s taken is the first state of A whose up-set
-    is largest, and the parents of the given up-sets are filled first, so
-    N up-sets over n states cost O(N n + N^2) lattice operations, not
-    O(N^2 n).  Every parent is an order up-set, so there are at most as
-    many as the enumeration walked."""
+def lifted_matrix(upsets):
+    """The meet-of-joins matrix on the ``UpSets`` of a V-category, each
+    entry grown from a smaller up-set's entry.  A non-empty up-set A is A'
+    with a minimal class c of equivalent states added, and A' is again an
+    up-set.  In a V-category equivalent states have equal rows and columns,
+    since a(i, b) <= a(i, b) (x) a(b, b') <= a(i, b').  So the row join of
+    A, the join over a in A of row a, is that of A' joined with the row of
+    any state s of c; and for an up-set B = B' with c added, the meet of a
+    row join over B is its meet over B' met with its entry at s.  The s
+    taken is the first state of A whose up-set is largest, and the parents
+    of the given up-sets are filled first, so N up-sets over n states cost
+    O(N n + N^2) lattice operations, not O(N^2 n).  Every parent is an
+    order up-set, so there are at most as many as the enumeration walked."""
+    x, masks = upsets.base, upsets.masks
     q = x.quantale
     up = x.unit_rows()
     size = [row.bit_count() for row in up]

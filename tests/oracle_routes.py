@@ -12,14 +12,18 @@ the totally-below relation by a search over all subsets, against
 ``quantale.totally_below``'s closed form; the cone of all V-functors
 into ``V^op``, against ``vcat.is_separated``; and the Lawvere order and
 lattice operations in ``Fraction``'s own operators, against
-``quantale.LawvereQuantale``'s cross-multiplied comparisons; and the
+``quantale.LawvereQuantale``'s cross-multiplied comparisons; the
 normal form of a functor term by a walk of the term as a tree, against
-``coalg.normalize_term``, which reads it as F(id) through the node tables.
+``coalg.normalize_term``, which reads it as F(id) through the node tables;
+and the lax extension of a functor one entry at a time, by a walk of the
+two terms, with the initial-lift descent that steps one pair at a time
+through it, against the whole matrices of ``coalg.lift_descent``.
 """
 
-from quantcat.coalg import Const, Id, Prod, Sum, _misshapen, _term_text, eval_obj
+from quantcat.coalg import (Const, Id, Prod, Sum, _fixed, _misshapen, _normal_form,
+                            _term_text, eval_obj)
 from quantcat.errors import CapExceeded, ConsistencyError
-from quantcat.hausdorff import _ids, hausdorff_distance, up_closure
+from quantcat.hausdorff import _ids, hausdorff_distance, hausdorff_lift, up_closure
 from quantcat.quantale import INF, LawvereQuantale
 from quantcat.vcat import VCategory, as_vcategory, dual, vfunctors_between
 
@@ -236,7 +240,7 @@ def tree_normal_form(expr, cat, term):
             raise _misshapen(expr, term)
         return tuple(tree_normal_form(p, cat, u) for p, u in zip(expr.parts, term))
     if isinstance(expr, Sum):
-        if not (isinstance(term, tuple) and len(term) == 2
+        if not (isinstance(term, tuple) and len(term) == 2 and type(term[0]) is int
                 and term[0] in range(len(expr.parts))):
             raise _misshapen(expr, term)
         return (term[0], tree_normal_form(expr.parts[term[0]], cat, term[1]))
@@ -244,3 +248,44 @@ def tree_normal_form(expr, cat, term):
         raise _misshapen(expr, term)
     return up_closure(eval_obj(expr.inner, cat),
                       {tree_normal_form(expr.inner, cat, t) for t in term})
+
+
+def in_functor(expr, cat, term):
+    """Does F(id_cat) fix the term, that is, is it an element of F(cat)?"""
+    return _fixed(_normal_form(expr, cat), term)
+
+
+def entry_lift(expr, q, r):
+    """The lax extension of the functor applied to r, a V-relation given as
+    a function on base terms, as a function on pairs of set-level terms:
+    r itself at Id, the constant's structure at Const, the meet over the
+    components at Prod, the branch's value or bottom at Sum, and the
+    meet-of-joins at H."""
+    if isinstance(expr, Id):
+        return r
+    if isinstance(expr, Const):
+        return expr.category.a
+    parts = [entry_lift(p, q, r) for p in expr.parts]
+    if isinstance(expr, Prod):
+        return lambda s, t: q.meet_all(d(u, v) for d, u, v in zip(parts, s, t))
+    if isinstance(expr, Sum):
+        return lambda s, t: parts[s[0]](s[1], t[1]) if s[0] == t[0] else q.bottom
+    return hausdorff_lift(q, parts[0])
+
+
+def pairwise_descent(expr, quantale, states, structure):
+    """The initial-lift descent from the top structure, one pair at a time:
+    each step takes d(s, t) to meet(d(s, t), F_d(c s, c t)) with F_d the
+    ``entry_lift`` of d.  Yields every iterate, ending with the first one
+    that a step leaves as it is."""
+    n = len(states)
+    current = VCategory(quantale, states, [[quantale.top] * n] * n)
+    while True:
+        yield current
+        d = entry_lift(expr, quantale, current.a)
+        step = VCategory(quantale, states, [
+            [quantale.meet(current.a(s, t), d(structure[s], structure[t])) for t in states]
+            for s in states])
+        if step == current:
+            return
+        current = step

@@ -157,14 +157,40 @@ def _meet_of_joins_sites(node, where, found):
 def test_the_meet_of_joins_is_written_once():
     """H's formula on relations lives in ``hausdorff.hausdorff_lift``, which
     the distance, the powerset extension and the ``HComp`` node read, and a
-    functor node's structure on terms is its lax extension ``lift``."""
+    functor node's structure on terms is its lax extension ``matrix``."""
     found = set()
     for path in Path(quantcat.__file__).parent.glob("*.py"):
         _meet_of_joins_sites(ast.parse(path.read_text()), path.stem, found)
     assert found == {"hausdorff.hausdorff_lift"}
     nodes = [getattr(coalg, name) for name in FUNCTOR_NODES]
     assert not [node for node in nodes if hasattr(node, "dist")]
-    assert all(callable(node.lift) for node in nodes)
+    assert all(callable(node.matrix) for node in nodes)
+
+
+def _calls(tree):
+    return {_named(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_a_functor_value_is_its_elements_under_one_matrix():
+    """F(x) is F's elements under the lax extension of x's structure.  So no
+    node class builds its value by an ``obj`` of its own or reads its
+    parts' lifts one entry at a time by ``over``, ``Prod`` builds no initial
+    structure, and ``eval_obj`` and the descent step ``_lift_step`` reach a
+    node only through its ``elements`` and its whole ``matrix``."""
+    tree = ast.parse(Path(coalg.__file__).read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in FUNCTOR_NODES | {"_Node"}:
+        defined = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"obj", "over", "lift"}, name
+    assert "initial_structure" not in _calls(classes["Prod"])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, reads in (("eval_obj", {"elements", "matrix"}), ("_lift_step", {"matrix"})):
+        on_node = {node.func.attr for node in ast.walk(functions[name])
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "expr"}
+        assert on_node == reads, name
+        assert not _calls(functions[name]) & {"initial_structure", "hausdorff_object",
+                                              "lifted_matrix", "hausdorff_lift"}, name
 
 
 def test_normal_forms_are_the_identity_map():

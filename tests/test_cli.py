@@ -329,7 +329,8 @@ def test_behave_and_check_never_build_the_lifted_carrier(runner, tmp_path, monke
     def refuse(*args, **kwargs):
         raise AssertionError("the lifted carrier was built")
 
-    monkeypatch.setattr(hausdorff, "hausdorff_object", refuse)
+    for name in ("enumerate_increasing", "lifted_matrix"):
+        monkeypatch.setattr(hausdorff, name, refuse)
     path = _discrete_h_coalgebra(tmp_path, 12, 3)
     for args in (["behave", "--coalgebra", path, "--depth", "6"], ["check", path]):
         result = runner.invoke(main, args)

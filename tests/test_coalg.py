@@ -48,11 +48,11 @@ from quantcat import (
     up_closure,
 )
 from quantcat import coalg, hausdorff
-from quantcat.coalg import _in_functor, _normal_form, _term_text, normalize_term
+from quantcat.coalg import _normal_form, _term_text, normalize_term
 from quantcat.descriptors import dump_term, load_term
 from quantcat.suites import QUANTALE_NAMES, rand_category, rand_relation
 from conftest import diamond_fork, diamond_quantale
-from oracle_routes import tree_normal_form
+from oracle_routes import entry_lift, in_functor, pairwise_descent, tree_normal_form
 
 
 @pytest.fixture()
@@ -185,13 +185,13 @@ def test_a_larger_cap_lifts_each_chain_level_once(q2, monkeypatch, expr):
     built them, so a cap above the default lifts as often as the default:
     once per H node and level."""
     lifted = []
-    real = hausdorff.hausdorff_object
+    real = hausdorff.lifted_matrix
 
-    def counted(x, *args, **kwargs):
-        lifted.append(len(x.states))
-        return real(x, *args, **kwargs)
+    def counted(upsets):
+        lifted.append(len(upsets.base.states))
+        return real(upsets)
 
-    monkeypatch.setattr(hausdorff, "hausdorff_object", counted)
+    monkeypatch.setattr(hausdorff, "lifted_matrix", counted)
     final_chain(expr, 12, quantale=q2)
     at_default = list(lifted)
     lifted.clear()
@@ -619,18 +619,32 @@ def test_normal_form_on_a_restriction_is_membership_in_its_functor_value(q2, god
                 members = set(eval_obj(expr, restrict(x, allowed)).states)
                 sub = restrict(x, allowed)
                 for t in eval_obj(expr, x).states:
-                    assert _in_functor(expr, sub, t) == (t in members), \
+                    assert in_functor(expr, sub, t) == (t in members), \
                         (expr, allowed, t)
 
 
 def test_normal_form_on_a_restriction_says_no_to_unknown_leaves_and_misshapen_terms(q2):
     x = from_order(q2, ["a", "b"], [("a", "b")])
     expr = Prod([Id(), HComp(Id())])
-    assert _in_functor(expr, restrict(x, {"a", "b"}), ("a", frozenset({"b"})))
-    assert not _in_functor(expr, restrict(x, {"a"}), ("a", frozenset({"b"})))
+    assert in_functor(expr, restrict(x, {"a", "b"}), ("a", frozenset({"b"})))
+    assert not in_functor(expr, restrict(x, {"a"}), ("a", frozenset({"b"})))
     for term in [("z", frozenset()), ("a", frozenset({"z"})), ("a",), "a",
                  ("a", ["b"]), ("a", frozenset({"a"}))]:
-        assert not _in_functor(expr, restrict(x, {"a", "b"}), term), term
+        assert not in_functor(expr, restrict(x, {"a", "b"}), term), term
+
+
+@pytest.mark.parametrize("branch", [1.0, True], ids=["float", "bool"])
+def test_a_sum_branch_that_is_not_an_int_is_misshapen(q2, branch):
+    """A float or a bool equals an int branch, but only an int is one: the
+    term is refused, and it is no element of the functor value."""
+    x = discrete(q2, ["a"])
+    expr = Sum([Id(), Id()])
+    with pytest.raises(ConsistencyError, match="does not have the shape"):
+        normalize_term(expr, x, (branch, "a"))
+    assert not in_functor(expr, x, (branch, "a"))
+    assert tree_normal_form(expr, x, (1, "a")) == normalize_term(expr, x, (1, "a"))
+    with pytest.raises(ConsistencyError, match="does not have the shape"):
+        tree_normal_form(expr, x, (branch, "a"))
 
 
 def _set_level_terms(expr, states):
@@ -673,7 +687,7 @@ def _outcome(normal, term):
 
 def test_normal_forms_agree_with_the_tree_walk(q2, godel3):
     """``normalize_term``, one table of normal forms for a batch of terms,
-    and ``_in_functor`` all agree with the oracle's tree walk: the seven
+    and ``in_functor`` all agree with the oracle's tree walk: the seven
     functors and those of the two restriction tests above on every full
     subcategory of three carriers, for every set-level term over the
     carrier and for unknown-leaf, misshapen and unhashable terms."""
@@ -689,7 +703,7 @@ def test_normal_forms_agree_with_the_tree_walk(q2, godel3):
                 assert [_outcome(batch, t) for t in terms] == want, (expr, sub.states)
                 for t, w in zip(terms, want):
                     assert _outcome(lambda u: normalize_term(expr, sub, u), t) == w, (expr, t)
-                    assert _in_functor(expr, sub, t) == (w == ("normal", t)), (expr, t)
+                    assert in_functor(expr, sub, t) == (w == ("normal", t)), (expr, t)
 
 
 def test_check_coalgebra_normalizes_a_shared_subterm_once(q2, monkeypatch):
@@ -829,7 +843,7 @@ def test_behavioral_distance_builds_no_chain_level(q2, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a chain level was built")
 
-    monkeypatch.setattr(hausdorff, "hausdorff_object", refuse)
+    monkeypatch.setattr(hausdorff, "lifted_matrix", refuse)
     with pytest.raises(AssertionError, match="chain level"):
         behavior_map(Coalgebra(c.functor, c.carrier, c.structure), 1)
     fresh = Coalgebra(c.functor, c.carrier, c.structure)
@@ -971,9 +985,9 @@ def _equivalent_pair(q):
 
 
 def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
-    """The lift of the carrier's structure is the structure of the functor
-    value, over three chains, godel:1 and the diamond lattice, on an
-    ordered carrier and on a preorder with two equivalent states."""
+    """The per-entry lift of the carrier's structure is the structure of
+    the functor value, over three chains, godel:1 and the diamond lattice,
+    on an ordered carrier and on a preorder with two equivalent states."""
     diamond = diamond_quantale()
     for q in (q2, godel3, lawvere, Quantale.godel(1), diamond):
         carriers = [_ordered_carrier(q), _equivalent_pair(q)]
@@ -983,10 +997,65 @@ def test_setlevel_distance_is_the_functor_value_structure(q2, godel3, lawvere):
             assert is_vcategory(x)
             for expr in _seven_functors(_labels(q)):
                 fx = eval_obj(expr, x)
-                d = expr.lift(q, x.a)
+                d = entry_lift(expr, q, x.a)
                 for s in fx.states:
                     for t in fx.states:
                         assert d(s, t) == fx.a(s, t), (q, x.matrix, expr, s, t)
+
+
+def test_a_matrix_on_the_elements_of_one_carrier_reads_the_relation_it_is_given(q2, godel3):
+    """The incremental fill on a node's own elements holds only for their
+    carrier's structure: under another structure on the same states, the
+    matrix on those elements is still that structure's per-entry lift."""
+    for q in (q2, godel3):
+        x = _ordered_carrier(q)
+        other = from_order(q, x.states, [("c", "a")])
+        for expr in _seven_functors(_labels(q)):
+            els = expr.elements(x, 4096)
+            for y in (x, other):
+                d = entry_lift(expr, q, y.a)
+                lifted = list(map(list, expr.matrix(q, y.a, els, els)))
+                assert lifted == [[d(s, t) for t in els] for s in els], (q, expr, y.matrix)
+
+
+def _draw_set_term(rng, expr, states):
+    """A set-level term of ``expr`` over ``states``: an H node takes up to
+    three drawn inner terms, which need not form an up-set."""
+    if isinstance(expr, Id):
+        return rng.choice(states)
+    if isinstance(expr, Const):
+        return rng.choice(expr.category.states)
+    if isinstance(expr, Prod):
+        return tuple(_draw_set_term(rng, p, states) for p in expr.parts)
+    if isinstance(expr, Sum):
+        b = rng.randrange(len(expr.parts))
+        return (b, _draw_set_term(rng, expr.parts[b], states))
+    return frozenset(_draw_set_term(rng, expr.inner, states) for _ in range(rng.randint(0, 3)))
+
+
+def test_every_descent_iterate_is_the_pairwise_iterate():
+    """``lift_descent``, whose step reads one whole matrix on the distinct
+    structure terms, yields the iterates of the step that lifts one pair at
+    a time through the per-entry lift: random carriers of one to six states
+    over every built-in and the diamond lattice, under the seven functors,
+    with set-level structures, normal forms among them."""
+    from quantcat.coalg import lift_descent
+
+    rng = random.Random(31)
+    quantales = [Quantale.by_name(name) for name in QUANTALE_NAMES] + [diamond_quantale()]
+    steps = 0
+    for _ in range(1000):
+        q = rng.choice(quantales)
+        x = rand_category(rng, q, min_size=1, max_size=6)
+        expr = rng.choice(_seven_functors(_labels(q)))
+        structure = {s: _draw_set_term(rng, expr, x.states) for s in x.states}
+        if rng.random() < 0.5:
+            normal = _normal_form(expr, x)
+            structure = {s: normal(t) for s, t in structure.items()}
+        want = list(pairwise_descent(expr, q, x.states, structure))
+        assert list(lift_descent(expr, q, x.states, structure)) == want, (q, expr, structure)
+        steps += len(want)
+    assert steps > 1500, steps
 
 
 # -- the lax-extension laws for drawn functors ----------------------------------
@@ -1039,8 +1108,7 @@ def _set_map(expr, f):
 
 def _lifted(expr, q, r, src, tgt):
     """The matrix of F r on the given F-terms, r a VRelation."""
-    d = expr.lift(q, r.r)
-    return [[d(u, v) for v in tgt] for u in src]
+    return expr.matrix(q, r.r, src, tgt)
 
 
 def _then(q, m, n):
@@ -1050,7 +1118,7 @@ def _then(q, m, n):
 
 
 def test_every_drawn_functor_lifts_laxly():
-    """Through ``lift``, each drawn functor of depth at most two is a lax
+    """Through ``matrix``, each drawn functor of depth at most two is a lax
     extension on relations between sets of one or two elements: monotone,
     F r;F s <= F(r;s), and the graph of F(f) and its converse lie below F
     of the graph of f and its converse.  Draws with more than 40,000 term
@@ -1078,11 +1146,12 @@ def test_every_drawn_functor_lifts_laxly():
         f = {x: rng.choice(ys) for x in xs}
         ff = _set_map(expr, f)
         graph = [[q.unit if f[x] == y else q.bottom for y in ys] for x in xs]
-        d = expr.lift(q, VRelation(q, xs, ys, graph).r)
-        back = expr.lift(q, VRelation(q, ys, xs, zip(*graph)).r)
-        for t in fx:
-            assert q.leq(q.unit, d(t, ff(t))), (where, "graph", t)
-            assert q.leq(q.unit, back(ff(t), t)), (where, "converse", t)
+        images = list(map(ff, fx))
+        d = _lifted(expr, q, VRelation(q, xs, ys, graph), fx, images)
+        back = _lifted(expr, q, VRelation(q, ys, xs, zip(*graph)), images, fx)
+        for i, t in enumerate(fx):
+            assert q.leq(q.unit, d[i][i]), (where, "graph", t)
+            assert q.leq(q.unit, back[i][i]), (where, "converse", t)
     assert checked >= 250, checked
 
 

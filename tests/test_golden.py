@@ -144,6 +144,16 @@ INPUTS = {
                       "s2": {"branch": 1, "term": ["s3"]},
                       "s3": {"branch": 0, "term": "q"}},
     },
+    # s and p simulate each other, so --symmetric reads 1 for them at every
+    # depth, yet they are not bisimilar: s has the successor t1, which has
+    # no successor, and every successor of p has one
+    "mutualsim": {
+        "schema": "coalgebra/1",
+        "functor": {"H": {"id": {}}},
+        "category": _discrete("bool", "1", "0", ["s", "t1", "t2", "u", "p", "q", "r"]),
+        "structure": {"s": ["t1", "t2"], "t1": [], "t2": ["u"], "u": [],
+                      "p": ["q"], "q": ["r"], "r": []},
+    },
     # a(x, y) is top, but x has no successor while y has one
     "notmorphism": {
         "schema": "coalgebra/1",
@@ -208,6 +218,8 @@ CASES = {
     "behave_lawvere.csv": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
                            "--format", "csv"],
     "behave_lawvere_symmetric.json": ["behave", "--coalgebra", "@lawvere", "--depth", "2",
+                                      "--symmetric"],
+    "behave_mutual_similarity.json": ["behave", "--coalgebra", "@mutualsim", "--depth", "4",
                                       "--symmetric"],
     "behave_sum_godel3.json": ["behave", "--coalgebra", "@sumgodel", "--depth", "3",
                                "--symmetric"],
