@@ -9,7 +9,9 @@ frozensets of inner terms.  Each node class says what F does there:
 extension of a V-relation as a whole matrix on two lists of terms,
 ``image`` maps a term along a map, ``shaped`` tells whether a term has its
 shape, and ``load`` and ``dump`` read and write a term's JSON form.
-F(X) is its elements under the matrix of X's structure, kept on X by node.
+F(X) is its elements under the matrix of X's structure, kept on X by node,
+and ``check_lax_extension_laws`` checks that every node's matrix is a lax
+extension.
 F(f) keeps one table per node for a call, so a shared term is mapped once;
 an H node up-closes by ``hausdorff.hausdorff_image``.  A normal form is
 F(id), and F(X) holds the terms it fixes.  One initial-lift step,
@@ -31,7 +33,9 @@ from .quantale import AssumptionReport, LawEntry, Record
 from .vcat import (
     VCategory,
     VFunctor,
+    VRelation,
     check_vcategory,
+    discrete,
     initial_structure,
     is_vfunctor,
     restrict,
@@ -416,6 +420,57 @@ def _fixed(normal, term):
 def normalize_term(expr, cat, term):
     """The normal form of a set-level term in F(cat), its image under F(id_cat)."""
     return _normal_form(expr, cat)(term)
+
+
+# -- the lax-extension laws ------------------------------------------------
+
+
+def _first_above(q, rows, cols, m, bound):
+    """The first (row, col) pair in row-major order where m is not below bound."""
+    return next(((s, t) for s, u, v in zip(rows, m, bound)
+                 for t, a, b in zip(cols, u, v) if not q.leq(a, b)), None)
+
+
+def _then(q, m, n):
+    """The composite of two matrices: a join of tensors over the middle."""
+    columns = list(zip(*n))
+    return [[q.join_all(map(q.tensor, row, col)) for col in columns] for row in m]
+
+
+def check_lax_extension_laws(expr, r, r2, s, mapping):
+    """The three axioms of a lax extension (Marti & Venema, JCSS 81(5),
+    2015) for the node's ``matrix``, on V-relations r, r2 >= r and s and
+    the map ``mapping`` from r's source states to its target states.
+    F on sets is F's elements on discrete carriers: there every subset is
+    an up-set and up-closure is the direct image, so H(Id) reads every
+    subset and F(f) is F on sets.  Each witness is the first failing pair
+    or term in element order."""
+    q = r.quantale
+    if r.target_states != s.source_states:
+        raise ConsistencyError("relations do not compose")
+    xs, ys, zs = (discrete(q, states)
+                  for states in (r.source_states, r.target_states, s.target_states))
+    fx, fy, fz = (expr.elements(c, hd.DEFAULT_COUNT_CAP) for c in (xs, ys, zs))
+    fr = expr.matrix(q, r.r, fx, fy)
+    monotone = _first_above(q, fx, fy, fr, expr.matrix(q, r2.r, fx, fy))
+    rs = VRelation(q, r.source_states, s.target_states, _then(q, r.matrix, s.matrix))
+    via = _then(q, fr, expr.matrix(q, s.r, fy, fz))
+    composition = _first_above(q, fx, fz, via, expr.matrix(q, rs.r, fx, fz))
+
+    def graph(u, v):
+        return q.unit if mapping[u] == v else q.bottom
+
+    images = _fmap(expr, mapping.__getitem__, ys, fx)
+    ahead = expr.matrix(q, graph, fx, images)
+    back = expr.matrix(q, lambda v, u: graph(u, v), images, fx)
+    witness = next(((way, t) for i, t in enumerate(fx)
+                    for way, m in (("graph", ahead), ("converse", back))
+                    if not q.leq(q.unit, m[i][i])), None)
+    return AssumptionReport((
+        LawEntry("lax-monotone", monotone is None, monotone),
+        LawEntry("lax-composition", composition is None, composition),
+        LawEntry("lax-graph", witness is None, witness),
+    ))
 
 
 # -- coalgebras -----------------------------------------------------------

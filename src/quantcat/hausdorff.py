@@ -1,6 +1,7 @@
 """Up-closures, increasing subsets, H on V-relations, the Hausdorff functor
-and monad, the lax powerset extension and its laws, and the no-embedding
-obstruction.
+and monad, and the no-embedding obstruction.  H's lax extension to
+V-relations is the ``HComp`` node's ``matrix`` in ``coalg``, whose laws
+``coalg.check_lax_extension_laws`` checks for every functor node.
 
 Subsets of a carrier are handled as bitmasks internally and exposed as
 frozensets of state ids; the element order of every lifted object is the
@@ -8,8 +9,8 @@ ascending bitmask order, which keeps structural equality deterministic.
 """
 
 from .errors import CapExceeded, ConsistencyError, DescriptorError, IterationGuard
-from .quantale import AssumptionReport, LawEntry, Record
-from .vcat import VCategory, VFunctor, VRelation
+from .quantale import Record
+from .vcat import VCategory, VFunctor
 
 DEFAULT_COUNT_CAP = 4096
 
@@ -111,9 +112,9 @@ def _order_upset_masks(x, count_cap):
 def hausdorff_lift(q, d):
     """H on a V-relation d given as a function: (A, B) goes to the meet
     over b in B of the join over a in A of d(a, b).  The one place this
-    formula is written; ``hausdorff_distance``, ``lax_powerset_extension``
-    and the ``HComp`` node of ``coalg`` read it, and ``lifted_matrix``
-    is checked against it."""
+    formula is written; ``hausdorff_distance`` and the ``matrix`` of the
+    ``HComp`` node of ``coalg``, H's lax extension, read it, and
+    ``lifted_matrix`` is checked against it."""
     meet_all, join_all = q.meet_all, q.join_all
     return lambda a_set, b_set: meet_all(join_all(d(a, b) for a in a_set) for b in b_set)
 
@@ -222,100 +223,6 @@ def monad_mult(x, hx=None, hhx=None):
             raise ConsistencyError("union of an increasing family was not increasing")
         mapping.append(u)
     return VFunctor(hhx.category, hx.category, mapping)
-
-
-# -- lax extension of the powerset functor ------------------------------
-
-
-def lax_powerset_extension(r):
-    """Extend a V-relation to all subsets by the meet-of-joins formula."""
-    src = _subsets(r.source_states)
-    tgt = _subsets(r.target_states)
-    lift = hausdorff_lift(r.quantale, r.r)
-    return VRelation(r.quantale, src, tgt, [[lift(a, b) for b in tgt] for a in src])
-
-
-def _subsets(states):
-    """Every subset of ``states`` as a frozenset, listed by mask m from 0 to
-    2^n - 1, where bit i of m picks the i-th state: the subsets with state i
-    are those without it, in order, each joined by state i."""
-    out = [frozenset()]
-    for s in states:
-        out += [a | {s} for a in out]
-    return out
-
-
-def lax_extension_monotone(r, r2):
-    """r <= r2 pointwise implies the extensions compare pointwise."""
-    q = r.quantale
-    er, er2 = lax_powerset_extension(r), lax_powerset_extension(r2)
-    w = next(
-        ((a, b) for i, a in enumerate(er.source_states)
-         for j, b in enumerate(er.target_states)
-         if not q.leq(er.matrix[i][j], er2.matrix[i][j])),
-        None,
-    )
-    return LawEntry("lax-monotone", w is None, w)
-
-
-def _converse(r):
-    """The V-relation read backwards: its matrix is the transpose of r's."""
-    return VRelation(r.quantale, r.target_states, r.source_states,
-                     [[row[j] for row in r.matrix] for j in range(len(r.target_states))])
-
-
-def _composite(r, s):
-    """The V-relation r;s: (x, z) goes to the join over y of r(x, y) (x) s(y, z)."""
-    q = r.quantale
-    if r.target_states != s.source_states:
-        raise ConsistencyError("relations do not compose")
-    columns = _converse(s).matrix
-    return VRelation(q, r.source_states, s.target_states, [
-        [q.join_all(map(q.tensor, row, col)) for col in columns] for row in r.matrix
-    ])
-
-
-def lax_extension_composition(r, s):
-    """Extension of the composite bounds the composite of extensions; the
-    witness is the first failing pair in row-major order."""
-    q = r.quantale
-    er, es, ec = map(lax_powerset_extension, (r, s, _composite(r, s)))
-    via = _composite(er, es)
-    w = next(
-        ((a, c) for a, row, bound in zip(er.source_states, via.matrix, ec.matrix)
-         for c, u, v in zip(es.target_states, row, bound) if not q.leq(u, v)),
-        None,
-    )
-    return LawEntry("lax-composition", w is None, w)
-
-
-def lax_extension_graph(q, mapping, source_states, target_states):
-    """The extension dominates the direct-image graph and its converse."""
-    k, bot = q.unit, q.bottom
-    graph = VRelation(
-        q, source_states, target_states,
-        [[k if mapping[s] == t else bot for t in target_states] for s in source_states],
-    )
-    eg, eop = lax_powerset_extension(graph), lax_powerset_extension(_converse(graph))
-    w = None
-    for a in eg.source_states:
-        image = frozenset(mapping[s] for s in a)
-        if not q.leq(k, eg.matrix[eg.source_states.index(a)][eg.target_states.index(image)]):
-            w = ("graph", tuple(sorted(map(str, a))))
-            break
-        if not q.leq(k, eop.matrix[eop.source_states.index(image)][eop.target_states.index(a)]):
-            w = ("converse", tuple(sorted(map(str, a))))
-            break
-    return LawEntry("lax-graph", w is None, w)
-
-
-def check_lax_extension_laws(r, r2, s, q, mapping, source_states, target_states):
-    """Bundle the three lax-extension axioms into one report."""
-    return AssumptionReport((
-        lax_extension_monotone(r, r2),
-        lax_extension_composition(r, s),
-        lax_extension_graph(q, mapping, source_states, target_states),
-    ))
 
 
 # -- strict order and the no-embedding argument --------------------------

@@ -156,8 +156,9 @@ def _meet_of_joins_sites(node, where, found):
 
 def test_the_meet_of_joins_is_written_once():
     """H's formula on relations lives in ``hausdorff.hausdorff_lift``, which
-    the distance, the powerset extension and the ``HComp`` node read, and a
-    functor node's structure on terms is its lax extension ``matrix``."""
+    the distance and the ``HComp`` node's ``matrix``, H's one lax
+    extension, read; a functor node's structure on terms is its lax
+    extension ``matrix``."""
     found = set()
     for path in Path(quantcat.__file__).parent.glob("*.py"):
         _meet_of_joins_sites(ast.parse(path.read_text()), path.stem, found)
@@ -191,6 +192,31 @@ def test_a_functor_value_is_its_elements_under_one_matrix():
         assert on_node == reads, name
         assert not _calls(functions[name]) & {"initial_structure", "hausdorff_object",
                                               "lifted_matrix", "hausdorff_lift"}, name
+
+
+def test_the_lax_extension_laws_are_checked_once_through_the_node_interface():
+    """One ``check_lax_extension_laws``, in ``coalg``, for every functor
+    node: ``hausdorff`` defines no ``lax_*`` function, and the check reaches
+    a node only through its ``elements``, its ``matrix`` and ``_fmap``."""
+    defined = [
+        (path.stem, node.name)
+        for path in Path(quantcat.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    assert not [name for stem, name in defined if stem == "hausdorff" and name.startswith("lax_")]
+    assert [stem for stem, name in defined if name == "check_lax_extension_laws"] == ["coalg"]
+    tree = ast.parse(Path(coalg.__file__).read_text())
+    check = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name == "check_lax_extension_laws")
+    reads = []
+    for node in ast.walk(check):
+        if isinstance(node, ast.Attribute) and _named(node.value) == "expr":
+            reads.append(node.attr)
+        elif isinstance(node, ast.Call):
+            reads += [_named(node.func) for arg in node.args if _named(arg) == "expr"]
+    uses = sum(isinstance(node, ast.Name) and node.id == "expr" for node in ast.walk(check))
+    assert len(reads) == uses and set(reads) == {"elements", "matrix", "_fmap"}, reads
 
 
 def test_normal_forms_are_the_identity_map():

@@ -50,7 +50,7 @@ from quantcat import (
 from quantcat import coalg, hausdorff
 from quantcat.coalg import _normal_form, _term_text, normalize_term
 from quantcat.descriptors import dump_term, load_term
-from quantcat.suites import QUANTALE_NAMES, rand_category, rand_relation
+from quantcat.suites import QUANTALE_NAMES, draw_functor, rand_category, rand_relation
 from conftest import diamond_fork, diamond_quantale
 from oracle_routes import entry_lift, in_functor, pairwise_descent, tree_normal_form
 
@@ -1061,22 +1061,6 @@ def test_every_descent_iterate_is_the_pairwise_iterate():
 # -- the lax-extension laws for drawn functors ----------------------------------
 
 
-def _draw_functor(rng, q, depth, leaf=True):
-    """A functor AST of depth at most ``depth`` (leaves have depth 0), a
-    node with parts unless ``leaf``; its constants are drawn over q on one
-    or two states."""
-    kind = rng.choice((["id", "const"] if leaf or not depth else [])
-                      + (["prod", "sum", "h"] if depth else []))
-    if kind == "id":
-        return Id()
-    if kind == "const":
-        return Const(rand_category(rng, q, min_size=1, max_size=2))
-    if kind == "h":
-        return HComp(_draw_functor(rng, q, depth - 1))
-    parts = [_draw_functor(rng, q, depth - 1) for _ in range(rng.randint(1, 3))]
-    return (Prod if kind == "prod" else Sum)(parts)
-
-
 def _set_terms(expr, xs):
     """F(xs) on sets: an H node takes every subset, not only the up-sets."""
     if isinstance(expr, Id):
@@ -1128,7 +1112,7 @@ def test_every_drawn_functor_lifts_laxly():
     for _ in range(300):
         name = rng.choice(QUANTALE_NAMES)
         q = Quantale.by_name(name)
-        expr = _draw_functor(rng, q, 2, leaf=False)
+        expr = draw_functor(rng, q, 2, leaf=False)
         xs, ys, zs = ([f"{c}{i}" for i in range(rng.randint(1, 2))] for c in "xyz")
         fx, fy, fz = (_set_terms(expr, s) for s in (xs, ys, zs))
         if len(fx) * len(fy) * len(fz) > 40_000:

@@ -16,6 +16,7 @@ from quantcat import (
     VFunctor,
     VRelation,
     cantor_check,
+    check_lax_extension_laws,
     check_vcategory,
     compose,
     discrete,
@@ -32,7 +33,6 @@ from quantcat import (
     initial_structure,
     is_separated,
     is_vfunctor,
-    lax_powerset_extension,
     metric_line,
     monad_mult,
     monad_unit,
@@ -43,10 +43,11 @@ from quantcat import (
     up_closure,
 )
 from quantcat import hausdorff
-from quantcat.hausdorff import _ids, _up_mask, check_lax_extension_laws
-from quantcat.suites import QUANTALE_NAMES, rand_category
+from quantcat.hausdorff import _ids, _up_mask
+from quantcat.suites import QUANTALE_NAMES, draw_quantale, rand_category, rand_relation
 from conftest import diamond_fork, diamond_quantale
-from oracle_routes import down_closure, generic_powerset_lift, powerset_lift, symmetric_hausdorff
+from oracle_routes import (down_closure, generic_powerset_lift, powerset_extension,
+                           powerset_extension_laws, powerset_lift, symmetric_hausdorff)
 
 
 def test_up_closure_examples(q2, c2, line013):
@@ -376,19 +377,50 @@ def test_lax_extension_laws_on_instance(q2):
     r = VRelation(q2, xs, ys, [["1", "0"], ["0", "1"]])
     r2 = VRelation(q2, xs, ys, [["1", "1"], ["0", "1"]])
     s = VRelation(q2, ys, zs, [["1"], ["0"]])
-    rep = check_lax_extension_laws(r, r2, s, q2, {"x0": "y0", "x1": "y1"}, xs, ys)
+    rep = check_lax_extension_laws(HComp(Id()), r, r2, s, {"x0": "y0", "x1": "y1"})
     assert rep.ok
 
 
 def test_lax_extension_formula(q2):
     xs, ys = ["x0", "x1"], ["y0"]
     r = VRelation(q2, xs, ys, [["1"], ["0"]])
-    ext = lax_powerset_extension(r)
+
+    def ext(a, b):
+        return HComp(Id()).matrix(q2, r.r, [a], [b])[0][0]
+
     a, b = frozenset(xs), frozenset(ys)
-    assert ext.r(a, b) == "1"          # some x relates to y0
-    assert ext.r(frozenset({"x1"}), b) == "0"
-    assert ext.r(a, frozenset()) == "1"  # empty meet
-    assert ext.r(frozenset(), b) == "0"  # empty join
+    assert ext(a, b) == "1"          # some x relates to y0
+    assert ext(frozenset({"x1"}), b) == "0"
+    assert ext(a, frozenset()) == "1"  # empty meet
+    assert ext(frozenset(), b) == "0"  # empty join
+
+
+def test_the_h_node_is_the_powerset_extension():
+    """On discrete carriers H(Id)'s elements are every subset in ascending
+    mask order, its ``matrix`` is the relation-level powerset extension
+    entry for entry, and ``check_lax_extension_laws`` gives the verdicts
+    that the extension's own law checks give, also for an r2 that is not
+    above r."""
+    rng = random.Random(33)
+    h = HComp(Id())
+    unmonotone = 0
+    for _ in range(300):
+        _, q = draw_quantale(rng)
+        xs, ys, zs = ([f"{c}{i}" for i in range(rng.randint(0, 3))] for c in "xyz")
+        r, r2, s = (rand_relation(rng, q, a, b) for a, b in ((xs, ys), (xs, ys), (ys, zs)))
+        if rng.random() < 0.5:
+            r2 = VRelation(q, xs, ys, [list(map(q.join, u, v)) for u, v in zip(r.matrix, r2.matrix)])
+        if xs and not ys:
+            continue  # no map into the empty set
+        mapping = {x: rng.choice(ys) for x in xs}
+        ext = powerset_extension(r)
+        fx, fy = (h.elements(discrete(q, states), 4096) for states in (xs, ys))
+        assert (list(fx), list(fy)) == (list(ext.source_states), list(ext.target_states))
+        assert h.matrix(q, r.r, fx, fy) == [list(row) for row in ext.matrix], (q, r.matrix)
+        verdicts = tuple(e.passed for e in check_lax_extension_laws(h, r, r2, s, mapping).entries)
+        assert verdicts == powerset_extension_laws(r, r2, s, mapping), (q, r.matrix, r2.matrix)
+        unmonotone += not verdicts[0]
+    assert unmonotone > 20, unmonotone
 
 
 def test_strict_order(q2, c2, line013):

@@ -8,7 +8,7 @@ import select
 
 import pytest
 
-from quantcat import suites
+from quantcat import coalg, hausdorff, suites
 from quantcat.cli import main
 from quantcat.descriptors import canonical_json
 from quantcat.errors import CapExceeded, LawFailure
@@ -257,3 +257,45 @@ def test_every_suite_runs_after_a_failure(monkeypatch, pipes):
         run_law_suites(0, 1)
     assert sorted(_written(started_r)) == [i for i in range(len(SUITES)) if i not in failing]
     _no_child_left()
+
+
+# -- the lax-extension suite catches a broken node ---------------------------------
+
+
+def _prod_joining(self, q, a, rows, cols):
+    """``Prod.matrix`` with the parts' matrices joined instead of met."""
+    parts = [p.matrix(q, a, [t[k] for t in rows], [u[k] for u in cols])
+             for k, p in enumerate(self.parts)]
+    return [[q.join_all(m[i][j] for m in parts) for j in range(len(cols))]
+            for i in range(len(rows))]
+
+
+_SUM_MATRIX = coalg.Sum.matrix
+
+
+def _sum_topped(self, q, a, rows, cols):
+    """``Sum.matrix`` with top, not bottom, between branches."""
+    m = _SUM_MATRIX(self, q, a, rows, cols)
+    return [[v if s[0] == t[0] else q.top for t, v in zip(cols, row)]
+            for s, row in zip(rows, m)]
+
+
+def _join_of_meets(q, d):
+    """``hausdorff_lift`` with its meet and join swapped."""
+    return lambda a_set, b_set: q.join_all(q.meet_all(d(a, b) for a in a_set) for b in b_set)
+
+
+def _lax_failures():
+    return run_suite("lax-extension-axioms", suites.suite_lax_extension, 7, 200)["failures"]
+
+
+@pytest.mark.parametrize("owner, name, mutant", [
+    (coalg.Prod, "matrix", _prod_joining),
+    (coalg.Sum, "matrix", _sum_topped),
+    (hausdorff, "hausdorff_lift", _join_of_meets),
+], ids=["prod-joins", "sum-tops", "h-join-of-meets"])
+def test_the_lax_extension_suite_catches_a_broken_node(monkeypatch, owner, name, mutant):
+    """A node whose ``matrix`` breaks the lax-extension laws makes the
+    suite report failures at the selfcheck seed and 200 cases."""
+    monkeypatch.setattr(owner, name, mutant)
+    assert _lax_failures()
