@@ -1,34 +1,43 @@
-"""Independent routes that the tests compare with the library.
+"""Independent routes that the tests compare with the library, and the
+only module of the tests that looks at the type of a functor node.
 
-Each one computes a construction the library also computes, by a different
-and more direct method: the lifted structure on the full powerset, read off
-the Hausdorff formula and as the initial lift of the cone of all V-functors
-into the quantale; the lax powerset extension of a V-relation on every
-subset, with its three laws read off whole relations, against the
-``HComp`` node's ``matrix`` and ``coalg.check_lax_extension_laws``;
-down-closures in the dual; the symmetric Hausdorff
-value; initiality of a cone read off the pointwise-meet formula,
-computed here cell by cell rather than by ``vcat.initial_structure``, which
-is the library route it checks; the least V-category structure above
-a matrix by repeated squaring, against ``vcat.fibre_join``'s single pass;
-the totally-below relation by a search over all subsets, against
-``quantale.totally_below``'s closed form; the cone of all V-functors
-into ``V^op``, against ``vcat.is_separated``; and the Lawvere order and
-lattice operations in ``Fraction``'s own operators, against
-``quantale.LawvereQuantale``'s cross-multiplied comparisons; the
-normal form of a functor term by a walk of the term as a tree, against
-``coalg.normalize_term``, which reads it as F(id) through the node tables;
-and the lax extension of a functor one entry at a time, by a walk of the
-two terms, with the initial-lift descent that steps one pair at a time
-through it, against the whole matrices of ``coalg.lift_descent``.
+Each route computes a construction the library also computes, by a
+different and more direct method: the lifted structure on the full
+powerset, read off the Hausdorff formula and as the initial lift of the
+cone of all V-functors into the quantale; the lax powerset extension of a
+V-relation on every subset, with its three laws read off whole relations,
+against the ``HComp`` node's ``matrix`` and
+``coalg.check_lax_extension_laws``; down-closures in the dual; the
+symmetric Hausdorff value; initiality of a cone read off the pointwise-meet
+formula, computed here cell by cell rather than by
+``vcat.initial_structure``, which is the library route it checks; the
+least V-category structure above a matrix by repeated squaring, against
+``vcat.fibre_join``'s single pass; every V-category structure on a small
+carrier, by trying every matrix; the totally-below relation by a search
+over all subsets, against ``quantale.totally_below``'s closed form; the
+cone of all V-functors into ``V^op``, against ``vcat.is_separated``; the
+Lawvere order and lattice operations in ``Fraction``'s own operators,
+against ``quantale.LawvereQuantale``'s cross-multiplied comparisons; F on a
+V-functor by a walk of each term as a tree, whose value at the identity is
+the normal form, against ``coalg.eval_mor`` and ``coalg.normalize_term``,
+which read them through the node tables; the lax extension of a functor
+one entry at a time, by a walk of the two terms, with the initial-lift
+descent that steps one pair at a time through it, against the whole
+matrices of ``coalg.lift_descent``; and the largest sub-coalgebra on which
+two maps agree, by a search over all subsets, against ``coalg.equalizer``.
+The set-level term walks at the end (every term, a drawn term, F on a
+map of sets) feed the tests their instances.
 """
+
+from itertools import product as iproduct
 
 from quantcat.coalg import (Const, Id, Prod, Sum, _fixed, _misshapen, _normal_form,
                             _term_text, eval_obj)
 from quantcat.errors import CapExceeded, ConsistencyError
 from quantcat.hausdorff import _ids, hausdorff_distance, hausdorff_lift, up_closure
 from quantcat.quantale import INF, LawvereQuantale
-from quantcat.vcat import VCategory, VRelation, as_vcategory, dual, vfunctors_between
+from quantcat.vcat import (VCategory, VFunctor, VRelation, as_vcategory, dual, is_vcategory,
+                           restrict, vfunctors_between)
 
 
 def down_closure(x, subset):
@@ -273,36 +282,43 @@ class FractionLawvere:
         return u + v
 
 
-def tree_normal_form(expr, cat, term):
-    """The normal form of a set-level term in F(cat), by a walk of the term
-    as a tree.  Each node checks the shape of its term and normalizes the
-    parts where they occur, so a subterm that several sets share is walked
-    once for each; an H node up-closes the set of its normalized members in
-    the inner object.  A leaf that is not a state of its category, an
-    unhashable one included, or a term not shaped like the functor, raises
-    ConsistencyError with the library's text."""
+def tree_image(expr, f, term):
+    """F(f) at one set-level term, for f a V-functor, by a walk of the term
+    as a tree; at the identity it is the normal form.  Each node checks the
+    shape of its term and maps the parts where they occur, so a subterm
+    that several sets share is walked once for each; an H node up-closes
+    the set of its mapped members in the inner object at f's target.  A
+    leaf that is not a state of its category, an unhashable one included,
+    or a term not shaped like the functor, raises ConsistencyError with the
+    library's text."""
     if isinstance(expr, (Id, Const)):
-        home = cat if isinstance(expr, Id) else expr.category
+        home = f.source if isinstance(expr, Id) else expr.category
         try:
             known = term in home
         except TypeError:
             known = False
         if not known:
             raise ConsistencyError(f"term leaf {_term_text(term)} is not a state of its category")
-        return term
+        return f(term) if isinstance(expr, Id) else term
     if isinstance(expr, Prod):
         if not (isinstance(term, tuple) and len(term) == len(expr.parts)):
             raise _misshapen(expr, term)
-        return tuple(tree_normal_form(p, cat, u) for p, u in zip(expr.parts, term))
+        return tuple(tree_image(p, f, u) for p, u in zip(expr.parts, term))
     if isinstance(expr, Sum):
         if not (isinstance(term, tuple) and len(term) == 2 and type(term[0]) is int
                 and term[0] in range(len(expr.parts))):
             raise _misshapen(expr, term)
-        return (term[0], tree_normal_form(expr.parts[term[0]], cat, term[1]))
+        return (term[0], tree_image(expr.parts[term[0]], f, term[1]))
     if not isinstance(term, frozenset):
         raise _misshapen(expr, term)
-    return up_closure(eval_obj(expr.inner, cat),
-                      {tree_normal_form(expr.inner, cat, t) for t in term})
+    return up_closure(eval_obj(expr.inner, f.target),
+                      {tree_image(expr.inner, f, t) for t in term})
+
+
+def tree_eval_mor(expr, f):
+    """F(f) as a V-functor, each element of F at f's source mapped by ``tree_image``."""
+    src, tgt = eval_obj(expr, f.source), eval_obj(expr, f.target)
+    return VFunctor(src, tgt, [tree_image(expr, f, t) for t in src.states])
 
 
 def in_functor(expr, cat, term):
@@ -314,8 +330,8 @@ def entry_lift(expr, q, r):
     """The lax extension of the functor applied to r, a V-relation given as
     a function on base terms, as a function on pairs of set-level terms:
     r itself at Id, the constant's structure at Const, the meet over the
-    components at Prod, the branch's value or bottom at Sum, and the
-    meet-of-joins at H."""
+    components at Prod, the branch's value or bottom at Sum, and at H the
+    meet over the second set of the joins over the first."""
     if isinstance(expr, Id):
         return r
     if isinstance(expr, Const):
@@ -325,14 +341,15 @@ def entry_lift(expr, q, r):
         return lambda s, t: q.meet_all(d(u, v) for d, u, v in zip(parts, s, t))
     if isinstance(expr, Sum):
         return lambda s, t: parts[s[0]](s[1], t[1]) if s[0] == t[0] else q.bottom
-    return hausdorff_lift(q, parts[0])
+    return lambda s, t: q.meet_all(q.join_all(parts[0](a, b) for a in s) for b in t)
 
 
 def pairwise_descent(expr, quantale, states, structure):
     """The initial-lift descent from the top structure, one pair at a time:
     each step takes d(s, t) to meet(d(s, t), F_d(c s, c t)) with F_d the
     ``entry_lift`` of d.  Yields every iterate, ending with the first one
-    that a step leaves as it is."""
+    that a step leaves as it is.  The lift is monotone, so the iterates
+    descend and the meet with d(s, t) changes none of them."""
     n = len(states)
     current = VCategory(quantale, states, [[quantale.top] * n] * n)
     while True:
@@ -344,3 +361,79 @@ def pairwise_descent(expr, quantale, states, structure):
         if step == current:
             return
         current = step
+
+
+def all_structures(q, states):
+    """Every V-category structure on the carrier ``states``, by trying
+    every matrix of quantale elements."""
+    n = len(states)
+    out = []
+    for cells in iproduct(q.elements, repeat=n * n):
+        cand = VCategory(q, states, [cells[i * n:(i + 1) * n] for i in range(n)])
+        if is_vcategory(cand):
+            out.append(cand)
+    return out
+
+
+def largest_agreeing_subcoalgebra(cx, f, g):
+    """The carrier of the largest sub-coalgebra on which f and g agree, by a
+    search over every subset of states for those on which they agree and
+    whose structure terms lie in F of the full subcategory: the first
+    largest in mask order, or None when another such subset is not inside
+    it."""
+    states = cx.carrier.states
+    admissible = []
+    for mask in range(1 << len(states)):
+        keep = [s for i, s in enumerate(states) if mask >> i & 1]
+        if all(f(s) == g(s) for s in keep):
+            fsub = eval_obj(cx.functor, restrict(cx.carrier, keep))
+            if all(cx.structure[s] in fsub for s in keep):
+                admissible.append(keep)
+    best = max(admissible, key=len)
+    return tuple(best) if all(set(other) <= set(best) for other in admissible) else None
+
+
+def set_terms(expr, xs):
+    """F(xs) on sets, every set-level term over ``xs``: an H node takes every
+    set of its inner terms, not only the up-sets."""
+    if isinstance(expr, Id):
+        return list(xs)
+    if isinstance(expr, Const):
+        return list(expr.category.states)
+    if isinstance(expr, Prod):
+        return list(iproduct(*(set_terms(p, xs) for p in expr.parts)))
+    if isinstance(expr, Sum):
+        return [(b, t) for b, p in enumerate(expr.parts) for t in set_terms(p, xs)]
+    inner = set_terms(expr.inner, xs)
+    return [frozenset(t for i, t in enumerate(inner) if m >> i & 1)
+            for m in range(1 << len(inner))]
+
+
+def draw_set_term(rng, expr, states):
+    """A set-level term of ``expr`` over ``states``: an H node takes up to
+    three drawn inner terms, which need not form an up-set."""
+    if isinstance(expr, Id):
+        return rng.choice(states)
+    if isinstance(expr, Const):
+        return rng.choice(expr.category.states)
+    if isinstance(expr, Prod):
+        return tuple(draw_set_term(rng, p, states) for p in expr.parts)
+    if isinstance(expr, Sum):
+        b = rng.randrange(len(expr.parts))
+        return (b, draw_set_term(rng, expr.parts[b], states))
+    return frozenset(draw_set_term(rng, expr.inner, states) for _ in range(rng.randint(0, 3)))
+
+
+def set_map(expr, f):
+    """F(f) on sets for a dict f: direct images, with no up-closure, so it
+    is not ``tree_image``, F on V-functors."""
+    if isinstance(expr, Id):
+        return f.__getitem__
+    if isinstance(expr, Const):
+        return lambda t: t
+    parts = [set_map(p, f) for p in expr.parts]
+    if isinstance(expr, Prod):
+        return lambda t: tuple(m(u) for m, u in zip(parts, t))
+    if isinstance(expr, Sum):
+        return lambda t: (t[0], parts[t[0]](t[1]))
+    return lambda t: frozenset(map(parts[0], t))

@@ -1,8 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Expected values come from independent oracles computed in place (brute-force
-fibres, exhaustive candidate searches, a chain-free recursive distance
-evaluator) or from hand-derived tables frozen in the assertions.
+Expected values come from independent oracles, computed in place (brute-force
+fibres, exhaustive candidate searches) or read from ``oracle_routes`` (every
+structure on a small carrier, the subset search for equalizers, the
+chain-free pairwise descent), or from hand-derived tables frozen in the
+assertions.
 """
 
 import random
@@ -46,7 +48,8 @@ from quantcat import (
 from quantcat.descriptors import canonical_json
 from quantcat.omega import canonical_chain_coding
 from quantcat.suites import run_law_suites
-from oracle_routes import generic_powerset_lift, powerset_lift
+from oracle_routes import (all_structures, generic_powerset_lift, largest_agreeing_subcoalgebra,
+                           pairwise_descent, powerset_lift)
 
 SEED = 20250808
 _Q2 = Quantale.boolean()
@@ -64,26 +67,18 @@ def _finish(n, desc, failures, elapsed, limit=None):
         assert elapsed < limit, f"criterion {n} exceeded {limit}s ({elapsed:.1f}s)"
 
 
-def all_structures(q, max_carrier=3):
-    """Every valid structure with carrier at most max_carrier, exhaustively."""
-    key = (q, max_carrier)
-    if key not in _STRUCTURES:
-        out = []
-        for n in range(max_carrier + 1):
-            states = [f"s{i}" for i in range(n)]
-            for cells in iproduct(q.elements, repeat=n * n):
-                mat = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
-                cand = VCategory(q, states, mat)
-                if is_vcategory(cand):
-                    out.append(cand)
-        _STRUCTURES[key] = out
-    return _STRUCTURES[key]
+def _structures(q):
+    """Every valid structure on s0 .. s(n-1) for n up to 3, found once per quantale."""
+    if q not in _STRUCTURES:
+        _STRUCTURES[q] = [x for n in range(4)
+                          for x in all_structures(q, [f"s{i}" for i in range(n)])]
+    return _STRUCTURES[q]
 
 
 def test_criterion_1_powerset_lift_oracle():
     t0 = time.monotonic()
     failures = []
-    family = all_structures(_Q2) + all_structures(_G3)
+    family = _structures(_Q2) + _structures(_G3)
     assert len(family) >= 200, len(family)
     for x in family:
         direct = powerset_lift(x)
@@ -170,7 +165,7 @@ def test_criterion_3_terminal_coalgebra():
             failures.append(("not a hom", c.carrier.states))
 
     candidates = [ExtNat(i) for i in range(4)] + [INFINITY]
-    for x in all_structures(_Q2):
+    for x in _structures(_Q2):
         if not x.states:
             continue
         for c in _valid_h_coalgebras(x):
@@ -189,7 +184,7 @@ def test_criterion_3_terminal_coalgebra():
 def test_criterion_4_cantor_obstruction():
     t0 = time.monotonic()
     failures = []
-    for x in all_structures(_Q2) + all_structures(_G3):
+    for x in _structures(_Q2) + _structures(_G3):
         if not x.states:
             continue
         q = x.quantale
@@ -236,7 +231,7 @@ def test_criterion_6_initial_lift_fibres():
     failures = []
     states = ("s0", "s1")
     for q in (_Q2, _G3):
-        two_state = [x for x in all_structures(q) if len(x.states) == 2]
+        two_state = [x for x in _structures(q) if len(x.states) == 2]
         cones = [None]
         for target in two_state:
             for d_map in _setlevel_endomaps(states):
@@ -355,24 +350,6 @@ def _hom_pair_instance(rng, q):
     return cx, base, fold, g
 
 
-def _brute_largest_subcoalgebra(cx, f, g):
-    states = cx.carrier.states
-    admissible = []
-    for mask in range(1 << len(states)):
-        keep = [s for i, s in enumerate(states) if mask >> i & 1]
-        if any(f(s) != g(s) for s in keep):
-            continue
-        sub = restrict(cx.carrier, keep)
-        fsub = eval_obj(cx.functor, sub)
-        if all(cx.structure[s] in fsub.states for s in keep):
-            admissible.append(keep)
-    best = max(admissible, key=len)
-    for other in admissible:
-        if not set(other) <= set(best):
-            return None
-    return tuple(best)
-
-
 def test_criterion_7_equalizers():
     t0 = time.monotonic()
     failures = []
@@ -381,7 +358,7 @@ def test_criterion_7_equalizers():
         cx, base, f, g = _hom_pair_instance(rng, _Q2)
         assert is_coalg_hom(f, cx, base) and is_coalg_hom(g, cx, base)
         sub, incl = equalizer(cx, f, g)
-        expected = _brute_largest_subcoalgebra(cx, f, g)
+        expected = largest_agreeing_subcoalgebra(cx, f, g)
         if expected is None:
             failures.append((i, "no unique largest sub-coalgebra"))
         elif sub.carrier.states != expected:
@@ -394,38 +371,11 @@ def test_criterion_7_equalizers():
                "on 200 seeded instances", failures, time.monotonic() - t0, 60)
 
 
-def _fdist(expr, q, dk, s, t):
-    """Chain-free functor distance on set-level terms: the oracle route."""
-    if isinstance(expr, Id):
-        return dk[s, t]
-    if isinstance(expr, Const):
-        return expr.category.a(s, t)
-    if isinstance(expr, Prod):
-        return q.meet_all(
-            _fdist(p, q, dk, s[i], t[i]) for i, p in enumerate(expr.parts)
-        )
-    if isinstance(expr, Sum):
-        if s[0] != t[0]:
-            return q.bottom
-        return _fdist(expr.parts[s[0]], q, dk, s[1], t[1])
-    return q.meet_all(
-        q.join_all(_fdist(expr.inner, q, dk, a, b) for a in s) for b in t
-    )
-
-
-def _recursive_distances(c, depth):
-    """Depth-indexed distances computed without materializing the chain."""
-    q = c.carrier.quantale
-    states = c.carrier.states
-    dk = {(s, t): q.top for s in states for t in states}
-    out = [dict(dk)]
-    for _ in range(depth):
-        dk = {
-            (s, t): _fdist(c.functor, q, dk, c.structure[s], c.structure[t])
-            for s in states for t in states
-        }
-        out.append(dict(dk))
-    return out
+def _descent(c, depth):
+    """The pairwise descent's iterates 0 .. depth, its stable last one repeated."""
+    x = c.carrier
+    out = list(pairwise_descent(c.functor, x.quantale, x.states, c.structure))
+    return out + out[-1:] * (depth + 1 - len(out))
 
 
 def test_criterion_8_behavioural_distances():
@@ -450,9 +400,9 @@ def test_criterion_8_behavioural_distances():
             for k in range(3):
                 if not q.leq(seq[k + 1], seq[k]):
                     failures.append((i, s, t, "not antitone"))
-        oracle = _recursive_distances(cx, 3)
+        oracle = _descent(cx, 3)
         for (s, t), seq in seqs.items():
-            if [oracle[k][s, t] for k in range(4)] != seq:
+            if [oracle[k].a(s, t) for k in range(4)] != seq:
                 failures.append((i, s, t, "chain route disagrees with oracle"))
         if failures:
             break
@@ -477,8 +427,8 @@ def test_criterion_8_behavioural_distances():
         failures.append(("lawvere x-u", table_xu))
     if table_yv != [Fraction(0), Fraction(1), Fraction(1)]:
         failures.append(("lawvere y-v", table_yv))
-    oracle = _recursive_distances(c, 2)
-    if [oracle[k]["x", "u"] for k in range(3)] != table_xu:
+    oracle = _descent(c, 2)
+    if [oracle[k].a("x", "u") for k in range(3)] != table_xu:
         failures.append(("lawvere oracle disagrees", table_xu))
     _finish(8, "behavioural distances: antitone, hom-invariant, and the "
                "worked example reproduces its table", failures,

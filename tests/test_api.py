@@ -2,8 +2,9 @@
 function of the library modules (all but the command line) and the
 parameters of its signature whose names contain ``cap``.  A new cap is a
 new knob, so it is added here on purpose or not at all.  And its functor
-dispatch: only the node classes in ``coalg`` look at a node's type.  And
-its arithmetic: no module reads the private fields of a ``Fraction``."""
+dispatch: only the node classes in ``coalg`` look at a node's type, and in
+the tests only the oracle routes do.  And its arithmetic: no module reads
+the private fields of a ``Fraction``."""
 
 import ast
 import importlib
@@ -63,6 +64,18 @@ def test_only_coalg_tests_the_type_of_a_functor_node():
         if _isinstance_on_a_node(node)
     }
     assert found <= {"coalg.py"}
+
+
+def test_only_the_oracle_routes_test_the_type_of_a_functor_node():
+    """Each walk of the functor AST in the tests is an independent route,
+    defined once in ``oracle_routes``, which the test modules import."""
+    found = {
+        path.name
+        for path in Path(__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _isinstance_on_a_node(node)
+    }
+    assert found == {"oracle_routes.py"}
 
 
 # the fields of every descriptor schema

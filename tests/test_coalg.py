@@ -35,6 +35,7 @@ from quantcat import (
     fibre_join,
     final_chain,
     from_order,
+    identity_functor,
     indiscrete,
     initial_lift_coalgebra,
     is_coalg_hom,
@@ -45,14 +46,15 @@ from quantcat import (
     restrict,
     symmetrize,
     terminal,
-    up_closure,
+    vfunctors_between,
 )
 from quantcat import coalg, hausdorff
 from quantcat.coalg import _normal_form, _term_text, normalize_term
 from quantcat.descriptors import dump_term, load_term
 from quantcat.suites import QUANTALE_NAMES, draw_functor, rand_category, rand_relation
 from conftest import diamond_fork, diamond_quantale
-from oracle_routes import entry_lift, in_functor, pairwise_descent, tree_normal_form
+from oracle_routes import (draw_set_term, entry_lift, in_functor, largest_agreeing_subcoalgebra,
+                           pairwise_descent, set_map, set_terms, tree_eval_mor, tree_image)
 
 
 @pytest.fixture()
@@ -328,27 +330,10 @@ def test_equalizer_trivial_cases(q2, hid):
     assert none.carrier.states == ()
 
 
-def brute_equalizer(cx, f, g):
-    """Independent oracle: the largest subset carrying a sub-coalgebra on
-    which the two maps agree, found by exhaustive subset search."""
-    states = cx.carrier.states
-    best = None
-    for mask in range(1 << len(states)):
-        keep = [s for i, s in enumerate(states) if mask >> i & 1]
-        if any(f(s) != g(s) for s in keep):
-            continue
-        sub = restrict(cx.carrier, keep)
-        fsub = eval_obj(cx.functor, sub)
-        if all(cx.structure[s] in fsub.states for s in keep):
-            if best is None or len(keep) > len(best):
-                best = keep
-    return tuple(best)
-
-
 def test_equalizer_matches_brute_force(q2):
     cx, cy, f, g = _agreement_equalizer_instance(q2)
     sub, _ = equalizer(cx, f, g)
-    assert sub.carrier.states == brute_equalizer(cx, f, g)
+    assert sub.carrier.states == largest_agreeing_subcoalgebra(cx, f, g)
 
 
 def test_initial_lift_empty_cone(q2):
@@ -550,31 +535,6 @@ def test_labeled_lawvere_functor_chain(lawvere):
 # -- F on maps against a node-by-node oracle --------------------------------
 
 
-def _eval_mor_by_node(expr, f):
-    """Independent oracle: F(f) assembled node by node, each part map
-    applied to whole elements and set payloads up-closed in the target."""
-    src, tgt = eval_obj(expr, f.source), eval_obj(expr, f.target)
-    if isinstance(expr, Id):
-        return f
-    if isinstance(expr, Const):
-        return VFunctor(src, tgt, src.states)
-    if isinstance(expr, Prod):
-        parts = [_eval_mor_by_node(p, f) for p in expr.parts]
-        return VFunctor(src, tgt, [tuple(m(s[i]) for i, m in enumerate(parts))
-                                   for s in src.states])
-    if isinstance(expr, Sum):
-        parts = [_eval_mor_by_node(p, f) for p in expr.parts]
-        return VFunctor(src, tgt, [(b, parts[b](s)) for (b, s) in src.states])
-    inner = _eval_mor_by_node(expr.inner, f)
-    return VFunctor(src, tgt, [up_closure(inner.target, {inner(s) for s in a})
-                               for a in src.states])
-
-
-def _monotone_maps(x, y):
-    return [f for f in (VFunctor(x, y, m) for m in iproduct(y.states, repeat=len(x.states)))
-            if is_vfunctor(f)]
-
-
 def _seven_functors(labels):
     return [
         Id(), Const(labels), Prod([Const(labels), Id()]), Sum([Id(), Const(labels)]),
@@ -587,11 +547,11 @@ def test_eval_mor_matches_node_by_node_oracle(q2, c2):
     x = from_order(q2, ["a", "b", "c"], [("a", "b")])
     exprs = _seven_functors(from_order(q2, ["l0", "l1"], [("l0", "l1")]))
     # every map from three states to two identifies some of them
-    maps = _monotone_maps(x, c2) + [VFunctor(x, x, ["b", "b", "c"])]
+    maps = vfunctors_between(x, c2) + [VFunctor(x, x, ["b", "b", "c"])]
     assert len(maps) > 4
     for expr in exprs:
         for f in maps:
-            assert eval_mor(expr, f) == _eval_mor_by_node(expr, f), (expr, f.mapping)
+            assert eval_mor(expr, f) == tree_eval_mor(expr, f), (expr, f.mapping)
 
 
 def _three_state_carriers(q2, godel3):
@@ -642,25 +602,9 @@ def test_a_sum_branch_that_is_not_an_int_is_misshapen(q2, branch):
     with pytest.raises(ConsistencyError, match="does not have the shape"):
         normalize_term(expr, x, (branch, "a"))
     assert not in_functor(expr, x, (branch, "a"))
-    assert tree_normal_form(expr, x, (1, "a")) == normalize_term(expr, x, (1, "a"))
+    assert tree_image(expr, identity_functor(x), (1, "a")) == normalize_term(expr, x, (1, "a"))
     with pytest.raises(ConsistencyError, match="does not have the shape"):
-        tree_normal_form(expr, x, (branch, "a"))
-
-
-def _set_level_terms(expr, states):
-    """Every set-level term of ``expr`` over ``states``: an H node takes
-    every set of its inner terms."""
-    if isinstance(expr, Id):
-        return list(states)
-    if isinstance(expr, Const):
-        return list(expr.category.states)
-    if isinstance(expr, Prod):
-        return list(iproduct(*(_set_level_terms(p, states) for p in expr.parts)))
-    if isinstance(expr, Sum):
-        return [(b, t) for b, p in enumerate(expr.parts) for t in _set_level_terms(p, states)]
-    inner = _set_level_terms(expr.inner, states)
-    return [frozenset(t for i, t in enumerate(inner) if mask >> i & 1)
-            for mask in range(1 << len(inner))]
+        tree_image(expr, identity_functor(x), (branch, "a"))
 
 
 # unknown leaves, misshapen terms and unhashable ones, offered to every functor
@@ -695,10 +639,11 @@ def test_normal_forms_agree_with_the_tree_walk(q2, godel3):
         labels = from_order(x.quantale, ["l0", "l1"], [("l0", "l1")])
         for expr in _seven_functors(labels) + [Sum([Const(labels), HComp(Id())]),
                                                Prod([Id(), HComp(Id())])]:
-            terms = _set_level_terms(expr, x.states) + _ODD_TERMS
+            terms = set_terms(expr, x.states) + _ODD_TERMS
             for mask in range(1 << len(x.states)):
                 sub = restrict(x, [s for i, s in enumerate(x.states) if mask >> i & 1])
-                want = [_outcome(lambda u: tree_normal_form(expr, sub, u), t) for t in terms]
+                want = [_outcome(lambda u: tree_image(expr, identity_functor(sub), u), t)
+                        for t in terms]
                 batch = _normal_form(expr, sub)
                 assert [_outcome(batch, t) for t in terms] == want, (expr, sub.states)
                 for t, w in zip(terms, want):
@@ -1018,21 +963,6 @@ def test_a_matrix_on_the_elements_of_one_carrier_reads_the_relation_it_is_given(
                 assert lifted == [[d(s, t) for t in els] for s in els], (q, expr, y.matrix)
 
 
-def _draw_set_term(rng, expr, states):
-    """A set-level term of ``expr`` over ``states``: an H node takes up to
-    three drawn inner terms, which need not form an up-set."""
-    if isinstance(expr, Id):
-        return rng.choice(states)
-    if isinstance(expr, Const):
-        return rng.choice(expr.category.states)
-    if isinstance(expr, Prod):
-        return tuple(_draw_set_term(rng, p, states) for p in expr.parts)
-    if isinstance(expr, Sum):
-        b = rng.randrange(len(expr.parts))
-        return (b, _draw_set_term(rng, expr.parts[b], states))
-    return frozenset(_draw_set_term(rng, expr.inner, states) for _ in range(rng.randint(0, 3)))
-
-
 def test_every_descent_iterate_is_the_pairwise_iterate():
     """``lift_descent``, whose step reads one whole matrix on the distinct
     structure terms, yields the iterates of the step that lifts one pair at
@@ -1048,7 +978,7 @@ def test_every_descent_iterate_is_the_pairwise_iterate():
         q = rng.choice(quantales)
         x = rand_category(rng, q, min_size=1, max_size=6)
         expr = rng.choice(_seven_functors(_labels(q)))
-        structure = {s: _draw_set_term(rng, expr, x.states) for s in x.states}
+        structure = {s: draw_set_term(rng, expr, x.states) for s in x.states}
         if rng.random() < 0.5:
             normal = _normal_form(expr, x)
             structure = {s: normal(t) for s, t in structure.items()}
@@ -1059,35 +989,6 @@ def test_every_descent_iterate_is_the_pairwise_iterate():
 
 
 # -- the lax-extension laws for drawn functors ----------------------------------
-
-
-def _set_terms(expr, xs):
-    """F(xs) on sets: an H node takes every subset, not only the up-sets."""
-    if isinstance(expr, Id):
-        return list(xs)
-    if isinstance(expr, Const):
-        return list(expr.category.states)
-    if isinstance(expr, Prod):
-        return list(iproduct(*(_set_terms(p, xs) for p in expr.parts)))
-    if isinstance(expr, Sum):
-        return [(b, t) for b, p in enumerate(expr.parts) for t in _set_terms(p, xs)]
-    inner = _set_terms(expr.inner, xs)
-    return [frozenset(t for i, t in enumerate(inner) if m >> i & 1)
-            for m in range(1 << len(inner))]
-
-
-def _set_map(expr, f):
-    """F(f) on sets for a dict f: direct images, with no up-closure."""
-    if isinstance(expr, Id):
-        return f.__getitem__
-    if isinstance(expr, Const):
-        return lambda t: t
-    parts = [_set_map(p, f) for p in expr.parts]
-    if isinstance(expr, Prod):
-        return lambda t: tuple(m(u) for m, u in zip(parts, t))
-    if isinstance(expr, Sum):
-        return lambda t: (t[0], parts[t[0]](t[1]))
-    return lambda t: frozenset(map(parts[0], t))
 
 
 def _lifted(expr, q, r, src, tgt):
@@ -1114,7 +1015,7 @@ def test_every_drawn_functor_lifts_laxly():
         q = Quantale.by_name(name)
         expr = draw_functor(rng, q, 2, leaf=False)
         xs, ys, zs = ([f"{c}{i}" for i in range(rng.randint(1, 2))] for c in "xyz")
-        fx, fy, fz = (_set_terms(expr, s) for s in (xs, ys, zs))
+        fx, fy, fz = (set_terms(expr, s) for s in (xs, ys, zs))
         if len(fx) * len(fy) * len(fz) > 40_000:
             continue
         checked += 1
@@ -1128,7 +1029,7 @@ def test_every_drawn_functor_lifts_laxly():
         for u, v in zip(_then(q, fr, fs), _lifted(expr, q, rs, fx, fz)):
             assert all(map(q.leq, u, v)), where
         f = {x: rng.choice(ys) for x in xs}
-        ff = _set_map(expr, f)
+        ff = set_map(expr, f)
         graph = [[q.unit if f[x] == y else q.bottom for y in ys] for x in xs]
         images = list(map(ff, fx))
         d = _lifted(expr, q, VRelation(q, xs, ys, graph), fx, images)

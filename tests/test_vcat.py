@@ -41,19 +41,7 @@ from quantcat import (
 )
 from quantcat import vcat
 from quantcat.suites import QUANTALE_NAMES, _elements, rand_category
-from oracle_routes import is_initial_cone, priestley_cone, squaring_closure
-
-
-def all_structures(q, states):
-    """Exhaustively enumerate valid structures on the given carrier."""
-    n = len(states)
-    out = []
-    for cells in iproduct(q.elements, repeat=n * n):
-        mat = [list(cells[i * n:(i + 1) * n]) for i in range(n)]
-        cand = VCategory(q, states, mat)
-        if is_vcategory(cand):
-            out.append(cand)
-    return out
+from oracle_routes import all_structures, is_initial_cone, priestley_cone, squaring_closure
 
 
 def test_check_vcategory(q2, line013):
