@@ -284,45 +284,37 @@ def underlying_order(x):
     }
 
 
+def _first_equivalents(x):
+    """For each state index i, the least j whose bits in ``unit_rows`` put i
+    and j above each other, or i itself when no j before i does: the first
+    state of i's class under mutual order."""
+    rows = x.unit_rows()
+    first = list(range(len(rows)))
+    for i, row in enumerate(rows):
+        for j in range(i):
+            if row >> j & 1 and rows[j] >> i & 1:
+                first[i] = j
+                break
+    return first
+
+
 def is_separated(x):
-    order = underlying_order(x)
-    return not any((t, s) in order for (s, t) in order if s != t)
+    return _first_equivalents(x) == list(range(len(x.states)))
 
 
 def separated_reflection(x):
     """Quotient by mutual order-equivalence; returns (quotient, projection).
 
-    Representatives are least-index states; the quotient structure is read
-    off representatives and verified to be well defined.
+    V-Cat is topological over Set, so the quotient is the full subcategory
+    on the first state of each class, and the projection onto it is
+    initial.  On an input that is no V-category it need not be, and then
+    ConsistencyError is raised.
     """
-    order = underlying_order(x)
-    rep = {}
-    for i, s in enumerate(x.states):
-        for t in x.states[: i + 1]:
-            if (s, t) in order and (t, s) in order:
-                rep[s] = rep.get(t, t)
-                break
-        rep.setdefault(s, s)
-    classes = []
-    for s in x.states:
-        if rep[s] == s:
-            classes.append(s)
-    members = {c: [s for s in x.states if rep[s] == c] for c in classes}
-    for c in classes:
-        for d in classes:
-            v = x.a(c, d)
-            for s in members[c]:
-                for t in members[d]:
-                    if x.a(s, t) != v:
-                        raise ConsistencyError(
-                            f"quotient structure not well defined at ({s!r}, {t!r})"
-                        )
-    quotient = VCategory(
-        x.quantale, classes,
-        [[x.a(c, d) for d in classes] for c in classes],
-    )
-    proj = VFunctor(x, quotient, [rep[s] for s in x.states])
-    return quotient, proj
+    reps = [x.states[j] for j in _first_equivalents(x)]
+    quotient = restrict(x, reps)
+    if initial_structure(x.quantale, x.states, [(reps, quotient)]) != x:
+        raise ConsistencyError("quotient structure not well defined: the projection is not initial")
+    return quotient, VFunctor(x, quotient, reps)
 
 
 # -- monoidal structure -------------------------------------------------
