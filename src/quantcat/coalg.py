@@ -323,12 +323,11 @@ class HComp(_Node):
         return sorted((self.inner.dump(t) for t in term), key=_JSON_TEXT)
 
 
-def _leaf_quantales(expr):
-    """The quantales of the constant leaves, left to right."""
-    if isinstance(expr, Const):
-        yield expr.category.quantale
+def _nodes(expr):
+    """The nodes of a functor, each before its parts, left to right."""
+    yield expr
     for p in expr.parts:
-        yield from _leaf_quantales(p)
+        yield from _nodes(p)
 
 
 # -- evaluation on objects and morphisms ---------------------------------
@@ -395,18 +394,36 @@ def eval_mor(expr, f):
     return VFunctor(src, tgt, _fmap(expr, f, f.target, src.states))
 
 
+def _int_branches(expr, term):
+    """Raise, as a Sum table does, at a branch that is not an int: a table
+    finds a term by equality, so (True, t) can hit the entry of (1, t)."""
+    if isinstance(expr, Sum):
+        if type(term[0]) is not int:
+            raise _misshapen(expr, term)
+        _int_branches(expr.parts[term[0]], term[1])
+    elif expr.parts:
+        pairs = zip(expr.parts, term) if isinstance(expr, Prod) else ((expr.inner, u) for u in term)
+        for p, u in pairs:
+            _int_branches(p, u)
+
+
 def _normal_form(expr, cat):
     """F(id_cat) on set-level terms, one table per node for a batch: the normal
     form in F(cat).  A leaf outside its category or a term not shaped like
-    the functor, an unhashable one included, raises ConsistencyError."""
+    the functor, an unhashable one or one with a branch that is not an int
+    included, raises ConsistencyError."""
     table = _table(expr, functools.partial(_leaf, cat), cat, {})
+    sums = any(isinstance(node, Sum) for node in _nodes(expr))
 
     def normal(term):
         try:
             hash(term)
         except TypeError:
             raise _misshapen(expr, term) from None
-        return table(term)
+        out = table(term)
+        if sums:
+            _int_branches(expr, term)
+        return out
     return normal
 
 
@@ -517,7 +534,8 @@ def _structure_fault(c):
     code may hold terms outside F(X), which ``check_coalgebra`` reports as
     a failed law.  One table of normal forms serves all structure terms."""
     x = c.carrier
-    if any(q != x.quantale for q in _leaf_quantales(c.functor)):
+    if any(isinstance(n, Const) and n.category.quantale != x.quantale
+           for n in _nodes(c.functor)):
         return "constant category over a different quantale"
     normal = _normal_form(c.functor, x)
     for t in map(c.structure.__getitem__, x.states):
@@ -618,7 +636,7 @@ def final_chain(expr, depth, quantale=None, cap=hd.DEFAULT_COUNT_CAP):
     A negative depth raises ConsistencyError."""
     if depth < 0:
         raise ConsistencyError(f"depth {depth} is negative")
-    q = next(_leaf_quantales(expr), None) or quantale
+    q = next((n.category.quantale for n in _nodes(expr) if isinstance(n, Const)), quantale)
     if q is None:
         raise ConsistencyError("functor fixes no quantale; pass one explicitly")
     one = terminal(q)

@@ -607,6 +607,32 @@ def test_a_sum_branch_that_is_not_an_int_is_misshapen(q2, branch):
         tree_image(expr, identity_functor(x), (branch, "a"))
 
 
+@pytest.mark.parametrize("branch", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("first", [0, 1], ids=["odd-first", "odd-second"])
+def test_a_non_int_branch_is_refused_whatever_comes_before_it(q2, branch, first):
+    """The tables find a term by equality, and (True, "a") == (1, "a"): a
+    term with a float or bool branch stays outside F(X), for the check and
+    for the equalizer, whether or not its int twin was looked up first."""
+    x = discrete(q2, ["a", "b"])
+    odd, plain = (branch, "a"), (1, "a")
+    structure = dict(zip(x.states, [odd, plain] if first == 0 else [plain, odd]))
+    odd_state = x.states[first]
+    for expr in (Sum([Id(), Id()]), Prod([Id(), Sum([Id(), Id()])]), HComp(Sum([Id(), Id()]))):
+        wrap = {Sum: lambda t: t, Prod: lambda t: ("b", t), HComp: lambda t: frozenset({t})}
+        c = Coalgebra(expr, x, {s: wrap[type(expr)](t) for s, t in structure.items()})
+        report = check_coalgebra(c)
+        assert not report.ok, expr
+        fault = report.entry("structure-in-functor").witness[0]
+        assert fault == f"mapping hits unknown target state {_term_text(c.structure[odd_state])}"
+        ident = VFunctor(x, x, x.states)
+        sub, _ = equalizer(c, ident, ident)
+        assert odd_state not in sub.carrier.states, expr
+        normal = _normal_form(expr, x)
+        normal(c.structure[x.states[1 - first]])
+        with pytest.raises(ConsistencyError, match="does not have the shape"):
+            normal(c.structure[odd_state])
+
+
 # unknown leaves, misshapen terms and unhashable ones, offered to every functor
 _ODD_TERMS = ["z", "a", ("z",), ("a",), (0,), (0, "z"), (1, "z"), (2, "a"), ("a", "z"),
               ("l0", "a", "b"), ("l0", "z"), ("z", frozenset()), ("a", frozenset({"z"})),
