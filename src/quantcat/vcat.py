@@ -286,16 +286,10 @@ def underlying_order(x):
 
 def _first_equivalents(x):
     """For each state index i, the least j whose bits in ``unit_rows`` put i
-    and j above each other, or i itself when no j before i does: the first
-    state of i's class under mutual order."""
+    and j above each other, or i itself when no j before i does."""
     rows = x.unit_rows()
-    first = list(range(len(rows)))
-    for i, row in enumerate(rows):
-        for j in range(i):
-            if row >> j & 1 and rows[j] >> i & 1:
-                first[i] = j
-                break
-    return first
+    return [next((j for j in range(i) if row >> j & 1 and rows[j] >> i & 1), i)
+            for i, row in enumerate(rows)]
 
 
 def is_separated(x):
@@ -307,13 +301,12 @@ def separated_reflection(x):
 
     V-Cat is topological over Set, so the quotient is the full subcategory
     on the first state of each class, and the projection onto it is
-    initial.  On an input that is no V-category it need not be, and then
-    ConsistencyError is raised.
+    initial; where it is not, the input is no V-category: ConsistencyError.
     """
     reps = [x.states[j] for j in _first_equivalents(x)]
     quotient = restrict(x, reps)
     if initial_structure(x.quantale, x.states, [(reps, quotient)]) != x:
-        raise ConsistencyError("quotient structure not well defined: the projection is not initial")
+        raise ConsistencyError("quotient not well defined: the projection is not initial")
     return quotient, VFunctor(x, quotient, reps)
 
 
