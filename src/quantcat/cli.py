@@ -317,7 +317,7 @@ def cantor(category_path, phi_text, cap, fmt):
         if v.point is not None:
             out["point"] = v.point
         if v.values is not None:
-            out["values"] = [str(x) for x in v.values]
+            out["values"] = [cat.quantale.format(x) for x in v.values]
         return out
 
     # phi is checked against the increasing subsets before the lifted

@@ -229,6 +229,16 @@ def test_chain_cap_exit_code(runner):
     assert result.exit_code == 3
 
 
+def test_a_sum_carrier_past_the_cap_exits_3(runner):
+    result = runner.invoke(main, ["chain", "--functor", '{"sum":[{"id":{}},{"id":{}}]}',
+                                  "--depth", "2", "--cap", "2"])
+    assert result.exit_code == 3, result.exception
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {"schema": "report/1",
+                                         "error": "sum carrier: size 4 exceeds cap 2"}
+
+
 _TWO_LABELS_H = json.dumps({"prod": [
     {"const": {"schema": "vcategory/1", "quantale": "bool", "states": ["a", "b"],
                "matrix": [["1", "0"], ["0", "1"]]}},
@@ -409,6 +419,27 @@ def test_cantor_sweep(runner, c2_file):
     assert rep["maps"] == 8
     assert rep["tallies"] == {"not-injective": 8}
     assert rep["ok"] is True
+
+
+@pytest.mark.parametrize("quantale, entry, values", [
+    ("bool", "1", ["0", "1"]),
+    ("lawvere", "0", ["inf", "0"]),
+])
+def test_cantor_sweep_prints_witness_values_in_the_quantale_format(runner, tmp_path, quantale,
+                                                                    entry, values):
+    """On the indiscrete two-state carrier two of the four maps are
+    injective, so the sweep reaches a not-initial witness and prints its
+    values as every report prints quantale values."""
+    path = _write(tmp_path, "indiscrete.json", {
+        "schema": "vcategory/1", "quantale": quantale, "states": ["u", "v"],
+        "matrix": [[entry, entry], [entry, entry]]})
+    result = runner.invoke(main, ["cantor", "--category", path])
+    assert result.exit_code == 0, result.stderr
+    rep = json.loads(result.output)
+    assert rep["maps"] == 4
+    assert rep["tallies"] == {"not-initial": 2, "not-injective": 2}
+    assert rep["witnesses"]["not-initial"] == {"kind": "not-initial",
+                                               "subsets": [[], ["u", "v"]], "values": values}
 
 
 def test_cantor_explicit_phi(runner, c2_file):
@@ -900,6 +931,15 @@ FILES = {
     "numeric_ids": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
                     "category": _bool_category([0, 1], [["1", "0"], ["0", "1"]]),
                     "structure": {"0": [], "1": ["0"]}},
+    "two_states": {"schema": "coalgebra/1", "functor": {"H": {"id": {}}},
+                   "category": _bool_category(["a", "b"], [["1", "0"], ["0", "1"]]),
+                   "structure": {"a": [], "b": []}},
+    "quantale_v2": {**_bool_category(["a"], [["1"]]),
+                    "quantale": {**_chain_table(2), "schema": "quantale/2"}},
+    "duplicate_elements": {**_bool_category(["a"], [["1"]]), "quantale": {
+        "schema": "quantale/1", "elements": ["0", "0"], "leq": [[1, 1], [0, 1]],
+        "tensor": [["0", "0"], ["0", "0"]], "unit": "0"}},
+    "set_coalgebra_v2": {**_set_coalgebra(["b"]), "schema": "setcoalgebra/2"},
 }
 BAD_INPUTS = {
     # the five malformed calls of the session benchmark
@@ -961,6 +1001,25 @@ BAD_INPUTS = {
     "numeric coalgebra state ids": (["behave", "--coalgebra", "@numeric_ids", "--depth", "1"],
                                     "structure keys are JSON strings, so coalgebra/1 needs "
                                     "string state ids, not 0"),
+    # a map entry names its source and its target, and the map covers the source
+    "map entry without target": (["equalize", "--coalgebra", "@two_states", "--target",
+                                  "@two_states", "--left", "a", "--right", "a=a,b=b"],
+                                 "bad map entry 'a', expected src=tgt"),
+    "map that misses a state": (["equalize", "--coalgebra", "@two_states", "--target",
+                                 "@two_states", "--left", "a=a", "--right", "a=a,b=b"],
+                                "map does not cover the source carrier"),
+    "chain of no elements": (["chain", "--quantale", "godel:0", "--depth", "1"],
+                             "chain needs at least one element"),
+    "chain length not a number": (["chain", "--quantale", "godel:x", "--depth", "1"],
+                                  "bad chain length in 'godel:x'"),
+    "inline quantale of another schema": (["check", "@quantale_v2"],
+                                          "unsupported quantale schema 'quantale/2'"),
+    "inline quantale with a repeated element": (["check", "@duplicate_elements"],
+                                                "duplicate element ids"),
+    "id node with a body": (["chain", "--functor", '{"id": {"x": 1}}', "--depth", "1"],
+                            "id node takes no body"),
+    "set coalgebra of another schema": (["lift", "--file", "@set_coalgebra_v2"],
+                                        "unsupported schema 'setcoalgebra/2'"),
 }
 
 
