@@ -169,6 +169,31 @@ def test_final_chain_builds_only_the_levels_it_returns(q2, hid, monkeypatch, dep
     assert seen["mor"] == [level.connecting for level in chain[1:-1]]
 
 
+def test_final_chain_needs_a_quantale_when_the_functor_fixes_none(hid):
+    with pytest.raises(ConsistencyError, match="^functor fixes no quantale; pass one explicitly$"):
+        final_chain(hid, 1)
+
+
+def test_a_structure_map_must_cover_the_carrier(q2, hid):
+    with pytest.raises(ConsistencyError, match="^structure map does not cover the carrier$"):
+        Coalgebra(hid, discrete(q2, ["a", "b"]), {"a": frozenset()})
+
+
+def test_a_homomorphism_must_run_between_the_two_carriers(q2, hid):
+    x, y = discrete(q2, ["a"]), discrete(q2, ["b"])
+    cx = Coalgebra(hid, x, {"a": frozenset()})
+    cy = Coalgebra(hid, y, {"b": frozenset()})
+    with pytest.raises(ConsistencyError, match="^homomorphism endpoints do not match$"):
+        is_coalg_hom(VFunctor(y, x, ["a"]), cx, cy)
+
+
+def test_the_lax_extension_laws_need_relations_that_compose(q2):
+    r = VRelation(q2, ["x"], ["y"], [["1"]])
+    s = VRelation(q2, ["z"], ["w"], [["1"]])
+    with pytest.raises(ConsistencyError, match="^relations do not compose$"):
+        coalg.check_lax_extension_laws(Id(), r, r, s, {"x": "y"})
+
+
 def test_final_chain_rejects_a_negative_depth(q2, hid):
     with pytest.raises(ConsistencyError, match="depth -1 is negative"):
         final_chain(hid, -1, quantale=q2)

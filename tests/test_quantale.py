@@ -160,6 +160,11 @@ def test_totally_below_bottom_never_holds():
         assert all((u, q.bottom) not in rel for u in q.elements)
 
 
+def test_totally_below_refuses_a_quantale_without_a_table(lawvere):
+    with pytest.raises(DescriptorError, match="^totally_below requires a finite-table quantale$"):
+        totally_below(lawvere)
+
+
 def test_totally_below_godel_chain(godel3):
     rel = totally_below(godel3)
     assert ("1/2", "1") in rel

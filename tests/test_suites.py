@@ -4,15 +4,16 @@ back as a serial run raises them, and every worker is reaped."""
 
 import json
 import os
+import random
 import select
 
 import pytest
 
-from quantcat import coalg, hausdorff, suites
+from quantcat import Id, Prod, Quantale, VRelation, coalg, hausdorff, suites
 from quantcat.cli import main
 from quantcat.descriptors import canonical_json
 from quantcat.errors import CapExceeded, LawFailure
-from quantcat.suites import SUITES, run_law_suites, run_suite
+from quantcat.suites import SUITES, rand_relation, run_law_suites, run_suite
 
 
 def _no_child_left():
@@ -299,3 +300,20 @@ def test_the_lax_extension_suite_catches_a_broken_node(monkeypatch, owner, name,
     suite report failures at the selfcheck seed and 200 cases."""
     monkeypatch.setattr(owner, name, mutant)
     assert _lax_failures()
+
+
+@pytest.mark.parametrize("qname", ["bool", "godel:3"])
+def test_a_joining_product_breaks_the_composition_law(monkeypatch, qname):
+    """At the selfcheck seed few drawn cases catch a ``Prod`` that joins its
+    parts, so this pins one: ``Prod([Id(), Id()])`` on seeded relations of
+    three states per side keeps the laws, and with the parts joined the
+    composite of the lifts is no longer below the lift of the composite."""
+    rng = random.Random(0)
+    q = Quantale.by_name(qname)
+    xs, ys, zs = ([f"{c}{i}" for i in range(3)] for c in "xyz")
+    r, bump, s = (rand_relation(rng, q, a, b) for a, b in ((xs, ys), (xs, ys), (ys, zs)))
+    r2 = VRelation(q, xs, ys, [list(map(q.join, u, v)) for u, v in zip(r.matrix, bump.matrix)])
+    args = (Prod([Id(), Id()]), r, r2, s, {x: rng.choice(ys) for x in xs})
+    assert coalg.check_lax_extension_laws(*args).ok
+    monkeypatch.setattr(coalg.Prod, "matrix", _prod_joining)
+    assert [e.law for e in coalg.check_lax_extension_laws(*args).failures()] == ["lax-composition"]
