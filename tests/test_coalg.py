@@ -642,9 +642,10 @@ def test_a_non_int_branch_is_refused_whatever_comes_before_it(q2, branch, first)
     odd, plain = (branch, "a"), (1, "a")
     structure = dict(zip(x.states, [odd, plain] if first == 0 else [plain, odd]))
     odd_state = x.states[first]
-    for expr in (Sum([Id(), Id()]), Prod([Id(), Sum([Id(), Id()])]), HComp(Sum([Id(), Id()]))):
-        wrap = {Sum: lambda t: t, Prod: lambda t: ("b", t), HComp: lambda t: frozenset({t})}
-        c = Coalgebra(expr, x, {s: wrap[type(expr)](t) for s, t in structure.items()})
+    for expr, wrap in ((Sum([Id(), Id()]), lambda t: t),
+                       (Prod([Id(), Sum([Id(), Id()])]), lambda t: ("b", t)),
+                       (HComp(Sum([Id(), Id()])), lambda t: frozenset({t}))):
+        c = Coalgebra(expr, x, {s: wrap(t) for s, t in structure.items()})
         report = check_coalgebra(c)
         assert not report.ok, expr
         fault = report.entry("structure-in-functor").witness[0]
